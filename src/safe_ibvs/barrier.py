@@ -240,33 +240,3 @@ def prcbc_quadratics(
         c = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - float(ds @ ds)
         out.append(QuadraticConstraint(a=a, b=b, c=c))
     return out
-
-
-@dataclass(frozen=True)
-class BarrierRowReport:
-    """Smallest row magnitude seen while checking constraint rows."""
-
-    min_inf_norm: float
-    all_nonzero: bool
-    n_rows: int
-
-
-def validate_barrier_rows(observations) -> BarrierRowReport:
-    """Check that no barrier-rate row degenerates to zero.
-
-    The radius-rate entry ``-2 Rn R / Zo^2`` is structurally nonzero, so
-    rows stay nonzero even when a feature sits exactly on the projected
-    obstacle center; this scans real states and reports the minimum
-    infinity norm encountered.
-    """
-    min_norm = np.inf
-    n = 0
-    for obs in observations:
-        rn = obs.obstacle.rn
-        for i in range(obs.m):
-            row = barrier_rate_row(
-                obs.features[i], obs.obstacle.center, obs.l_features[i], obs.l_obstacle, obs.l_radius, rn
-            )
-            min_norm = min(min_norm, float(np.abs(row).max()))
-            n += 1
-    return BarrierRowReport(min_inf_norm=min_norm, all_nonzero=bool(min_norm > 0.0), n_rows=n)

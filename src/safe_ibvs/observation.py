@@ -24,7 +24,6 @@ class FeatureObservation:
     l_features: np.ndarray  # (m, 2, 6)
     l_obstacle: np.ndarray  # (2, 6)
     l_radius: np.ndarray  # (6,)
-    timestamp: float = 0.0
 
     @property
     def m(self) -> int:

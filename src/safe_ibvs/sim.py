@@ -81,11 +81,6 @@ class StepRecord:
     v_star: np.ndarray
     v_mpc: np.ndarray
     filter_status: str
-    features_true: np.ndarray
-    features_obs: np.ndarray
-    obstacle_center_true: np.ndarray
-    obstacle_center_obs: np.ndarray
-    rn: float
     min_row_inf: float
 
 
@@ -126,9 +121,6 @@ class TrajectoryLog:
     scenario_digest: str
     records: list[StepRecord] = field(default_factory=list)
     summary: TrajectorySummary = field(default_factory=TrajectorySummary)
-
-    def min_dis_px(self) -> float:
-        return min((r.dis_px for r in self.records), default=np.inf)
 
     def csv_text(self) -> str:
         m = self.records[0].h.shape[0] if self.records else 0
@@ -210,7 +202,6 @@ def observe(sc: Scenario, state: SimState, rng: np.random.Generator | None) -> F
         l_features=l_features,
         l_obstacle=l_obstacle,
         l_radius=l_radius,
-        timestamp=state.t,
     )
 
 
@@ -299,11 +290,6 @@ def step(
         v_star=np.asarray(v_star, dtype=float),
         v_mpc=np.asarray(v_mpc, dtype=float),
         filter_status=status,
-        features_true=truth.features.copy(),
-        features_obs=obs.features.copy(),
-        obstacle_center_true=truth.obstacle.center.copy(),
-        obstacle_center_obs=obs.obstacle.center.copy(),
-        rn=truth.obstacle.rn,
         min_row_inf=min_row_inf,
     )
     new_pose = integrate_twist(state.pose, v_star, sc.mpc.dt)
@@ -390,10 +376,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_trial(sc: Scenario) -> TrajectoryLog:
-    return run(sc)
-
-
 def sweep(
     template: Scenario,
     locations: np.ndarray,
@@ -426,7 +408,7 @@ def sweep(
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            logs = list(pool.map(_run_trial, scenarios))
+            logs = list(pool.map(run, scenarios))
     else:
         logs = [run(s) for s in scenarios]
 

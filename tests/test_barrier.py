@@ -237,16 +237,6 @@ def test_prcbc_radius_term_switch():
     assert np.allclose(qc_on.a, qc_off.a) and qc_on.c == qc_off.c
 
 
-def test_validate_barrier_rows():
-    obs_far = make_observation([[0.3, 0.0]], [1.0], [0.0, 0.0], 0.8, 0.05)
-    obs_coincident = make_observation([[0.0, 0.0]], [1.0], [0.0, 0.0], 0.8, 0.05)
-    report = barrier.validate_barrier_rows([obs_far, obs_coincident])
-    assert report.all_nonzero and report.n_rows == 2
-    # coincident case keeps the depth-rate entry 2 Rn R / Zo^2
-    rn = 0.05 / 0.8
-    assert report.min_inf_norm >= 2.0 * rn * 0.05 / 0.8**2 - 1e-12
-
-
 def test_chance_suite_small():
     report = chance_suite(sigma_levels=(0.8,), n_states=8, n_draws=4000, seed=11)
     assert report.passed, report.lines

@@ -171,7 +171,7 @@ def test_sweep_aggregate_identity():
     locs = np.array([[0.43, 0.23, 0.10], [0.40, 0.20, 0.08]])
     res = sim.sweep(sc, locs, trials_per_location=3, jobs=1)
     for i, row in enumerate(res.aggregate_rows()):
-        dis = np.array([log.min_dis_px() for log in res.logs[3 * i : 3 * i + 3]])
+        dis = np.array([log.summary.min_dis_px for log in res.logs[3 * i : 3 * i + 3]])
         assert abs(row["mean_dis"] - dis.mean()) < 1e-9
         assert abs(row["var_dis"] - dis.var()) < 1e-9
 
