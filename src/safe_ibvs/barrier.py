@@ -19,7 +19,7 @@ families keep h nonnegative along the closed loop:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,17 +50,27 @@ class QuadraticConstraint:
     c: float
 
 
+def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a PSD matrix, round-off negative eigenvalues clipped to 0."""
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Zero-mean Gaussian pixel noise on feature and obstacle positions.
 
     Covariances are in pixel^2; constraint math lives in the normalized
-    image plane, so they are divided by f^2 on conversion.
+    image plane, so they are divided by f^2 on conversion. Draws are the
+    symmetric PSD square roots times standard normals, which also covers
+    singular covariances.
     """
 
     feature_cov: np.ndarray  # (2, 2), applied independently to every feature
     obstacle_cov: np.ndarray  # (2, 2)
     sigma: float = 0.8  # confidence level for the noisy-case constraints
+    feature_sqrt: np.ndarray = field(init=False, repr=False)
+    obstacle_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         fc = np.asarray(self.feature_cov, dtype=float).reshape(2, 2)
@@ -74,6 +84,8 @@ class NoiseModel:
                 raise ValueError(f"{name} must be PSD")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
+        object.__setattr__(self, "feature_sqrt", _psd_sqrt(fc))
+        object.__setattr__(self, "obstacle_sqrt", _psd_sqrt(oc))
 
     @staticmethod
     def isotropic(pixel_variance: float, sigma: float = 0.8) -> "NoiseModel":

@@ -17,10 +17,6 @@ class DimensionMismatch(SafeIbvsError, ValueError):
     """Operands have inconsistent shapes."""
 
 
-class SolverFailure(SafeIbvsError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class NumericalBreakdown(SafeIbvsError):
     """A matrix factorization failed beyond the regularization retry."""
 

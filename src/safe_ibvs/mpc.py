@@ -1,16 +1,28 @@
 """Finite-horizon planner for the feature-error regulation task.
 
 The prediction model holds the interaction matrix fixed at its current
-value over the horizon, which condenses the problem into a convex QP in
-the stacked control vector:
+value over the horizon, which condenses the problem into a strictly
+convex QP in the stacked control vector U = [V_0; ...; V_{N-1}]:
 
     min sum_k e_k' Q e_k + V_k' R V_k  +  e_N' F e_N
     s.t. e_{k+1} = e_k + dt * L @ V_k,   ||V_k|| <= v_max
 
-Solved with an accelerated projected-gradient method (the feasible set
-is a product of balls, so projection is per-block clipping), falling
-back to the interior-point core when the condensed Hessian is badly
-conditioned.
+It is solved exactly through its dual over the N ball multipliers
+lambda >= 0. For fixed lambda the Lagrangian's minimiser solves
+
+    (H + 2 diag(lambda) (x) I_6) U = -g
+
+with one Cholesky factorization. lambda = 0 gives the unconstrained
+optimum, which is the answer whenever no block exceeds v_max. Otherwise
+projected Newton over the blocks that exceed the bound or carry a
+positive multiplier drives 1/||U_k|| - 1/v_max to zero; this secular
+equation is nearly linear in lambda, as in trust-region methods (More &
+Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).
+
+The solve cannot fail. H is positive definite because R is (MpcConfig
+checks it), so every system above factors, and U = 0 is feasible, so
+the dual optimum exists. After NEWTON_MAX_ITER steps any block still
+over the bound is scaled onto it, so the result is always feasible.
 """
 
 from __future__ import annotations
@@ -20,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import qcqp
-from .errors import DimensionMismatch, SolverFailure
+from .errors import DimensionMismatch
 
-FISTA_MAX_ITER = 20000
-FISTA_TOL = 1e-9
-CONDITION_FALLBACK = 1e12
+NEWTON_MAX_ITER = 30
+NEWTON_TOL = 1e-10  # relative gap of ||U_k|| to v_max at which a bound counts as met
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,59 +119,22 @@ def condense(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> tuple[np.ndarray,
     """
     n = cfg.horizon
     dt = cfg.dt
+    steps = np.arange(n)
+    # e_k sums V_0..V_{k-1}: V_a and V_b meet in the stage costs after max(a, b) and in the terminal one
+    counts = np.maximum(n - 1 - np.maximum.outer(steps, steps), 0)
     s_q = L.T @ cfg.q @ L
     s_f = L.T @ cfg.f @ L
-    lq_e = L.T @ (cfg.q @ e0)
-    lf_e = L.T @ (cfg.f @ e0)
-    h_mat = np.zeros((6 * n, 6 * n))
-    g = np.zeros(6 * n)
-    for a in range(n):
-        for b in range(n):
-            count = max(n - 1 - max(a, b), 0)
-            block = dt * dt * (count * s_q + s_f)
-            h_mat[6 * a : 6 * a + 6, 6 * b : 6 * b + 6] = 2.0 * block
-        g[6 * a : 6 * a + 6] = 2.0 * dt * ((n - 1 - a) * lq_e + lf_e)
-        h_mat[6 * a : 6 * a + 6, 6 * a : 6 * a + 6] += 2.0 * cfg.r
+    h_mat = 2.0 * (dt * dt * (np.kron(counts, s_q) + np.kron(np.ones((n, n)), s_f)))
+    h_mat += np.kron(np.eye(n), 2.0 * cfg.r)
+    g = 2.0 * dt * (np.kron(n - 1 - steps, L.T @ (cfg.q @ e0)) + np.kron(np.ones(n), L.T @ (cfg.f @ e0)))
     return h_mat, g
 
 
-def _project_blocks(u: np.ndarray, v_max: float) -> np.ndarray:
-    blocks = u.reshape(-1, 6)
-    norms = np.linalg.norm(blocks, axis=1)
-    over = norms > v_max
-    if np.any(over):
-        blocks = blocks.copy()
-        blocks[over] *= (v_max / norms[over])[:, None]
-    return blocks.reshape(-1)
-
-
-def _fista(h_mat: np.ndarray, g: np.ndarray, v_max: float, lipschitz: float) -> np.ndarray:
-    """Accelerated projected gradient with adaptive restart.
-
-    The cheap fixed-point residual at the extrapolated point gates the
-    exact gradient-mapping check, so most iterations cost one matvec.
-    """
-    tol = FISTA_TOL * (1.0 + float(np.linalg.norm(g)))
-    x = np.zeros_like(g)
-    y = x.copy()
-    t_k = 1.0
-    for _ in range(FISTA_MAX_ITER):
-        grad_y = h_mat @ y + g
-        x_new = _project_blocks(y - grad_y / lipschitz, v_max)
-        if lipschitz * float(np.linalg.norm(y - x_new)) <= tol:
-            grad_x = h_mat @ x_new + g
-            mapped = x_new - _project_blocks(x_new - grad_x / lipschitz, v_max)
-            if lipschitz * float(np.linalg.norm(mapped)) <= tol:
-                return x_new
-        if float((y - x_new) @ (x_new - x)) > 0.0:
-            # momentum points uphill: restart
-            t_new = 1.0
-            y = x_new.copy()
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-            y = x_new + ((t_k - 1.0) / t_new) * (x_new - x)
-        x, t_k = x_new, t_new
-    raise SolverFailure(f"projected gradient did not converge in {FISTA_MAX_ITER} iterations")
+def _minimiser(h_mat: np.ndarray, g: np.ndarray, lam: np.ndarray):
+    """Cholesky factor of the shifted Hessian, the Lagrangian's minimiser (N, 6), and its block norms."""
+    factor = cho_factor(h_mat + np.diag(np.repeat(2.0 * lam, 6)))
+    u = cho_solve(factor, -g).reshape(-1, 6)
+    return factor, u, np.linalg.norm(u, axis=1)
 
 
 def plan(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> np.ndarray:
@@ -171,27 +144,20 @@ def plan(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> np.ndarray:
     if L.shape != (e0.shape[0], 6) or cfg.q.shape[0] != e0.shape[0]:
         raise DimensionMismatch(f"L {L.shape}, e0 {e0.shape}, q {cfg.q.shape}")
     h_mat, g = condense(e0, L, cfg)
-    eigs = np.linalg.eigvalsh(h_mat)
-    if eigs[0] <= 0.0:
-        raise ValueError(f"condensed Hessian not positive definite (min eigenvalue {eigs[0]:.3e})")
-    if eigs[-1] / eigs[0] > CONDITION_FALLBACK:
-        return _plan_interior_point(h_mat, g, cfg)
-    # speed bounds inactive at the unconstrained optimum: that is the solution
-    u_free = cho_solve(cho_factor(h_mat), -g)
-    if np.all(np.linalg.norm(u_free.reshape(-1, 6), axis=1) <= cfg.v_max):
-        return u_free.reshape(cfg.horizon, 6)
-    u = _fista(h_mat, g, cfg.v_max, float(eigs[-1]))
-    return u.reshape(cfg.horizon, 6)
-
-
-def _plan_interior_point(h_mat: np.ndarray, g: np.ndarray, cfg: MpcConfig) -> np.ndarray:
-    n = cfg.horizon
-    cons = []
-    for k in range(n):
-        a = np.zeros((6 * n, 6 * n))
-        a[6 * k : 6 * k + 6, 6 * k : 6 * k + 6] = np.eye(6)
-        cons.append((a, np.zeros(6 * n), -cfg.v_max**2))
-    result = qcqp.solve(h_mat, g, cons, x0=np.zeros(6 * n))
-    if result.status != "optimal":
-        raise SolverFailure(f"interior-point fallback failed: {result.status} {result.message}")
-    return result.x.reshape(n, 6)
+    n, v_max = cfg.horizon, cfg.v_max
+    lam = np.zeros(n)
+    factor, u, norms = _minimiser(h_mat, g, lam)
+    for _ in range(NEWTON_MAX_ITER):
+        free = np.flatnonzero((lam > 0.0) | (norms > v_max))
+        if np.all(np.abs(norms[free] - v_max) <= NEWTON_TOL * v_max):
+            break
+        # d(1/||U_k||)/d lam_j = 2 U_k' (K^-1)_kj U_j / ||U_k||^3, K the shifted Hessian
+        spread = np.zeros((n, 6, free.size))
+        spread[free, :, np.arange(free.size)] = u[free]
+        solved = cho_solve(factor, spread.reshape(6 * n, -1)).reshape(n, 6, -1)
+        jac = 2.0 * np.einsum("ki,kic->kc", u[free], solved[free]) / norms[free, None] ** 3
+        lam[free] = np.maximum(lam[free] - np.linalg.solve(jac, 1.0 / norms[free] - 1.0 / v_max), 0.0)
+        factor, u, norms = _minimiser(h_mat, g, lam)
+    over = norms > v_max
+    u[over] *= (v_max / norms[over])[:, None]
+    return u

@@ -22,6 +22,7 @@ from .barrier import (
     barrier_rate_row,
     cbc_halfspaces,
     noise_box_halfwidth,
+    noise_box_halfwidth_numeric,
     prcbc_quadratics,
 )
 from .errors import (
@@ -29,7 +30,6 @@ from .errors import (
     NonPositiveDepth,
     RankDeficient,
     ScenarioError,
-    SolverFailure,
 )
 from .geometry import (
     CameraPose,
@@ -38,7 +38,7 @@ from .geometry import (
     pixel_from_normalized,
     project_point,
 )
-from .ibvs import clip_twist, feature_error, gradient_controller
+from .ibvs import clip_twist, feature_error
 from .jacobians import (
     feature_interaction,
     obstacle_center_interaction,
@@ -186,11 +186,9 @@ def observe(sc: Scenario, state: SimState, rng: np.random.Generator | None) -> F
     obstacle = obstacle_image_state(sc.obstacle, state.pose, sc.intrinsics, state.t)
     if sc.noise is not None and rng is not None:
         f = sc.intrinsics.f
-        chol_feat = np.linalg.cholesky(sc.noise.feature_cov + 1e-300 * np.eye(2))
-        chol_obs = np.linalg.cholesky(sc.noise.obstacle_cov + 1e-300 * np.eye(2))
         for i in range(sc.m):
-            features[i] = features[i] + (chol_feat @ rng.standard_normal(2)) / f
-        noisy_center = obstacle.center + (chol_obs @ rng.standard_normal(2)) / f
+            features[i] = features[i] + (sc.noise.feature_sqrt @ rng.standard_normal(2)) / f
+        noisy_center = obstacle.center + (sc.noise.obstacle_sqrt @ rng.standard_normal(2)) / f
         obstacle = dc_replace(obstacle, center=noisy_center)
     l_features = np.stack([feature_interaction(features[i], depths[i]) for i in range(sc.m)])
     l_obstacle = obstacle_center_interaction(obstacle.center, obstacle.depth)
@@ -208,7 +206,10 @@ def observe(sc: Scenario, state: SimState, rng: np.random.Generator | None) -> F
 def _noise_halfwidth(sc: Scenario) -> float:
     if sc.noise is None:
         return 0.0
-    return noise_box_halfwidth(sc.noise.sigma, sc.noise.relative_cov_normalized(sc.intrinsics.f))
+    cov = sc.noise.relative_cov_normalized(sc.intrinsics.f)
+    # the closed form covers uncorrelated noise; correlated and singular covariances invert numerically
+    invert = noise_box_halfwidth if cov[0, 1] == 0.0 else noise_box_halfwidth_numeric
+    return invert(sc.noise.sigma, cov)
 
 
 def step(
@@ -225,11 +226,7 @@ def step(
     e_true = feature_error(truth.features, sc.target_features)
     L = obs.stacked_interaction()
 
-    try:
-        controls = mpc.plan(e_obs, L, sc.mpc)
-        v_mpc = controls[0]
-    except SolverFailure:
-        v_mpc = clip_twist(gradient_controller(e_obs, L, sc.ibvs_gain), sc.mpc.v_max)
+    v_mpc = mpc.plan(e_obs, L, sc.mpc)[0]
 
     min_row_inf = np.inf
     if sc.mode == MODE_UNFILTERED:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from safe_ibvs import mpc
 from safe_ibvs.errors import DimensionMismatch
@@ -77,6 +78,39 @@ def test_predict_errors_matches_manual_recursion():
 def test_predict_errors_dimension_check():
     with pytest.raises(DimensionMismatch):
         mpc.predict_errors(np.zeros(8), np.zeros((6, 6)), np.zeros((2, 6)), 0.05)
+
+
+def condense_loop(e0, L, cfg):
+    """Block-by-block reference for the Kronecker form of ``mpc.condense``."""
+    n, dt = cfg.horizon, cfg.dt
+    s_q, s_f = L.T @ cfg.q @ L, L.T @ cfg.f @ L
+    lq_e, lf_e = L.T @ (cfg.q @ e0), L.T @ (cfg.f @ e0)
+    h_mat = np.zeros((6 * n, 6 * n))
+    g = np.zeros(6 * n)
+    for a in range(n):
+        for b in range(n):
+            count = max(n - 1 - max(a, b), 0)
+            h_mat[6 * a : 6 * a + 6, 6 * b : 6 * b + 6] = 2.0 * (dt * dt * (count * s_q + s_f))
+        g[6 * a : 6 * a + 6] = 2.0 * dt * ((n - 1 - a) * lq_e + lf_e)
+        h_mat[6 * a : 6 * a + 6, 6 * a : 6 * a + 6] += 2.0 * cfg.r
+    return h_mat, g
+
+
+def test_condense_matches_block_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for trial in range(100):
+        m = int(rng.integers(3, 6))
+        L = rng.normal(size=(2 * m, 6))
+        e0 = rng.normal(size=2 * m)
+        horizon = int(rng.integers(1, 8))
+        if trial % 2:
+            cfg = mpc.MpcConfig.from_weights(m, horizon=horizon, q=rng.uniform(0.1, 3.0), r=rng.uniform(0.01, 1.0))
+        else:
+            cfg = mpc.MpcConfig(
+                horizon=horizon, q=spd(rng, 2 * m, 0.0), r=spd(rng, 6, 0.1), f=spd(rng, 2 * m, 0.0), v_max=0.5, dt=0.05
+            )
+        for got, want in zip(mpc.condense(e0, L, cfg), condense_loop(e0, L, cfg)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_plan_zero_error_gives_zero_controls():
@@ -164,13 +198,77 @@ def test_plan_dimension_check():
         mpc.plan(np.zeros(6), np.zeros((6, 6)), cfg)
 
 
-def test_interior_point_fallback_agrees_with_fista():
+def slsqp_plan(h_mat, g, v_max):
+    """Independent reference: SLSQP on 0.5 U'HU + g'U subject to every ||U_k||^2 <= v_max^2."""
+
+    def ball(k):
+        block = slice(6 * k, 6 * k + 6)
+
+        def jac(u):
+            out = np.zeros_like(u)
+            out[block] = -2.0 * u[block]
+            return out
+
+        return {"type": "ineq", "fun": lambda u: v_max**2 - u[block] @ u[block], "jac": jac}
+
+    result = minimize(
+        lambda u: 0.5 * u @ h_mat @ u + g @ u,
+        np.zeros_like(g),
+        jac=lambda u: h_mat @ u + g,
+        method="SLSQP",
+        constraints=[ball(k) for k in range(g.shape[0] // 6)],
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    return result.x
+
+
+def spd(rng, n, floor):
+    a = rng.normal(size=(n, n))
+    return a @ a.T / n + floor * np.eye(n)
+
+
+def test_plan_matches_slsqp_reference():
     rng = np.random.default_rng(9)
+    saturated = interior = 0
+    for horizon in range(1, 6):
+        for full_weights in (False, True):
+            for scale in (0.05, 2.0):
+                L = random_stack(rng)
+                e0 = rng.normal(size=8) * scale
+                if full_weights:
+                    q, r, f = spd(rng, 8, 0.0), spd(rng, 6, 0.01), spd(rng, 8, 0.0)
+                    cfg = mpc.MpcConfig(horizon=horizon, q=q, r=r, f=f, v_max=0.3, dt=0.05)
+                else:
+                    cfg = mpc.MpcConfig.from_weights(4, horizon=horizon, v_max=0.3)
+                h_mat, g = mpc.condense(e0, L, cfg)
+                u = mpc.plan(e0, L, cfg).reshape(-1)
+                ref = slsqp_plan(h_mat, g, cfg.v_max)
+                cost = lambda x: 0.5 * x @ h_mat @ x + g @ x
+                assert abs(cost(u) - cost(ref)) < 1e-6
+                at_bound = np.linalg.norm(u.reshape(-1, 6), axis=1) >= cfg.v_max * (1.0 - 1e-9)
+                saturated += bool(at_bound.any())
+                interior += bool(not at_bound.any())
+    assert saturated >= 5 and interior >= 5
+
+
+def test_plan_every_block_saturated():
+    rng = np.random.default_rng(10)
     L = random_stack(rng)
-    e0 = rng.normal(size=8) * 0.5
-    cfg = mpc.MpcConfig.from_weights(4, v_max=0.3)
+    e0 = rng.normal(size=8) * 50.0
+    cfg = mpc.MpcConfig.from_weights(4, v_max=0.1)
+    controls = mpc.plan(e0, L, cfg)
+    assert np.allclose(np.linalg.norm(controls, axis=1), cfg.v_max, rtol=1e-9, atol=0.0)
     h_mat, g = mpc.condense(e0, L, cfg)
-    u_fista = mpc.plan(e0, L, cfg).reshape(-1)
-    u_ip = mpc._plan_interior_point(h_mat, g, cfg).reshape(-1)
-    cost = lambda u: 0.5 * u @ h_mat @ u + g @ u
-    assert abs(cost(u_fista) - cost(u_ip)) < 1e-6
+    res = projected_stationarity(h_mat, g, controls.reshape(-1), cfg.v_max)
+    assert res <= 1e-6 * (1.0 + float(np.linalg.norm(h_mat @ controls.reshape(-1) + g)))
+
+
+def test_plan_no_block_saturated_is_unconstrained_optimum():
+    rng = np.random.default_rng(11)
+    L = random_stack(rng)
+    e0 = rng.normal(size=8) * 0.01
+    cfg = mpc.MpcConfig.from_weights(4)
+    controls = mpc.plan(e0, L, cfg)
+    h_mat, g = mpc.condense(e0, L, cfg)
+    assert np.linalg.norm(controls, axis=1).max() < cfg.v_max
+    assert np.abs(controls.reshape(-1) - np.linalg.solve(h_mat, -g)).max() < 1e-12

@@ -1,11 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from safe_ibvs import mpc, sim
+from safe_ibvs import scenario, sim
 from safe_ibvs.barrier import barrier_value
-from safe_ibvs.errors import SolverFailure
 from safe_ibvs.geometry import CameraPose, Obstacle3, pixel_from_normalized, project_point
 from safe_ibvs.scenario import reference_scenario
 
@@ -84,17 +85,6 @@ def test_step_unfiltered_keeps_nominal_twist(quiet_scenario):
     assert np.allclose(record.v_star, record.v_mpc)  # bound inactive here
 
 
-def test_step_solver_failure_falls_back_to_gradient(quiet_scenario, monkeypatch):
-    def boom(*args, **kwargs):
-        raise SolverFailure("forced")
-
-    monkeypatch.setattr(mpc, "plan", boom)
-    state = sim.SimState(pose=quiet_scenario.initial_pose)
-    _, record = sim.step(quiet_scenario, state, sim.make_rng(0))
-    assert np.linalg.norm(record.v_mpc) <= quiet_scenario.mpc.v_max + 1e-12
-    assert np.linalg.norm(record.v_star) > 0.0
-
-
 def test_run_converges_without_obstacle(quiet_scenario):
     log = sim.run(quiet_scenario)
     assert log.summary.converged and not log.summary.aborted
@@ -103,6 +93,18 @@ def test_run_converges_without_obstacle(quiet_scenario):
     # monotone decrease after the initial transient
     tail = errors[10:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+
+@pytest.mark.parametrize("cov", [[[10.0, 4.0], [4.0, 10.0]], [[4.0, 4.0], [4.0, 4.0]]], ids=["correlated", "singular"])
+def test_checked_covariance_runs_in_every_mode(cov):
+    data = yaml.safe_load((Path(__file__).parents[1] / "scenarios" / "reference_noise.yaml").read_text())
+    data["noise"] = {"feature_cov": cov, "obstacle_cov": cov, "sigma": 0.8}
+    data["max_steps"] = 40
+    sc = scenario.from_dict(data)
+    assert scenario.validate_scenario(sc) == []
+    for mode in scenario.MODES:
+        log = sim.run(sc.with_mode(mode))
+        assert log.summary.steps == 40 and not log.summary.aborted
 
 
 def test_run_abort_records_reason():
