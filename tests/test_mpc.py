@@ -14,6 +14,11 @@ def random_stack(rng, m=4):
     return stack_interaction(pts, depths)
 
 
+def spd(rng, n, floor):
+    a = rng.normal(size=(n, n))
+    return a @ a.T / n + floor * np.eye(n)
+
+
 def projected_stationarity(h_mat, g, u_flat, v_max):
     """Worst KKT residual of the block-ball constrained QP at u."""
     grad = h_mat @ u_flat + g
@@ -222,14 +227,9 @@ def slsqp_plan(h_mat, g, v_max):
     return result.x
 
 
-def spd(rng, n, floor):
-    a = rng.normal(size=(n, n))
-    return a @ a.T / n + floor * np.eye(n)
-
-
 def test_plan_matches_slsqp_reference():
     rng = np.random.default_rng(9)
-    saturated = interior = 0
+    saturated = 0
     for horizon in range(1, 6):
         for full_weights in (False, True):
             for scale in (0.05, 2.0):
@@ -247,8 +247,7 @@ def test_plan_matches_slsqp_reference():
                 assert abs(cost(u) - cost(ref)) < 1e-6
                 at_bound = np.linalg.norm(u.reshape(-1, 6), axis=1) >= cfg.v_max * (1.0 - 1e-9)
                 saturated += bool(at_bound.any())
-                interior += bool(not at_bound.any())
-    assert saturated >= 5 and interior >= 5
+    assert 5 <= saturated <= 15  # both interior and saturated cases are covered
 
 
 def test_plan_every_block_saturated():
@@ -261,6 +260,15 @@ def test_plan_every_block_saturated():
     h_mat, g = mpc.condense(e0, L, cfg)
     res = projected_stationarity(h_mat, g, controls.reshape(-1), cfg.v_max)
     assert res <= 1e-6 * (1.0 + float(np.linalg.norm(h_mat @ controls.reshape(-1) + g)))
+
+
+def test_plan_scales_onto_bound_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(mpc, "NEWTON_MAX_ITER", 1)
+    rng = np.random.default_rng(13)
+    cfg = mpc.MpcConfig.from_weights(4, v_max=0.1)
+    for _ in range(10):
+        controls = mpc.plan(rng.normal(size=8) * 5.0, random_stack(rng), cfg)
+        assert np.linalg.norm(controls, axis=1).max() <= cfg.v_max * (1.0 + 1e-15)
 
 
 def test_plan_no_block_saturated_is_unconstrained_optimum():
