@@ -17,10 +17,6 @@ class DimensionMismatch(SafeIbvsError, ValueError):
     """Operands have inconsistent shapes."""
 
 
-class NumericalBreakdown(SafeIbvsError):
-    """A matrix factorization failed beyond the regularization retry."""
-
-
 class UnsupportedCovariance(SafeIbvsError):
     """Covariance shape not handled by the closed-form inversion."""
 

@@ -1,330 +1,129 @@
-"""Dense primal log-barrier solver for small convex QCQPs.
+"""Exact projection of a twist onto a few convex quadratic sets, through its dual.
 
-Solves ``min 0.5 x'Px + q'x`` subject to quadratic inequalities
-``x'A_i x + b_i'x + c_i <= 0`` with P PSD and every A_i PSD (A_i may be
-None for a purely linear constraint). Problems in this package have at
-most a few dozen variables and a handful of constraints, so everything
-is dense and direct.
+Solves
 
-Pipeline: optional phase-I (finds a strictly feasible point or certifies
-infeasibility by bounding the minimal constraint violation), outer
-barrier loop with Newton inner iterations, then an active-set polish
-that re-solves the KKT system of the identified active constraints to
-tighten the result to near machine precision. The polish is best-effort;
-when it fails the barrier iterate is returned with its honest residual.
+    min ||V - v_ref||^2   s.t.   g_i(V) = V'A_i V + b_i'V + c_i <= 0,   i < k,
 
-Every call site must include at least one constraint with bounded
-sublevel sets (a norm ball); phase-I relies on this to stay bounded.
+for k <= m + 1 stacked constraints with every A_i PSD. Half-spaces have
+A_i = 0, and one constraint is the speed ball ``||V||^2 <= v_max^2``
+(A_i = I). For multipliers lambda >= 0 the Lagrangian's minimiser solves
+
+    (I + sum_i lambda_i A_i) V = v_ref - 0.5 sum_i lambda_i b_i.
+
+That matrix M is at least I, so the solve cannot fail to factor and
+needs no regularisation. lambda = 0 gives V = v_ref, which is returned
+as is when it is already admissible. Otherwise projected Newton ascends
+the concave dual d(lambda) = L(V(lambda), lambda), whose gradient is g(V)
+and whose Hessian is -0.5 G M^-1 G' for the stacked constraint gradients
+G, over the multipliers that are positive or whose constraint is violated
+(the dual approach of Goldfarb & Idnani, Math. Prog. 27, 1983). Each step
+is cut back until the dual value rises (Armijo). At the dual optimum V is
+the exact projection. Every call starts from lambda = 0 and keeps no
+state between calls.
+
+The solve holds, returning a reason instead of a twist, in two cases:
+
+* the dual value exceeds ``(||v_ref|| + v_max)^2``, which by weak duality
+  proves the feasible set empty (:func:`phase_one`);
+* the multipliers do not converge within ``MAX_ITER`` steps, as when the
+  feasible set has no interior and the multipliers grow without bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NumericalBreakdown
-
-# constraint: (A or None, b, c) meaning x'Ax + b'x + c <= 0
-ConstraintData = tuple[np.ndarray | None, np.ndarray, float]
-
-BARRIER_T0 = 1.0
-BARRIER_MU = 20.0
-NEWTON_TOL = 1e-10
-MAX_OUTER = 50
-MAX_NEWTON = 60
-TARGET_GAP_PER_CONSTRAINT = 1e-9
-PHASE1_INTERIOR_MARGIN = 1e-8
-REGULARIZATION = 1e-10
+MAX_ITER = 30
+# g_i <= 0, and g_i = 0 where lambda_i > 0, must hold to this tolerance relative to the size of
+# g_i's terms. On a set with no interior the multipliers grow without bound and this relative
+# residual decays only like 1/lambda, so such a set reaches MAX_ITER and holds.
+FEAS_RTOL = 1e-12
+ARMIJO = 1e-4
+MAX_HALVINGS = 40
+# relative rounding error allowed in the dual value, so that steps near the optimum are not
+# refused for a loss that is only the rounding of the terms summed into d
+ROUNDING = 64.0 * np.finfo(float).eps
 
 
-@dataclass
-class CoreResult:
-    x: np.ndarray
-    status: str  # optimal | infeasible | numerical_breakdown
-    duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    gap: float = np.inf
-    stationarity: float = np.inf
-    polished: bool = False
-    message: str = ""
+def evaluate(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``x'a_i x + b_i'x + c_i``, shape (k,), and their gradients, shape (k, n)."""
+    ax = a @ x
+    return ax @ x + b @ x + c, 2.0 * ax + b
 
 
-class _ConstraintSet:
-    """Stacked view of the constraint list for vectorized evaluation."""
+def phase_one(dual_value: float, v_ref: np.ndarray, v_max: float) -> str:
+    """Weak-duality infeasibility test: a reason to hold once ``dual_value`` proves the set empty, else "".
 
-    def __init__(self, constraints: list[ConstraintData], n: int):
-        self.m = len(constraints)
-        self.n = n
-        self.lin = np.zeros((self.m, n))
-        self.const = np.zeros(self.m)
-        quad_idx, quad_mats = [], []
-        for i, (a, b, c) in enumerate(constraints):
-            self.lin[i] = np.asarray(b, dtype=float)
-            self.const[i] = float(c)
-            if a is not None:
-                quad_idx.append(i)
-                quad_mats.append(np.asarray(a, dtype=float))
-        self.quad_idx = np.array(quad_idx, dtype=int)
-        self.quad = np.stack(quad_mats) if quad_mats else np.zeros((0, n, n))
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        vals = self.lin @ x + self.const
-        if self.quad_idx.size:
-            vals[self.quad_idx] += (self.quad @ x) @ x
-        return vals
-
-    def grads(self, x: np.ndarray) -> np.ndarray:
-        g = self.lin.copy()
-        if self.quad_idx.size:
-            g[self.quad_idx] += 2.0 * (self.quad @ x)
-        return g
-
-
-def constraint_value(con: ConstraintData, x: np.ndarray) -> float:
-    a, b, c = con
-    val = float(b @ x) + c
-    if a is not None:
-        val += float(x @ a @ x)
-    return val
-
-
-def constraint_grad(con: ConstraintData, x: np.ndarray) -> np.ndarray:
-    a, b, _ = con
-    if a is None:
-        return np.asarray(b, dtype=float).copy()
-    return 2.0 * (a @ x) + np.asarray(b, dtype=float)
-
-
-def _solve_spd(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with one regularized retry."""
-    try:
-        return cho_solve(cho_factor(h, check_finite=False), rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return cho_solve(
-            cho_factor(h + REGULARIZATION * np.eye(h.shape[0]), check_finite=False),
-            rhs,
-            check_finite=False,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"factorization failed twice: {exc}") from exc
-
-
-def _barrier_newton(
-    t: float,
-    x: np.ndarray,
-    p_mat: np.ndarray,
-    q: np.ndarray,
-    cons: _ConstraintSet,
-) -> np.ndarray:
-    """Minimize t*(0.5 x'Px + q'x) - sum log(-g_i(x)) from a strictly feasible x."""
-
-    def value(xx):
-        vals = cons.values(xx)
-        if vals.max() >= 0.0:
-            return np.inf
-        return t * (0.5 * float(xx @ p_mat @ xx) + float(q @ xx)) - float(np.log(-vals).sum())
-
-    for _ in range(MAX_NEWTON):
-        vals = cons.values(x)
-        grads = cons.grads(x)
-        inv_slack = 1.0 / (-vals)
-        grad = t * (p_mat @ x + q) + grads.T @ inv_slack
-        hess = t * p_mat + (grads.T * inv_slack**2) @ grads
-        if cons.quad_idx.size:
-            hess = hess + 2.0 * np.einsum(
-                "k,kij->ij", inv_slack[cons.quad_idx], cons.quad, optimize=False
-            )
-        dx = _solve_spd(hess, -grad)
-        decrement = float(-grad @ dx)
-        if decrement / 2.0 <= NEWTON_TOL:
-            break
-        alpha = 1.0
-        f0 = value(x)
-        gdx = float(grad @ dx)
-        while alpha > 1e-16 and value(x + alpha * dx) > f0 + 0.25 * alpha * gdx:
-            alpha *= 0.5
-        if alpha <= 1e-16:
-            break
-        x = x + alpha * dx
-    return x
-
-
-def phase_one(constraints: list[ConstraintData], x0: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Find a strictly feasible point, or bound the least attainable violation.
-
-    Returns ``(x_strict, s_star)`` where ``x_strict`` is None when no
-    strictly feasible point was found. ``s_star`` is an upper bound on the
-    minimum over x of the maximum constraint violation; a positive value
-    (beyond the duality gap) certifies the constraint set is empty.
+    Every admissible twist lies in the speed ball, so its squared distance
+    to ``v_ref`` is at most ``(||v_ref|| + v_max)^2``, and by weak duality
+    every dual value is at most the squared distance of the projection. A
+    dual value above the bound therefore leaves no admissible twist. This
+    is the infeasibility stage of the solve, the role a phase-I search
+    plays in interior-point methods; it keeps that name because the
+    benchmark's traced run times ``qcqp.phase_one`` by name.
     """
-    n = x0.shape[0]
-    base = _ConstraintSet(constraints, n)
-    s0 = float(base.values(x0).max()) + 1.0
-    y = np.concatenate([x0, [s0]])
-
-    # lift constraints into (x, s) space: g_i(x) - s <= 0, plus s >= -1
-    lifted: list[ConstraintData] = []
-    for a, b, c in constraints:
-        a_l = None
-        if a is not None:
-            a_l = np.zeros((n + 1, n + 1))
-            a_l[:n, :n] = a
-        b_l = np.concatenate([b, [-1.0]])
-        lifted.append((a_l, b_l, c))
-    cap = np.zeros(n + 1)
-    cap[n] = -1.0
-    lifted.append((None, cap, -1.0))
-    lifted_set = _ConstraintSet(lifted, n + 1)
-
-    p_mat = np.zeros((n + 1, n + 1))
-    q = np.zeros(n + 1)
-    q[n] = 1.0
-
-    t = BARRIER_T0
-    m = len(lifted)
-    for _ in range(MAX_OUTER):
-        y = _barrier_newton(t, y, p_mat, q, lifted_set)
-        if float(base.values(y[:n]).max()) < -PHASE1_INTERIOR_MARGIN:
-            return y[:n].copy(), float(y[n])
-        if m / t <= 1e-9:
-            break
-        t *= BARRIER_MU
-    s_star = float(y[n])
-    if float(base.values(y[:n]).max()) < 0.0:
-        return y[:n].copy(), s_star
-    return None, s_star
+    bound = (float(np.linalg.norm(v_ref)) + v_max) ** 2
+    if dual_value > bound:
+        return f"infeasible: dual value {dual_value:.3e} exceeds the bound (||v_ref|| + v_max)^2 = {bound:.3e}"
+    return ""
 
 
-def _polish(
-    x: np.ndarray,
-    duals: np.ndarray,
-    p_mat: np.ndarray,
-    q: np.ndarray,
-    constraints: list[ConstraintData],
-    cons: _ConstraintSet,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Refine by solving the active-set KKT system with Newton.
-
-    Returns None when no valid refinement is found (wrong active set,
-    singular system, or negative multipliers)."""
-    slacks = -cons.values(x)
-    active = [i for i in range(cons.m) if slacks[i] <= 1e-6 or duals[i] >= 1e-5]
-    for _ in range(3):
-        if not active:
-            x_new = _solve_spd(p_mat, -q)
-            if cons.values(x_new).max() <= 1e-9:
-                return x_new, np.zeros(cons.m)
-            return None
-        lam = np.array([max(duals[i], 0.0) for i in active])
-        x_new = x.copy()
-        n, k = x.shape[0], len(active)
-        ok = True
-        for _ in range(20):
-            grads = np.column_stack([constraint_grad(constraints[i], x_new) for i in active])
-            r_stat = p_mat @ x_new + q + grads @ lam
-            r_feas = cons.values(x_new)[active]
-            if max(np.abs(r_stat).max(), np.abs(r_feas).max()) <= 1e-13:
-                break
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = p_mat
-            for lam_i, i in zip(lam, active):
-                if constraints[i][0] is not None:
-                    kkt[:n, :n] += 2.0 * lam_i * constraints[i][0]
-            kkt[:n, n:] = grads
-            kkt[n:, :n] = grads.T
-            try:
-                delta = np.linalg.solve(kkt, -np.concatenate([r_stat, r_feas]))
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            x_new = x_new + delta[:n]
-            lam = lam + delta[n:]
-        if not ok:
-            return None
-        if lam.min() < -1e-9:
-            # wrong working set: drop the most negative multiplier and retry
-            drop = active[int(np.argmin(lam))]
-            active = [i for i in active if i != drop]
-            continue
-        inactive_vals = np.delete(cons.values(x_new), active)
-        if inactive_vals.size and inactive_vals.max() > 1e-9:
-            return None
-        duals_full = np.zeros(cons.m)
-        for lam_i, i in zip(lam, active):
-            duals_full[i] = max(lam_i, 0.0)
-        return x_new, duals_full
-    return None
+def _minimiser(v_ref, a, b, c, lam):
+    """M, the Lagrangian's minimiser V, g(V), g's gradients, the size of each g_i's terms, d(lambda) and d's size."""
+    if lam.any():
+        m_mat = np.eye(v_ref.shape[0]) + np.tensordot(lam, a, 1)
+        x = np.linalg.solve(m_mat, v_ref - 0.5 * (lam @ b))
+    else:
+        m_mat, x = None, v_ref.copy()
+    g, grads = evaluate(a, b, c, x)
+    ax = np.abs(x)
+    sizes = (np.abs(a) @ ax) @ ax + np.abs(b) @ ax + np.abs(c)
+    dist = float((x - v_ref) @ (x - v_ref))
+    return m_mat, x, g, grads, sizes, dist + float(lam @ g), dist + float(lam @ sizes)
 
 
 def solve(
-    p_mat: np.ndarray,
-    q: np.ndarray,
-    constraints: list[ConstraintData],
-    x0: np.ndarray | None = None,
-) -> CoreResult:
-    """Barrier solve from an optional strictly feasible start.
+    v_ref: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, v_max: float
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Project ``v_ref`` onto ``{V : V'a_i V + b_i'V + c_i <= 0}``; the constraints include the ``v_max`` ball.
 
-    When ``x0`` is missing or infeasible, phase-I runs first. Statuses:
-    ``optimal``, ``infeasible`` (certified or phase-I failed to find an
-    interior point), ``numerical_breakdown``.
+    Returns ``(V, lambda, reason)``. ``reason`` is "" for the exact
+    projection with its multipliers; otherwise it says why the solve
+    holds, and V is zero.
     """
-    n = q.shape[0]
-    constraints = [(a, np.asarray(b, dtype=float), float(c)) for a, b, c in constraints]
-    if not constraints:
-        x = _solve_spd(p_mat, -q)
-        return CoreResult(x=x, status="optimal", gap=0.0, stationarity=0.0, polished=True)
-    cons = _ConstraintSet(constraints, n)
-
-    x_start = None
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if float(cons.values(x0).max()) < -1e-12:
-            x_start = x0.copy()
-    if x_start is None:
-        try:
-            x_start, s_star = phase_one(constraints, np.zeros(n) if x0 is None else x0)
-        except NumericalBreakdown as exc:
-            return CoreResult(x=np.zeros(n), status="numerical_breakdown", message=str(exc))
-        if x_start is None:
-            return CoreResult(
-                x=np.zeros(n),
-                status="infeasible",
-                message=f"phase-1 violation bound {s_star:.3e}",
-            )
-
-    m = len(constraints)
-    t = BARRIER_T0
-    x = x_start
-    try:
-        for _ in range(MAX_OUTER):
-            x = _barrier_newton(t, x, p_mat, q, cons)
-            if 1.0 / t <= TARGET_GAP_PER_CONSTRAINT:
+    lam = np.zeros(c.shape[0])
+    m_mat, x, g, grads, sizes, dual, dual_size = _minimiser(v_ref, a, b, c, lam)
+    for it in range(MAX_ITER + 1):
+        residual = np.where(lam > 0.0, np.abs(g), g)
+        if np.all(residual <= FEAS_RTOL * sizes):
+            return x, lam, ""
+        if it == MAX_ITER:
+            break
+        free = np.flatnonzero((lam > 0.0) | (g > 0.0))
+        g_free = grads[free]
+        if m_mat is None:
+            hess = 0.5 * (g_free @ g_free.T)
+        else:
+            hess = 0.5 * (g_free @ np.linalg.solve(m_mat, g_free.T))
+        step = np.linalg.lstsq(hess, g[free], rcond=None)[0]
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = lam.copy()
+            trial[free] = np.maximum(lam[free] + t * step, 0.0)
+            point = _minimiser(v_ref, a, b, c, trial)
+            trial_dual, trial_size = point[5:]
+            if trial_dual >= dual + ARMIJO * float(g @ (trial - lam)) - ROUNDING * max(dual_size, trial_size):
                 break
-            t *= BARRIER_MU
-    except NumericalBreakdown as exc:
-        return CoreResult(x=np.zeros(n), status="numerical_breakdown", message=str(exc))
-
-    duals = 1.0 / (t * np.maximum(-cons.values(x), 1e-300))
-    polished = False
-    try:
-        refined = _polish(x, duals, p_mat, q, constraints, cons)
-    except NumericalBreakdown:
-        refined = None
-    if refined is not None:
-        x, duals = refined
-        polished = True
-
-    slacks = np.maximum(-cons.values(x), 0.0)
-    stationarity = float(np.abs(p_mat @ x + q + cons.grads(x).T @ duals).max())
-    comp = float((duals * slacks).max())
-    return CoreResult(
-        x=x,
-        status="optimal",
-        duals=duals,
-        gap=m / t if not polished else comp,
-        stationarity=stationarity,
-        polished=polished,
+            t *= 0.5
+        else:
+            break
+        lam = trial
+        m_mat, x, g, grads, sizes, dual, dual_size = point
+        reason = phase_one(dual, v_ref, v_max)
+        if reason:
+            return np.zeros_like(x), lam, reason
+    return (
+        np.zeros_like(x),
+        lam,
+        f"no convergence after {it} dual Newton steps (residual {residual.max():.3e})",
     )

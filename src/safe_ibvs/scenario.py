@@ -38,7 +38,6 @@ class Scenario:
     mpc: MpcConfig
     noise: NoiseModel | None = None
     gamma: float = 2.0
-    ibvs_gain: float = 0.5
     max_steps: int = 400
     seed: int = 0
     convergence_tol: float = 1e-3
@@ -87,7 +86,6 @@ class Scenario:
                 "sigma": self.noise.sigma,
             },
             "gamma": self.gamma,
-            "ibvs_gain": self.ibvs_gain,
             "mpc": {
                 "horizon": self.mpc.horizon,
                 "q": self.mpc.q.tolist(),
@@ -166,7 +164,7 @@ def from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"scenario document must be a mapping, got {type(data).__name__}")
     allowed = {
         "name", "camera", "initial_pose", "target_pose", "target_features",
-        "features_world", "obstacle", "mode", "noise", "gamma", "ibvs_gain",
+        "features_world", "obstacle", "mode", "noise", "gamma",
         "mpc", "max_steps", "seed", "convergence_tol", "prcbc_radius_term",
     }
     required = {"camera", "initial_pose", "features_world", "obstacle", "mode", "mpc"}
@@ -251,7 +249,6 @@ def from_dict(data: dict) -> Scenario:
         mpc=mpc_cfg,
         noise=noise,
         gamma=float(data.get("gamma", 2.0)),
-        ibvs_gain=float(data.get("ibvs_gain", 0.5)),
         max_steps=int(data.get("max_steps", 400)),
         seed=int(data.get("seed", 0)),
         convergence_tol=float(data.get("convergence_tol", 1e-3)),
@@ -329,7 +326,6 @@ def reference_scenario(
         mpc=MpcConfig.from_weights(4, horizon=5, q=1.0, r=0.01, f=2.0, v_max=0.5, dt=0.05),
         noise=noise,
         gamma=4.0,
-        ibvs_gain=0.5,
         max_steps=300,
         seed=seed,
         convergence_tol=1e-3 if not noisy else 5e-3,

@@ -6,15 +6,19 @@ occlusion constraints and the speed ball ``||V|| <= v_max``:
 * :func:`solve_filter_qp` for half-space constraints (exact case),
 * :func:`solve_filter_qcqp` for quadratic constraints (noisy case).
 
-The ball is handled as one more quadratic constraint, so one barrier
-core serves both. When the constraint intersection is empty (or cannot
-be entered), the filter returns the hold-in-place twist ``V = 0``: the
-platform waits until the obstacle clears.
+Every constraint, the ball included, is stacked once per problem as
+``V'A_i V + b_i'V + c_i <= 0`` (A_i = 0 for a half-space, A_i = I for the
+ball). One exact dual solve (:func:`qcqp.solve`) serves both filters; its
+only linear systems have matrices at least I, so it cannot fail to
+factor. It holds, returning the hold-in-place twist ``V = 0`` so the
+platform waits until the obstacle clears, for one of two reasons, kept
+in ``FilterSolution.message``: the dual value proves the admissible set
+empty, or the multipliers do not converge (a set without interior).
+:func:`certify` re-checks each answer with its own multipliers.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +27,6 @@ from scipy.optimize import nnls
 from . import qcqp
 from .barrier import HalfspaceConstraint, QuadraticConstraint
 from .errors import CertificationFailed
-
-logger = logging.getLogger(__name__)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FALLBACK = "fallback_hold"
@@ -41,18 +43,35 @@ class FilterProblem:
     """Reference twist plus the admissible set to project it onto.
 
     Exactly one of ``halfspaces`` / ``quadratics`` should be non-empty
-    per solve; the speed ball applies in both modes.
+    per solve; the speed ball applies in both modes. ``a``, ``b``, ``c``
+    stack every constraint as ``V'a_i V + b_i'V + c_i <= 0``: half-spaces
+    first, then quadratics, then the ball.
     """
 
     v_ref: np.ndarray
     v_max: float
     halfspaces: list[HalfspaceConstraint] = field(default_factory=list)
     quadratics: list[QuadraticConstraint] = field(default_factory=list)
+    a: np.ndarray = field(init=False, repr=False)  # (k, 6, 6)
+    b: np.ndarray = field(init=False, repr=False)  # (k, 6)
+    c: np.ndarray = field(init=False, repr=False)  # (k,)
 
     def __post_init__(self):
         object.__setattr__(self, "v_ref", np.asarray(self.v_ref, dtype=float).reshape(6))
         if not self.v_max > 0.0:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
+        n_hs = len(self.halfspaces)
+        k = n_hs + len(self.quadratics) + 1
+        a, b, c = np.zeros((k, 6, 6)), np.zeros((k, 6)), np.zeros(k)
+        for i, hs in enumerate(self.halfspaces):
+            # row @ V >= rhs  <=>  rhs - row @ V <= 0
+            b[i], c[i] = -np.asarray(hs.row, dtype=float), hs.rhs
+        for i, qc in enumerate(self.quadratics, start=n_hs):
+            a[i], b[i], c[i] = qc.a, qc.b, qc.c
+        a[-1], c[-1] = np.eye(6), -self.v_max**2
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,43 +91,16 @@ class CertificationReport:
     duals: np.ndarray
 
 
-def _core_constraints(problem: FilterProblem) -> list[qcqp.ConstraintData]:
-    cons: list[qcqp.ConstraintData] = []
-    for hs in problem.halfspaces:
-        # row @ V >= rhs  <=>  rhs - row @ V <= 0
-        cons.append((None, -np.asarray(hs.row, dtype=float), float(hs.rhs)))
-    for qc in problem.quadratics:
-        cons.append((np.asarray(qc.a, dtype=float), np.asarray(qc.b, dtype=float), float(qc.c)))
-    cons.append((np.eye(6), np.zeros(6), -problem.v_max**2))
-    return cons
-
-
 def _solve(problem: FilterProblem) -> FilterSolution:
-    cons = _core_constraints(problem)
-    v_ref = problem.v_ref
-
-    # reference already admissible: the projection is the reference itself
-    if all(qcqp.constraint_value(con, v_ref) <= 0.0 for con in cons):
-        active = tuple(i for i, con in enumerate(cons) if -qcqp.constraint_value(con, v_ref) <= ACTIVE_SLACK_TOL)
-        return FilterSolution(twist=v_ref.copy(), status=STATUS_OPTIMAL, kkt_residual=0.0, active_set=active)
-
-    p_mat = 2.0 * np.eye(6)
-    q = -2.0 * v_ref
-    result = qcqp.solve(p_mat, q, cons, x0=np.zeros(6))
-    if result.status == "numerical_breakdown":
-        logger.warning("filter solve hit numerical breakdown, holding static: %s", result.message)
-        return FilterSolution(twist=np.zeros(6), status=STATUS_FALLBACK, message=result.message)
-    if result.status != "optimal":
-        return FilterSolution(twist=np.zeros(6), status=STATUS_FALLBACK, message=result.message)
-
-    violation = max(qcqp.constraint_value(con, result.x) for con in cons)
-    comp = max(
-        float(d) * max(-qcqp.constraint_value(con, result.x), 0.0)
-        for d, con in zip(result.duals, cons)
-    )
-    kkt = max(result.stationarity, max(violation, 0.0), comp)
-    active = tuple(i for i, con in enumerate(cons) if -qcqp.constraint_value(con, result.x) <= ACTIVE_SLACK_TOL)
-    return FilterSolution(twist=result.x, status=STATUS_OPTIMAL, kkt_residual=kkt, active_set=active)
+    v, duals, reason = qcqp.solve(problem.v_ref, problem.a, problem.b, problem.c, problem.v_max)
+    if reason:
+        return FilterSolution(twist=np.zeros(6), status=STATUS_FALLBACK, message=reason)
+    values, grads = qcqp.evaluate(problem.a, problem.b, problem.c, v)
+    stationarity = float(np.abs(2.0 * (v - problem.v_ref) + grads.T @ duals).max())
+    comp = float((duals * np.maximum(-values, 0.0)).max())
+    kkt = max(stationarity, max(float(values.max()), 0.0), comp)
+    active = tuple(int(i) for i in np.flatnonzero(-values <= ACTIVE_SLACK_TOL))
+    return FilterSolution(twist=v, status=STATUS_OPTIMAL, kkt_residual=kkt, active_set=active)
 
 
 def solve_filter_qp(problem: FilterProblem) -> FilterSolution:
@@ -138,10 +130,10 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("only optimal solutions can be certified")
-    cons = _core_constraints(problem)
     v = solution.twist
+    values, grads = qcqp.evaluate(problem.a, problem.b, problem.c, v)
 
-    violation = max(qcqp.constraint_value(con, v) for con in cons)
+    violation = float(values.max())
     if violation > CERT_FEAS_TOL:
         raise CertificationFailed(f"constraint violation {violation:.3e} > {CERT_FEAS_TOL:.0e}")
     speed = float(np.linalg.norm(v))
@@ -149,13 +141,12 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
         raise CertificationFailed(f"speed {speed} exceeds bound {problem.v_max}")
 
     grad_obj = 2.0 * (v - problem.v_ref)
-    grads = np.column_stack([qcqp.constraint_grad(con, v) for con in cons])
-    duals, residual = nnls(grads, -grad_obj)
+    duals, residual = nnls(grads.T, -grad_obj)
     scale = 1.0 + float(np.linalg.norm(grad_obj))
     if residual > CERT_STAT_TOL * scale:
         raise CertificationFailed(f"stationarity residual {residual:.3e} > {CERT_STAT_TOL:.0e} * {scale:.3e}")
 
-    comp = max(float(d) * max(-qcqp.constraint_value(con, v), 0.0) for d, con in zip(duals, cons))
+    comp = float((duals * np.maximum(-values, 0.0)).max())
     if comp > CERT_COMP_TOL:
         raise CertificationFailed(f"complementarity {comp:.3e} > {CERT_COMP_TOL:.0e}")
     return CertificationReport(

@@ -37,10 +37,11 @@ def test_yaml_matches_builder():
 
 
 def test_unknown_key_rejected():
-    cfg = base_config()
-    cfg["unexpected_field"] = 1
-    with pytest.raises(ScenarioError, match="unexpected_field"):
-        sm.from_dict(cfg)
+    for key in ("unexpected_field", "ibvs_gain"):  # ibvs_gain: a retired key nothing reads
+        cfg = base_config()
+        cfg[key] = 1
+        with pytest.raises(ScenarioError, match=key):
+            sm.from_dict(cfg)
 
 
 def test_nested_unknown_key_rejected():

@@ -107,6 +107,14 @@ def test_checked_covariance_runs_in_every_mode(cov):
         assert log.summary.steps == 40 and not log.summary.aborted
 
 
+def test_low_obstacle_start_runs_without_holds():
+    # a low obstacle start (z <= 0.093) on which a filter factorization once failed and held 15 steps
+    sc = scenario.load(Path(__file__).parents[1] / "scenarios" / "reference_cbc.yaml")
+    log = sim.run(sc.with_obstacle_start([0.414546781, 0.205472717, 0.093445709]))
+    assert log.summary.fallback_steps == 0
+    assert log.summary.min_h >= -1e-6
+
+
 def test_run_abort_records_reason():
     sc = reference_scenario(mode="unfiltered")
     looking_away = CameraPose.from_rpy([0.0, 0.0, 0.0], [0.0, 0.0, 1.1])  # features behind

@@ -51,16 +51,73 @@ def test_qp_matches_enumeration_on_random_instances():
         assert np.abs(sol.twist - ref).max() < 1e-6
 
 
-def test_engineered_infeasible_holds():
-    row = np.array([1.0, 0, 0, 0, 0, 0])
-    prob = solvers.FilterProblem(
-        v_ref=np.zeros(6),
-        v_max=0.5,
-        halfspaces=[HalfspaceConstraint(row, 2.0)],  # needs v_x >= 2 inside a 0.5 ball
-    )
-    sol = solvers.solve_filter_qp(prob)
+E = np.eye(6)
+
+
+def _disk(center, radius):
+    """||V - center||^2 <= radius^2 as a quadratic constraint."""
+    return QuadraticConstraint(np.eye(6), -2.0 * center, float(center @ center) - radius**2)
+
+
+def _filter(prob):
+    return solvers.solve_filter_qcqp(prob) if prob.quadratics else solvers.solve_filter_qp(prob)
+
+
+@pytest.mark.parametrize(
+    "prob, message",
+    [
+        pytest.param(
+            # needs v_x >= 2 inside a 0.5 ball
+            solvers.FilterProblem(v_ref=np.zeros(6), v_max=0.5, halfspaces=[HalfspaceConstraint(E[0], 2.0)]),
+            "dual value",
+            id="halfspace_outside_ball",
+        ),
+        pytest.param(
+            solvers.FilterProblem(v_ref=np.zeros(6), v_max=0.5, quadratics=[_disk(E[0], 0.2)]),
+            "dual value",
+            id="disk_outside_ball",
+        ),
+        pytest.param(
+            # the disks meet only at V = 0: a set with no interior, whose multipliers diverge
+            solvers.FilterProblem(v_ref=0.3 * E[1], v_max=0.5, quadratics=[_disk(0.2 * E[0], 0.2), _disk(-0.2 * E[0], 0.2)]),
+            "no convergence",
+            id="touching_disks",
+        ),
+    ],
+)
+def test_engineered_infeasible_holds(prob, message):
+    sol = _filter(prob)
     assert sol.status == solvers.STATUS_FALLBACK
     assert np.array_equal(sol.twist, np.zeros(6))
+    assert message in sol.message
+
+
+@pytest.mark.parametrize(
+    "prob, expected",
+    [
+        pytest.param(
+            # V = 0 violates v_x >= 0.2, but the set is not empty
+            solvers.FilterProblem(v_ref=np.zeros(6), v_max=0.5, halfspaces=[HalfspaceConstraint(E[0], 0.2)]),
+            0.2 * E[0],
+            id="zero_reference_infeasible",
+        ),
+        pytest.param(
+            # two identical active rows make the dual Newton system singular
+            solvers.FilterProblem(
+                v_ref=-0.3 * E[0] + 0.1 * E[1],
+                v_max=0.5,
+                halfspaces=[HalfspaceConstraint(E[0], 0.1), HalfspaceConstraint(E[0], 0.1)],
+            ),
+            0.1 * E[0] + 0.1 * E[1],
+            id="duplicated_active_halfspace",
+        ),
+    ],
+)
+def test_engineered_edge_cases_certify(prob, expected):
+    sol = _filter(prob)
+    assert sol.status == solvers.STATUS_OPTIMAL
+    assert np.abs(sol.twist - expected).max() < 1e-9
+    solvers.certify(sol, prob)
 
 
 def test_qcqp_vacuous_constraints_clip_to_ball():
