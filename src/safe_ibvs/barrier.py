@@ -14,6 +14,10 @@ families keep h nonnegative along the closed loop:
   relative measurement noise, so that any twist satisfying it keeps the
   true margin nonnegative whenever the noise falls inside the box, i.e.
   with probability at least the box's confidence level.
+
+The box half-width needs only the standard library's ``erf``/``erfc``
+and a fixed Gauss-Legendre rule, so this module, like the rest of the
+control loop, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -22,15 +26,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import erf, erfinv
-from scipy.stats import norm as _norm
 
 from .errors import UnsupportedCovariance
 from .observation import FeatureObservation
 
 _DIAG_TOL = 1e-12
+# Winitzki's constant in the closed-form first guess for erfinv (relative error below 2e-3)
+_WINITZKI_A = 0.147
+_ERFINV_NEWTON_STEPS = 5
+# doublings of the upper bracket before a half-width is declared out of reach
+_MAX_DOUBLINGS = 64
+# box_probability: Gauss-Legendre nodes per panel, and the +-bound on the standardized
+# integration variable (the normal mass beyond 9 standard deviations is below 3e-19)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_U_MAX = 9.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,14 +148,59 @@ def cbc_halfspaces(obs: FeatureObservation, gamma: float) -> list[HalfspaceConst
     return out
 
 
+def _erfinv(y: float) -> float:
+    """Inverse error function on [0, 1), to a few ulp.
+
+    Starts from Winitzki's closed-form approximation and takes Newton
+    steps on ``math.erf``. Above 0.5 the residual is taken as
+    ``(1 - y) - erfc(x)``: ``1 - y`` is exact there and ``erfc`` keeps
+    full relative accuracy in the tail, where ``erf(x) - y`` would lose
+    every digit to cancellation.
+    """
+    if y == 0.0:
+        return 0.0
+    q = 1.0 - y
+    log_term = math.log(q * (1.0 + y))  # log(1 - y^2)
+    t = 2.0 / (math.pi * _WINITZKI_A) + 0.5 * log_term
+    x = math.sqrt(max(math.sqrt(t * t - log_term / _WINITZKI_A) - t, 0.0))
+    for _ in range(_ERFINV_NEWTON_STEPS):
+        residual = q - math.erfc(x) if y > 0.5 else math.erf(x) - y
+        x -= residual / (2.0 / math.sqrt(math.pi) * math.exp(-x * x))
+    return x
+
+
+def _bisect(f, hi: float) -> float:
+    """Smallest double (to one ulp) at which an increasing ``f`` with ``f(0) < 0`` turns nonnegative.
+
+    ``hi`` starts the bracket and is doubled, at most ``_MAX_DOUBLINGS``
+    times, until ``f(hi) >= 0``. The upper end of the final bracket is
+    returned, so ``f`` is nonnegative at the result.
+    """
+    for _ in range(_MAX_DOUBLINGS):
+        if f(hi) >= 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise UnsupportedCovariance(f"no half-width up to {hi:.3e} reaches the confidence level")
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def noise_box_halfwidth(sigma: float, cov: np.ndarray) -> float:
     """Half-width e of the square [-e, e]^2 holding probability ``sigma``.
 
     ``cov`` is the (diagonal) covariance of the zero-mean planar noise.
     Isotropic covariances use the closed form ``nu * sqrt(2) *
     erfinv(sqrt(sigma))``; unequal diagonals solve the product-of-erf
-    equation with a bracketing root finder. Non-diagonal covariances are
-    rejected (see :func:`noise_box_halfwidth_numeric` for those).
+    equation by bisection. Non-diagonal covariances are rejected (see
+    :func:`noise_box_halfwidth_numeric` for those).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
@@ -158,24 +212,27 @@ def noise_box_halfwidth(sigma: float, cov: np.ndarray) -> float:
         return 0.0
     if v1 == 0.0 or v2 == 0.0:
         nu = max(v1, v2)
-        return nu * math.sqrt(2.0) * float(erfinv(sigma))
+        return nu * math.sqrt(2.0) * _erfinv(sigma)
     if abs(v1 - v2) <= 1e-14 * max(v1, v2):
-        return v1 * math.sqrt(2.0) * float(erfinv(math.sqrt(sigma)))
+        return v1 * math.sqrt(2.0) * _erfinv(math.sqrt(sigma))
 
     def box_prob_minus_sigma(e):
-        return erf(e / (math.sqrt(2.0) * v1)) * erf(e / (math.sqrt(2.0) * v2)) - sigma
+        return math.erf(e / (math.sqrt(2.0) * v1)) * math.erf(e / (math.sqrt(2.0) * v2)) - sigma
 
-    hi = 2.0 * max(v1, v2)
-    while box_prob_minus_sigma(hi) < 0.0:
-        hi *= 2.0
-    return float(brentq(box_prob_minus_sigma, 0.0, hi, xtol=1e-15, rtol=1e-15))
+    return _bisect(box_prob_minus_sigma, 2.0 * max(v1, v2))
 
 
 def box_probability(e: float, cov: np.ndarray) -> float:
     """Probability that zero-mean Gaussian noise falls in [-e, e]^2.
 
-    General PSD covariances; integrates the conditional CDF along one
-    axis. Degenerate axes collapse to the 1-D marginal.
+    General PSD covariances. Degenerate axes collapse to the 1-D
+    marginal, and a perfectly correlated pair to its closed form.
+    Otherwise a fixed Gauss-Legendre rule integrates the conditional
+    CDF of the narrower axis along the wider one, in standard units
+    clipped to +-9. Panels are at most one unit long, and are graded
+    geometrically towards each point where the conditional mean crosses
+    a box edge: the integrand steps there, over a width of one
+    conditional standard deviation divided by the slope of that mean.
     """
     if e <= 0.0:
         return 0.0
@@ -184,27 +241,37 @@ def box_probability(e: float, cov: np.ndarray) -> float:
     if a <= 0.0 and c <= 0.0:
         return 1.0
     if a <= 0.0 or c <= 0.0:
-        var = max(a, c)
-        return float(erf(e / math.sqrt(2.0 * var)))
-    cond_var = max(c - b * b / a, 0.0)
+        return math.erf(e / math.sqrt(2.0 * max(a, c)))
+    if c > a:
+        a, c = c, a
     sx = math.sqrt(a)
+    cond_var = max(c - b * b / a, 0.0)
     if cond_var == 0.0:
-        def integrand(x):
-            y = b / a * x
-            return _norm.pdf(x, scale=sx) if abs(y) <= e else 0.0
-    else:
-        sc = math.sqrt(cond_var)
-
-        def integrand(x):
-            mu = b / a * x
-            return _norm.pdf(x, scale=sx) * (_norm.cdf((e - mu) / sc) - _norm.cdf((-e - mu) / sc))
-
-    val, _ = quad(integrand, -e, e, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(val)
+        # y = (b / a) x: both coordinates lie in the box exactly when |x| <= min(e, e a / |b|)
+        return math.erf(min(e, e * a / abs(b)) / (math.sqrt(2.0) * sx))
+    half = min(e / sx, _U_MAX)
+    breaks = list(np.linspace(-half, half, math.ceil(2.0 * half) + 1))
+    slope = b / sx  # conditional mean of the narrow axis per standard unit of the wide one
+    if slope != 0.0:
+        crossing, width = e / abs(slope), math.sqrt(cond_var) / abs(slope)
+        offsets = [0.0]
+        while offsets[-1] < crossing + half:
+            offsets.append(width * 2.0 ** (len(offsets) - 1))
+        breaks += [x + s * o for x in (-crossing, crossing) for s in (-1.0, 1.0) for o in offsets]
+    edges = np.unique(np.clip(breaks, -half, half))
+    mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    u = (mids[:, None] + halves[:, None] * _GL_NODES).ravel()
+    weights = (halves[:, None] * _GL_WEIGHTS).ravel()
+    scale = math.sqrt(2.0 * cond_var)
+    inside = [
+        0.5 * (math.erf((e - m) / scale) + math.erf((e + m) / scale)) for m in (slope * u).tolist()
+    ]
+    density = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return float(weights @ (density * np.array(inside)))
 
 
 def noise_box_halfwidth_numeric(sigma: float, cov: np.ndarray) -> float:
-    """Half-width for general PSD covariances via numeric CDF inversion."""
+    """Half-width for general PSD covariances, by bisection on :func:`box_probability`."""
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
     cov = np.asarray(cov, dtype=float).reshape(2, 2)
@@ -212,10 +279,7 @@ def noise_box_halfwidth_numeric(sigma: float, cov: np.ndarray) -> float:
         raise UnsupportedCovariance("covariance must be PSD")
     if cov.max() == 0.0:
         return 0.0
-    hi = 2.0 * math.sqrt(max(cov[0, 0], cov[1, 1]))
-    while box_probability(hi, cov) < sigma:
-        hi *= 2.0
-    return float(brentq(lambda e: box_probability(e, cov) - sigma, 0.0, hi, xtol=1e-12))
+    return _bisect(lambda e: box_probability(e, cov) - sigma, 2.0 * math.sqrt(max(cov[0, 0], cov[1, 1])))
 
 
 def prcbc_quadratics(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import oracles, scenario as scenario_mod, sim
+from . import scenario as scenario_mod, sim
 from .errors import ScenarioError
 
 EXIT_OK = 0
@@ -171,6 +171,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracles  # imported here: only this command needs the oracles' dependencies
+
     if args.suite == "jacobians":
         report = oracles.jacobian_suite(seed=args.seed)
     elif args.suite == "chance":

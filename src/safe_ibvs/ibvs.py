@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, RankDeficient
 
@@ -23,17 +22,17 @@ def feature_error(points: np.ndarray, target_points: np.ndarray) -> np.ndarray:
 def pseudo_inverse(L: np.ndarray) -> np.ndarray:
     """Left pseudo-inverse ``(L'L)^-1 L'`` of a full-column-rank stack.
 
-    Solved through a symmetric positive-definite factorization of the 6x6
-    normal equations. Raises :class:`RankDeficient` when the smallest
-    eigenvalue of ``L'L`` is at or below 1e-10, which is the stability
-    condition failing (fewer than three well-placed features).
+    Solved through the 6x6 normal equations. Raises
+    :class:`RankDeficient` when the smallest eigenvalue of ``L'L`` is at
+    or below 1e-10, which is the stability condition failing (fewer than
+    three well-placed features).
     """
     L = np.asarray(L, dtype=float)
     gram = L.T @ L
     eig_min = float(np.linalg.eigvalsh(gram)[0])
     if eig_min <= RANK_EIG_TOL:
         raise RankDeficient(f"min eigenvalue of L'L is {eig_min:.3e}")
-    return cho_solve(cho_factor(gram), L.T)
+    return np.linalg.solve(gram, L.T)
 
 
 def gradient_controller(error: np.ndarray, L: np.ndarray, gain: float) -> np.ndarray:

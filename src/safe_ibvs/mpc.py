@@ -12,17 +12,18 @@ lambda >= 0. For fixed lambda the Lagrangian's minimiser solves
 
     (H + 2 diag(lambda) (x) I_6) U = -g
 
-with one Cholesky factorization. lambda = 0 gives the unconstrained
-optimum, which is the answer whenever no block exceeds v_max. Otherwise
-projected Newton over the blocks that exceed the bound or carry a
-positive multiplier drives 1/||U_k|| - 1/v_max to zero; this secular
-equation is nearly linear in lambda, as in trust-region methods (More &
-Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).
+with one dense linear solve (``numpy.linalg.solve``). lambda = 0 gives
+the unconstrained optimum, which is the answer whenever no block exceeds
+v_max. Otherwise projected Newton over the blocks that exceed the bound
+or carry a positive multiplier drives 1/||U_k|| - 1/v_max to zero; this
+secular equation is nearly linear in lambda, as in trust-region methods
+(More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).
 
 The solve cannot fail. H is positive definite because R is (MpcConfig
-checks it), so every system above factors, and U = 0 is feasible, so
-the dual optimum exists. After NEWTON_MAX_ITER steps any block still
-over the bound is scaled onto it, so the result is always feasible.
+checks it), so every system above is nonsingular, and U = 0 is
+feasible, so the dual optimum exists. After NEWTON_MAX_ITER steps any
+block still over the bound is scaled onto it, so the result is always
+feasible.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch
 
@@ -131,10 +131,10 @@ def condense(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> tuple[np.ndarray,
 
 
 def _minimiser(h_mat: np.ndarray, g: np.ndarray, lam: np.ndarray):
-    """Cholesky factor of the shifted Hessian, the Lagrangian's minimiser (N, 6), and its block norms."""
-    factor = cho_factor(h_mat + np.diag(np.repeat(2.0 * lam, 6)))
-    u = cho_solve(factor, -g).reshape(-1, 6)
-    return factor, u, np.linalg.norm(u, axis=1)
+    """The shifted Hessian, the Lagrangian's minimiser (N, 6), and its block norms."""
+    shifted = h_mat + np.diag(np.repeat(2.0 * lam, 6))
+    u = np.linalg.solve(shifted, -g).reshape(-1, 6)
+    return shifted, u, np.linalg.norm(u, axis=1)
 
 
 def plan(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> np.ndarray:
@@ -146,7 +146,7 @@ def plan(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> np.ndarray:
     h_mat, g = condense(e0, L, cfg)
     n, v_max = cfg.horizon, cfg.v_max
     lam = np.zeros(n)
-    factor, u, norms = _minimiser(h_mat, g, lam)
+    shifted, u, norms = _minimiser(h_mat, g, lam)
     for _ in range(NEWTON_MAX_ITER):
         free = np.flatnonzero((lam > 0.0) | (norms > v_max))
         if np.all(np.abs(norms[free] - v_max) <= NEWTON_TOL * v_max):
@@ -154,10 +154,10 @@ def plan(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> np.ndarray:
         # d(1/||U_k||)/d lam_j = 2 U_k' (K^-1)_kj U_j / ||U_k||^3, K the shifted Hessian
         spread = np.zeros((n, 6, free.size))
         spread[free, :, np.arange(free.size)] = u[free]
-        solved = cho_solve(factor, spread.reshape(6 * n, -1)).reshape(n, 6, -1)
+        solved = np.linalg.solve(shifted, spread.reshape(6 * n, -1)).reshape(n, 6, -1)
         jac = 2.0 * np.einsum("ki,kic->kc", u[free], solved[free]) / norms[free, None] ** 3
         lam[free] = np.maximum(lam[free] - np.linalg.solve(jac, 1.0 / norms[free] - 1.0 / v_max), 0.0)
-        factor, u, norms = _minimiser(h_mat, g, lam)
+        shifted, u, norms = _minimiser(h_mat, g, lam)
     over = norms > v_max
     u[over] *= (v_max / norms[over])[:, None]
     return u

@@ -43,6 +43,8 @@ MAX_HALVINGS = 40
 # relative rounding error allowed in the dual value, so that steps near the optimum are not
 # refused for a loss that is only the rounding of the terms summed into d
 ROUNDING = 64.0 * np.finfo(float).eps
+# first word of the reason a solve holds when the dual proves the set empty
+INFEASIBLE = "infeasible"
 
 
 def evaluate(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +66,7 @@ def phase_one(dual_value: float, v_ref: np.ndarray, v_max: float) -> str:
     """
     bound = (float(np.linalg.norm(v_ref)) + v_max) ** 2
     if dual_value > bound:
-        return f"infeasible: dual value {dual_value:.3e} exceeds the bound (||v_ref|| + v_max)^2 = {bound:.3e}"
+        return f"{INFEASIBLE}: dual value {dual_value:.3e} exceeds the bound (||v_ref|| + v_max)^2 = {bound:.3e}"
     return ""
 
 

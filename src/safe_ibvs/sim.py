@@ -25,12 +25,7 @@ from .barrier import (
     noise_box_halfwidth_numeric,
     prcbc_quadratics,
 )
-from .errors import (
-    CertificationFailed,
-    NonPositiveDepth,
-    RankDeficient,
-    ScenarioError,
-)
+from .errors import CertificationFailed, SafeIbvsError, ScenarioError
 from .geometry import (
     CameraPose,
     integrate_twist,
@@ -47,10 +42,12 @@ from .jacobians import (
 from .observation import FeatureObservation
 from .scenario import MODE_CBC, MODE_PRCBC, MODE_UNFILTERED, Scenario
 from .solvers import (
+    HOLD_CERTIFICATION,
     STATUS_FALLBACK,
     STATUS_OPTIMAL,
     FilterProblem,
     certify,
+    hold_status,
     solve_filter_qp,
     solve_filter_qcqp,
 )
@@ -262,10 +259,10 @@ def step(
             try:
                 certify(solution, problem)
                 v_star, status = solution.twist, STATUS_OPTIMAL
-            except CertificationFailed as exc:
-                v_star, status = np.zeros(6), f"{STATUS_FALLBACK}:certification ({exc})"
+            except CertificationFailed:
+                v_star, status = np.zeros(6), HOLD_CERTIFICATION
         else:
-            v_star, status = np.zeros(6), STATUS_FALLBACK
+            v_star, status = np.zeros(6), hold_status(solution)
 
     h = np.array(
         [barrier_value(truth.features[i], truth.obstacle.center, truth.obstacle.rn) for i in range(sc.m)]
@@ -295,14 +292,18 @@ def step(
 
 
 def run(sc: Scenario) -> TrajectoryLog:
-    """Iterate steps until the feature error converges or steps run out."""
+    """Iterate steps until the feature error converges or steps run out.
+
+    A package error (:class:`SafeIbvsError`) or a ``LinAlgError`` ends the
+    trial early, marked aborted with the error's type and message.
+    """
     rng = make_rng(sc.seed)
     state = SimState(pose=sc.initial_pose)
     log = TrajectoryLog(scenario_digest=sc.digest())
-    halfwidth = _noise_halfwidth(sc) if sc.mode == MODE_PRCBC else None
 
     final_e = np.inf
     try:
+        halfwidth = _noise_halfwidth(sc) if sc.mode == MODE_PRCBC else None
         for _ in range(sc.max_steps):
             truth_pts, _ = _project_features(sc, state.pose)
             final_e = float(np.linalg.norm(feature_error(truth_pts, sc.target_features)))
@@ -316,7 +317,7 @@ def run(sc: Scenario) -> TrajectoryLog:
             truth_pts, _ = _project_features(sc, state.pose)
             final_e = float(np.linalg.norm(feature_error(truth_pts, sc.target_features)))
             log.summary.converged = bool(final_e < sc.convergence_tol)
-    except (NonPositiveDepth, RankDeficient) as exc:
+    except (SafeIbvsError, np.linalg.LinAlgError) as exc:
         log.summary.aborted = True
         log.summary.abort_reason = f"{type(exc).__name__}: {exc}"
 

@@ -14,7 +14,8 @@ factor. It holds, returning the hold-in-place twist ``V = 0`` so the
 platform waits until the obstacle clears, for one of two reasons, kept
 in ``FilterSolution.message``: the dual value proves the admissible set
 empty, or the multipliers do not converge (a set without interior).
-:func:`certify` re-checks each answer with its own multipliers.
+:func:`certify` re-checks each answer with its own multipliers, found by
+a nonnegative least-squares fit (:func:`nnls`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import qcqp
 from .barrier import HalfspaceConstraint, QuadraticConstraint
@@ -30,6 +30,10 @@ from .errors import CertificationFailed
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FALLBACK = "fallback_hold"
+# Step statuses of a hold, one per reason; each starts with STATUS_FALLBACK.
+HOLD_INFEASIBLE = f"{STATUS_FALLBACK}:infeasible"
+HOLD_NO_CONVERGENCE = f"{STATUS_FALLBACK}:no_convergence"
+HOLD_CERTIFICATION = f"{STATUS_FALLBACK}:certification"
 
 # active-set detection and certification tolerances
 ACTIVE_SLACK_TOL = 1e-6
@@ -91,6 +95,11 @@ class CertificationReport:
     duals: np.ndarray
 
 
+def hold_status(solution: FilterSolution) -> str:
+    """The step status of a held solution: HOLD_INFEASIBLE or HOLD_NO_CONVERGENCE, from its message."""
+    return HOLD_INFEASIBLE if solution.message.startswith(qcqp.INFEASIBLE) else HOLD_NO_CONVERGENCE
+
+
 def _solve(problem: FilterProblem) -> FilterSolution:
     v, duals, reason = qcqp.solve(problem.v_ref, problem.a, problem.b, problem.c, problem.v_max)
     if reason:
@@ -120,11 +129,48 @@ def solve_filter_qcqp(problem: FilterProblem) -> FilterSolution:
     return _solve(problem)
 
 
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """``argmin ||a x - b||`` over ``x >= 0``, and that least residual norm.
+
+    The active-set method of Lawson & Hanson (*Solving Least Squares
+    Problems*, 1974, ch. 23): move the column whose residual correlation
+    ``a'(b - a x)`` is largest into the passive set, solve least squares
+    on the passive columns, and step back along the segment to the first
+    coefficient that would turn negative, dropping it, until no zero
+    coefficient's correlation is positive.
+    """
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * max(float(np.abs(a).sum(axis=0).max()), 1.0)
+    for _ in range(3 * n):
+        w = a.T @ (b - a @ x)
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if not w[j] > tol:
+            break
+        passive[j] = True
+        for _ in range(n):
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                x = z
+                break
+            blocking = np.flatnonzero(passive & (z <= 0.0))
+            ratios = x[blocking] / (x[blocking] - z[blocking])
+            x = x + ratios.min() * (z - x)
+            x[blocking[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+    return x, float(np.linalg.norm(a @ x - b))
+
+
 def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationReport:
     """Independently re-check a filter solution against its problem.
 
     Recomputes constraint slacks, finds best nonnegative multipliers by
-    least squares, and checks stationarity and complementary slackness.
+    least squares (:func:`nnls`, independent of the solver's duals), and
+    checks stationarity and complementary slackness.
     Raises :class:`CertificationFailed` when any tolerance is exceeded;
     hold-static solutions are rejected outright (nothing to certify).
     """

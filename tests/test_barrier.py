@@ -240,3 +240,59 @@ def test_prcbc_radius_term_switch():
 def test_chance_suite_small():
     report = chance_suite(sigma_levels=(0.8,), n_states=8, n_draws=4000, seed=11)
     assert report.passed, report.lines
+
+
+def test_erfinv_within_8_ulp_of_scipy():
+    from scipy.special import erfinv
+
+    grid = np.concatenate([np.linspace(0.0, 1.0, 20001)[1:-1], [1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]])
+    ours = np.array([barrier._erfinv(float(y)) for y in grid])
+    ref = erfinv(grid)
+    assert np.all(np.abs(ours - ref) <= 8.0 * np.spacing(ref))
+
+
+def _bivariate_cdf(h, k, r):
+    """P(X <= h, Y <= k) for standard normals with correlation r, h and k nonzero, via Owen's T."""
+    from scipy.special import ndtr, owens_t
+
+    s = np.sqrt(1.0 - r * r)
+    outer = 0.0 if h * k > 0.0 else 0.5
+    return 0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - r * h) / (h * s)) - owens_t(k, (h - r * k) / (k * s)) - outer
+
+
+def _box_probability_reference(e, cov):
+    s1, s2 = np.sqrt(cov[0][0]), np.sqrt(cov[1][1])
+    r, h, k = cov[0][1] / (s1 * s2), e / s1, e / s2
+    return _bivariate_cdf(h, k, r) - _bivariate_cdf(-h, k, r) - _bivariate_cdf(h, -k, r) + _bivariate_cdf(-h, -k, r)
+
+
+def _correlated(var1, var2, rho):
+    off = rho * np.sqrt(var1 * var2)
+    return np.array([[var1, off], [off, var2]])
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [
+        _correlated(1.0, 1.0, 0.95),
+        _correlated(1.0, 1.0, -0.95),
+        _correlated(1.0, 1.0, 0.9999),
+        _correlated(2.0, 0.5, -0.9999),
+        np.array([[1e-6, 9e-4], [9e-4, 1.0]]),
+        _correlated(1.0, 1e-6, 0.3),
+        _correlated(1e-4, 1.0, -0.95),
+    ],
+    ids=["rho.95", "rho-.95", "rho.9999", "unequal_rho-.9999", "narrow_axis", "unequal_diagonal", "unequal_rho-.95"],
+)
+def test_box_probability_matches_owens_t_reference(cov):
+    # Owen's T gives the rectangle probability in closed form, sharing nothing with the quadrature
+    scale = np.sqrt(cov.diagonal().max())
+    for e in np.geomspace(1e-3, 10.0, 25) * scale:
+        assert abs(barrier.box_probability(e, cov) - _box_probability_reference(e, cov)) < 1e-9
+
+
+def test_box_probability_perfectly_correlated_closed_form():
+    cov = np.array([[1.0, 2.0], [2.0, 4.0]])  # y = 2x
+    from scipy.special import erf
+
+    assert barrier.box_probability(1.0, cov) == pytest.approx(erf(0.5 / np.sqrt(2.0)), abs=1e-15)

@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +149,42 @@ def test_default_out_dir_env(tmp_path, small_scenario, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--scenario", small_scenario]) == EXIT_OK
     assert (tmp_path / "envout" / "trajectory.csv").exists()
+
+
+SCIPY_BLOCKED_RUN = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"{name} is not installed")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from safe_ibvs.cli import main
+
+for path in sys.argv[1:]:
+    assert main(["check", "--scenario", path]) == 0, path
+    assert main(["run", "--scenario", path, "--out", f"{path}.out"]) == 0, path
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+"""
+
+
+def test_check_and_run_without_scipy(tmp_path):
+    paths = []
+    for name, src in (("cbc", REF_CBC), ("noise", REF_NOISE), ("correlated", REF_NOISE)):
+        data = yaml.safe_load(Path(src).read_text())
+        data["max_steps"] = 20
+        if name == "correlated":  # the numeric half-width path
+            cov = [[10.0, 4.0], [4.0, 10.0]]
+            data["noise"] = {"feature_cov": cov, "obstacle_cov": cov, "sigma": 0.8}
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(data))
+        paths.append(str(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_RUN, *paths], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import yaml
 
-from safe_ibvs import scenario, sim
-from safe_ibvs.barrier import barrier_value
+from safe_ibvs import mpc, scenario, sim
+from safe_ibvs.barrier import HalfspaceConstraint, QuadraticConstraint, barrier_value
+from safe_ibvs.errors import CertificationFailed
 from safe_ibvs.geometry import CameraPose, Obstacle3, pixel_from_normalized, project_point
 from safe_ibvs.scenario import reference_scenario
 
@@ -95,16 +96,65 @@ def test_run_converges_without_obstacle(quiet_scenario):
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
 
-@pytest.mark.parametrize("cov", [[[10.0, 4.0], [4.0, 10.0]], [[4.0, 4.0], [4.0, 4.0]]], ids=["correlated", "singular"])
-def test_checked_covariance_runs_in_every_mode(cov):
+@pytest.mark.parametrize(
+    "cov, sigma, max_steps",
+    [
+        pytest.param([[10.0, 4.0], [4.0, 10.0]], 0.8, 40, id="correlated"),
+        pytest.param([[4.0, 4.0], [4.0, 4.0]], 0.8, 40, id="singular"),
+        # a narrow, correlated density that an adaptive quadrature over [-e, e] once missed, after
+        # which the half-width search doubled its bracket until it overflowed
+        pytest.param([[1e-6, 9e-4], [9e-4, 1.0]], 0.99, 5, id="narrow_axis"),
+    ],
+)
+def test_checked_covariance_runs_in_every_mode(cov, sigma, max_steps):
     data = yaml.safe_load((Path(__file__).parents[1] / "scenarios" / "reference_noise.yaml").read_text())
-    data["noise"] = {"feature_cov": cov, "obstacle_cov": cov, "sigma": 0.8}
-    data["max_steps"] = 40
+    data["noise"] = {"feature_cov": cov, "obstacle_cov": cov, "sigma": sigma}
+    data["max_steps"] = max_steps
     sc = scenario.from_dict(data)
     assert scenario.validate_scenario(sc) == []
     for mode in scenario.MODES:
         log = sim.run(sc.with_mode(mode))
-        assert log.summary.steps == 40 and not log.summary.aborted
+        assert log.summary.steps == max_steps and not log.summary.aborted
+
+
+E = np.eye(6)
+
+
+def _fail_certification(solution, problem):
+    raise CertificationFailed("stationarity residual 1e-3 > 1e-6")
+
+
+@pytest.mark.parametrize(
+    "mode, patch, token",
+    [
+        # v_x >= 2 inside the 0.5 speed ball
+        pytest.param("cbc", {"cbc_halfspaces": lambda obs, gamma: [HalfspaceConstraint(E[0], 2.0)]}, "infeasible", id="infeasible"),
+        # disks of radius 0.2 centred at +-0.2 e_x meet only at V = 0: no interior, so the multipliers diverge
+        pytest.param(
+            "prcbc",
+            {"prcbc_quadratics": lambda obs, gamma, hw, term: [QuadraticConstraint(E, s * 0.4 * E[0], 0.0) for s in (-1.0, 1.0)]},
+            "no_convergence",
+            id="no_convergence",
+        ),
+        pytest.param("cbc", {"certify": _fail_certification}, "certification", id="certification"),
+    ],
+)
+def test_hold_logs_its_reason_token(monkeypatch, mode, patch, token):
+    for name, value in patch.items():
+        monkeypatch.setattr(sim, name, value)
+    log = sim.run(replace(reference_scenario(mode=mode, noisy=mode == "prcbc"), max_steps=3))
+    assert log.summary.fallback_steps == log.summary.steps == 3 and not log.summary.aborted
+    assert {r.filter_status for r in log.records} == {f"fallback_hold:{token}"}
+
+
+def test_run_aborts_on_linalg_error(monkeypatch):
+    def singular(e0, L, cfg):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(mpc, "plan", singular)
+    log = sim.run(reference_scenario(mode="cbc"))
+    assert log.summary.aborted and not log.summary.converged
+    assert log.summary.abort_reason == "LinAlgError: Singular matrix"
 
 
 def test_low_obstacle_start_runs_without_holds():

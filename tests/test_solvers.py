@@ -246,3 +246,28 @@ def test_minimal_deviation_against_sampled_feasible_points():
         if np.linalg.norm(w) <= prob.v_max and np.all(rows @ w >= rhs):
             found += 1
             assert best <= np.linalg.norm(w - prob.v_ref) + 1e-9
+
+
+def test_nnls_matches_scipy_residual():
+    from scipy.optimize import nnls as scipy_nnls
+
+    rng = np.random.default_rng(3)
+    for i in range(10_000):
+        k = int(rng.integers(1, 7))
+        a = rng.normal(size=(6, k))
+        kind = i % 4
+        if kind == 0:
+            b = rng.normal(size=6)
+        elif kind == 1:  # a pass-through step: nothing to fit, every multiplier is exactly zero
+            b = np.zeros(6)
+        elif kind == 2:  # an exact fit whose zero coefficients carry exactly zero correlation
+            x_true = np.abs(rng.normal(size=k)) * (rng.random(k) < 0.5)
+            b = a @ x_true
+        else:  # a vanishing gradient column next to a repeated one
+            a[:, 0] = 0.0
+            a[:, -1] = a[:, k // 2]
+            b = rng.normal(size=6)
+        x, residual = solvers.nnls(a, b)
+        assert np.all(x >= 0.0)
+        assert residual == pytest.approx(float(np.linalg.norm(a @ x - b)), abs=1e-15)
+        assert abs(residual - scipy_nnls(a, b)[1]) <= 1e-12
