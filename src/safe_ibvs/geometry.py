@@ -115,11 +115,6 @@ def world_to_camera(pose: CameraPose, p: np.ndarray) -> np.ndarray:
     return pose.rotation.T @ (np.asarray(p, dtype=float) - pose.translation)
 
 
-def camera_to_world(pose: CameraPose, p_cam: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`world_to_camera`."""
-    return pose.rotation @ np.asarray(p_cam, dtype=float) + pose.translation
-
-
 def normalize(q: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     """Pixel coordinates to normalized image-plane coordinates."""
     q = np.asarray(q, dtype=float)

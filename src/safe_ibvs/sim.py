@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,10 +204,16 @@ def observe(sc: Scenario, state: SimState, rng: np.random.Generator | None) -> F
 def _noise_halfwidth(sc: Scenario) -> float:
     if sc.noise is None:
         return 0.0
-    cov = sc.noise.relative_cov_normalized(sc.intrinsics.f)
+    return _halfwidth(sc.noise.sigma, sc.noise.relative_cov_normalized(sc.intrinsics.f).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _halfwidth(sigma: float, cov_bytes: bytes) -> float:
+    """Half-width per noise model, once per process: every trial of a sweep shares it."""
+    cov = np.frombuffer(cov_bytes).reshape(2, 2)
     # the closed form covers uncorrelated noise; correlated and singular covariances invert numerically
     invert = noise_box_halfwidth if cov[0, 1] == 0.0 else noise_box_halfwidth_numeric
-    return invert(sc.noise.sigma, cov)
+    return invert(sigma, cov)
 
 
 def step(

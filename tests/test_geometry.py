@@ -24,7 +24,7 @@ def test_world_camera_round_trip():
         rot, _ = geo.se3_exp(np.concatenate([np.zeros(3), rng.normal(size=3)]))
         pose = geo.CameraPose(rot, rng.normal(size=3))
         p = rng.normal(size=3)
-        back = geo.camera_to_world(pose, geo.world_to_camera(pose, p))
+        back = pose.rotation @ geo.world_to_camera(pose, p) + pose.translation
         assert np.abs(back - p).max() < 1e-12
 
 

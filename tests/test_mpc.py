@@ -118,6 +118,90 @@ def test_condense_matches_block_loop_bit_for_bit():
             assert got.tobytes() == want.tobytes()
 
 
+def dense_plan(e0, L, cfg):
+    """Reference: projected dual Newton over the one 6N x 6N condensed system, dense solves throughout."""
+    h_mat, g = condense_loop(e0, L, cfg)
+    n, v_max = cfg.horizon, cfg.v_max
+
+    def minimiser(lam):
+        shifted = h_mat + np.diag(np.repeat(2.0 * lam, 6))
+        u = np.linalg.solve(shifted, -g).reshape(-1, 6)
+        return shifted, u, np.linalg.norm(u, axis=1)
+
+    lam = np.zeros(n)
+    shifted, u, norms = minimiser(lam)
+    for _ in range(mpc.NEWTON_MAX_ITER):
+        free = np.flatnonzero((lam > 0.0) | (norms > v_max))
+        if np.all(np.abs(norms[free] - v_max) <= mpc.NEWTON_TOL * v_max):
+            break
+        # d(1/||U_k||)/d lam_j = 2 U_k' (K^-1)_kj U_j / ||U_k||^3, K the shifted Hessian
+        spread = np.zeros((n, 6, free.size))
+        spread[free, :, np.arange(free.size)] = u[free]
+        solved = np.linalg.solve(shifted, spread.reshape(6 * n, -1)).reshape(n, 6, -1)
+        jac = 2.0 * np.einsum("ki,kic->kc", u[free], solved[free]) / norms[free, None] ** 3
+        lam[free] = np.maximum(lam[free] - np.linalg.solve(jac, 1.0 / norms[free] - 1.0 / v_max), 0.0)
+        shifted, u, norms = minimiser(lam)
+    over = norms > v_max
+    u[over] *= (v_max / norms[over])[:, None]
+    return u
+
+
+def saturated(controls, cfg):
+    return bool(np.any(np.linalg.norm(controls, axis=1) >= cfg.v_max * (1.0 - 1e-9)))
+
+
+@pytest.mark.parametrize("horizon", range(1, 8))
+def test_plan_matches_dense_newton_reference(horizon):
+    rng = np.random.default_rng(100 + horizon)
+    hits = 0
+    for trial in range(16):
+        L = random_stack(rng)
+        if trial % 4 == 1:
+            L[:, 3:] = 0.0  # L'L has three zero eigenvalues
+        elif trial % 4 == 2:
+            L = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 6))  # rank 2
+        q = 0.0 if trial % 4 == 3 else rng.uniform(0.1, 3.0)
+        cfg = mpc.MpcConfig.from_weights(
+            4, horizon=horizon, q=q, r=rng.uniform(0.005, 0.5), f=rng.uniform(0.5, 3.0), v_max=0.3
+        )
+        assert cfg.coupling_eig is not None  # the six N x N systems
+        e0 = rng.normal(size=8) * (0.05 if trial % 2 else 2.0)
+        ref = dense_plan(e0, L, cfg)
+        assert np.abs(mpc.plan(e0, L, cfg) - ref).max() <= 1e-12
+        hits += saturated(ref, cfg)
+    assert 4 <= hits <= 12  # both interior and saturated cases are covered
+
+
+def test_plan_matrix_weights_match_dense_newton_reference():
+    rng = np.random.default_rng(14)
+    hits = 0
+    for trial in range(28):
+        L = random_stack(rng)
+        cfg = mpc.MpcConfig(
+            horizon=1 + trial % 7, q=spd(rng, 8, 0.0), r=spd(rng, 6, 0.01), f=spd(rng, 8, 0.0), v_max=0.3, dt=0.05
+        )
+        assert cfg.coupling_eig is None
+        e0 = rng.normal(size=8) * (0.05 if trial % 2 else 2.0)
+        ref = dense_plan(e0, L, cfg)
+        assert np.abs(mpc.plan(e0, L, cfg) - ref).max() <= 1e-12
+        hits += saturated(ref, cfg)
+    assert 7 <= hits <= 21
+
+
+def test_plan_full_input_weight_takes_matrix_route(monkeypatch):
+    rng = np.random.default_rng(15)
+    calls = []
+    condense = mpc.condense
+    monkeypatch.setattr(mpc, "condense", lambda *args: calls.append(1) or condense(*args))
+    for scale in (0.05, 2.0):
+        L = random_stack(rng)
+        e0 = rng.normal(size=8) * scale
+        cfg = mpc.MpcConfig(horizon=5, q=np.eye(8), r=spd(rng, 6, 0.01), f=2.0 * np.eye(8), v_max=0.3, dt=0.05)
+        assert cfg.coupling_eig is None
+        assert np.abs(mpc.plan(e0, L, cfg) - dense_plan(e0, L, cfg)).max() <= 1e-12
+    assert len(calls) == 2
+
+
 def test_plan_zero_error_gives_zero_controls():
     rng = np.random.default_rng(3)
     L = random_stack(rng)

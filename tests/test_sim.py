@@ -117,6 +117,30 @@ def test_checked_covariance_runs_in_every_mode(cov, sigma, max_steps):
         assert log.summary.steps == max_steps and not log.summary.aborted
 
 
+def test_sweep_computes_the_halfwidth_once(monkeypatch):
+    data = yaml.safe_load((Path(__file__).parents[1] / "scenarios" / "reference_noise.yaml").read_text())
+    cov = [[1e-6, 9e-4], [9e-4, 1.0]]  # correlated: the half-width takes a bisection over box_probability
+    data["noise"] = {"feature_cov": cov, "obstacle_cov": cov, "sigma": 0.99}
+    data["max_steps"] = 5
+    sc = scenario.from_dict(data)
+    calls = []
+    bisection = sim.noise_box_halfwidth_numeric
+
+    def counted(sigma, rel_cov):
+        calls.append(sigma)
+        return bisection(sigma, rel_cov)
+
+    monkeypatch.setattr(sim, "noise_box_halfwidth_numeric", counted)
+    sim._halfwidth.cache_clear()
+    start = np.array([0.43, 0.23, 0.10])
+    res = sim.sweep(sc, start[None], trials_per_location=5, jobs=1)
+    assert calls == [0.99]
+    for log, seed in zip(res.logs, res.seeds.ravel()):
+        sim._halfwidth.cache_clear()
+        assert sim.run(sc.with_obstacle_start(start).with_seed(int(seed))).csv_text() == log.csv_text()
+    assert len(calls) == 6
+
+
 E = np.eye(6)
 
 
