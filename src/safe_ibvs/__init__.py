@@ -9,9 +9,7 @@ closed-loop simulator reproducing the accompanying experiments.
 """
 
 from .barrier import (
-    HalfspaceConstraint,
     NoiseModel,
-    QuadraticConstraint,
     barrier_rate_row,
     barrier_value,
     cbc_halfspaces,
@@ -25,20 +23,13 @@ from .geometry import (
     Obstacle3,
     ObstacleImageState,
     integrate_twist,
-    normalize,
     obstacle_image_state,
     pixel_from_normalized,
     project_point,
-    project_to_pixel,
     world_to_camera,
 )
 from .ibvs import clip_twist, feature_error, gradient_controller, pseudo_inverse
-from .jacobians import (
-    feature_interaction,
-    obstacle_center_interaction,
-    obstacle_radius_interaction,
-    stack_interaction,
-)
+from .jacobians import feature_interaction, obstacle_radius_interaction
 from .mpc import MpcConfig, plan, predict_errors, rollout_cost
 from .observation import FeatureObservation
 from .scenario import (

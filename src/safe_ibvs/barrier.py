@@ -4,8 +4,11 @@ For each feature point the occlusion margin is
 
     h = ||s_i - s_o||^2 - Rn^2
 
-(positive outside the obstacle's projected disk). Two constraint
-families keep h nonnegative along the closed loop:
+(positive outside the obstacle's projected disk). Every quantity here is
+computed for all m features at once, from the ``(m, 2)`` offsets ``ds``
+between features and obstacle and the ``(m, 2, 6)`` differences ``dl``
+of their interaction matrices. Two constraint families keep h
+nonnegative along the closed loop:
 
 * exact measurements: a half-space per feature, requiring the margin's
   control-dependent rate to dominate ``-gamma * h``;
@@ -14,6 +17,10 @@ families keep h nonnegative along the closed loop:
   relative measurement noise, so that any twist satisfying it keeps the
   true margin nonnegative whenever the noise falls inside the box, i.e.
   with probability at least the box's confidence level.
+
+Both constraint functions return the filter's stacked format ``(a, b, c)`` of shapes
+``(m, 6, 6)``, ``(m, 6)`` and ``(m,)``: row i admits the twists with
+``V'a_i V + b_i'V + c_i <= 0`` (a_i = 0 for a half-space).
 
 The box half-width needs only the standard library's ``erf``/``erfc``
 and a fixed Gauss-Legendre rule, so this module, like the rest of the
@@ -40,23 +47,6 @@ _MAX_DOUBLINGS = 64
 # integration variable (the normal mass beyond 9 standard deviations is below 3e-19)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _U_MAX = 9.0
-
-
-@dataclass(frozen=True, eq=False)
-class HalfspaceConstraint:
-    """Admissible twists satisfy ``row @ V >= rhs``."""
-
-    row: np.ndarray
-    rhs: float
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticConstraint:
-    """Admissible twists satisfy ``V @ a @ V + b @ V + c <= 0``; a is PSD."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: float
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -106,10 +96,10 @@ class NoiseModel:
         return (self.feature_cov + self.obstacle_cov) / f**2
 
 
-def barrier_value(s_i: np.ndarray, s_o: np.ndarray, rn: float) -> float:
-    """Occlusion margin of one feature against the obstacle disk."""
+def barrier_value(s_i: np.ndarray, s_o: np.ndarray, rn: float) -> float | np.ndarray:
+    """Occlusion margin of one ``(2,)`` feature, or of each row of ``(m, 2)`` features, against the obstacle disk."""
     d = np.asarray(s_i, dtype=float) - np.asarray(s_o, dtype=float)
-    return float(d @ d) - rn * rn
+    return (d[..., None, :] @ d[..., :, None])[..., 0, 0] - rn * rn
 
 
 def barrier_rate_row(
@@ -120,32 +110,33 @@ def barrier_rate_row(
     l_radius: np.ndarray,
     rn: float,
 ) -> np.ndarray:
-    """Row mapping a twist to the time derivative of the occlusion margin."""
+    """Row mapping a twist to the time derivative of the occlusion margin.
+
+    ``(2,)`` features with ``(2, 6)`` interaction matrices give one
+    ``(6,)`` row; ``(m, 2)`` and ``(m, 2, 6)`` give the ``(m, 6)`` rows.
+    """
     d = np.asarray(s_i, dtype=float) - np.asarray(s_o, dtype=float)
-    return 2.0 * d @ (l_feature - l_obstacle) - 2.0 * rn * l_radius
+    return ((2.0 * d)[..., None, :] @ (l_feature - l_obstacle))[..., 0, :] - 2.0 * rn * l_radius
 
 
-def cbc_halfspaces(obs: FeatureObservation, gamma: float) -> list[HalfspaceConstraint]:
-    """One admissible half-space per feature: ``row @ V >= -gamma * h``.
+def cbc_halfspaces(obs: FeatureObservation, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One admissible half-space per feature, ``row @ V >= -gamma * h``, as stacked ``(a, b, c)``.
 
-    Rows never vanish for a projectable obstacle: even with the feature
-    on the projected center, the radius-rate entry ``-2 Rn R / Zo^2``
-    survives. A zero row would make the constraint meaningless, so it is
-    rejected here.
+    The rows are the margins' rate rows, so ``b = -row``, ``c = -gamma * h``
+    and ``a = 0``. Rows never vanish for a projectable obstacle: even with
+    the feature on the projected center, the radius-rate entry
+    ``-2 Rn R / Zo^2`` survives. A zero row would make the constraint
+    meaningless, so it is rejected here.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    out = []
-    rn = obs.obstacle.rn
-    for i in range(obs.m):
-        row = barrier_rate_row(
-            obs.features[i], obs.obstacle.center, obs.l_features[i], obs.l_obstacle, obs.l_radius, rn
-        )
-        if not np.abs(row).max() > 0.0:
-            raise ValueError(f"degenerate barrier row for feature {i}")
-        h = barrier_value(obs.features[i], obs.obstacle.center, rn)
-        out.append(HalfspaceConstraint(row=row, rhs=-gamma * h))
-    return out
+    center, rn = obs.obstacle.center, obs.obstacle.rn
+    rows = barrier_rate_row(obs.features, center, obs.l_features, obs.l_obstacle, obs.l_radius, rn)
+    degenerate = np.flatnonzero(~(np.abs(rows).max(axis=1) > 0.0))
+    if degenerate.size:
+        raise ValueError(f"degenerate barrier row for feature {degenerate[0]}")
+    h = barrier_value(obs.features, center, rn)
+    return np.zeros((obs.m, 6, 6)), -rows, -gamma * h
 
 
 def _erfinv(y: float) -> float:
@@ -287,8 +278,8 @@ def prcbc_quadratics(
     gamma: float,
     halfwidth: float,
     include_radius_term: bool = True,
-) -> list[QuadraticConstraint]:
-    """One convex quadratic per feature for the noisy-measurement case.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One convex quadratic per feature for the noisy-measurement case, as stacked ``(a, b, c)``.
 
     With ``ds`` the observed feature-to-obstacle offset and ``dl`` the
     difference of their interaction matrices, the constraint is
@@ -305,14 +296,11 @@ def prcbc_quadratics(
     if halfwidth < 0.0:
         raise ValueError(f"halfwidth must be nonnegative, got {halfwidth}")
     rn = obs.obstacle.rn
-    out = []
-    for i in range(obs.m):
-        ds = obs.features[i] - obs.obstacle.center
-        dl = obs.l_features[i] - obs.l_obstacle
-        a = dl.T @ dl / gamma**2
-        b = -2.0 * (ds @ dl) / gamma
-        if include_radius_term:
-            b = b + 8.0 * rn * obs.l_radius / gamma
-        c = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - float(ds @ ds)
-        out.append(QuadraticConstraint(a=a, b=b, c=c))
-    return out
+    ds = obs.features - obs.obstacle.center
+    dl = obs.l_features - obs.l_obstacle
+    a = dl.transpose(0, 2, 1) @ dl / gamma**2
+    b = -2.0 * (ds[:, None, :] @ dl)[:, 0] / gamma
+    if include_radius_term:
+        b = b + 8.0 * rn * obs.l_radius / gamma
+    c = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - (ds[:, None, :] @ ds[:, :, None])[:, 0, 0]
+    return a, b, c

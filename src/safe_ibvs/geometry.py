@@ -111,44 +111,29 @@ class CameraPose:
 
 
 def world_to_camera(pose: CameraPose, p: np.ndarray) -> np.ndarray:
-    """Express a world point in the camera frame."""
-    return pose.rotation.T @ (np.asarray(p, dtype=float) - pose.translation)
-
-
-def normalize(q: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Pixel coordinates to normalized image-plane coordinates."""
-    q = np.asarray(q, dtype=float)
-    return np.array([(q[0] - k.px) / k.f, (q[1] - k.py) / k.f])
+    """Express a ``(3,)`` world point, or each row of ``(n, 3)`` points, in the camera frame."""
+    return (np.asarray(p, dtype=float) - pose.translation) @ pose.rotation
 
 
 def pixel_from_normalized(s: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Normalized image-plane coordinates back to pixels."""
-    s = np.asarray(s, dtype=float)
-    return np.array([k.f * s[0] + k.px, k.f * s[1] + k.py])
+    """Normalized image-plane coordinates back to pixels, for one ``(2,)`` point or ``(n, 2)`` points."""
+    return k.f * np.asarray(s, dtype=float) + np.array([k.px, k.py])
 
 
-def project_to_pixel(p_cam: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, float]:
-    """Project a camera-frame point to pixels; returns (pixel, depth).
+def project_point(pose: CameraPose, k: CameraIntrinsics, p_world: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """World point(s) to normalized coordinates and depth in one go.
 
-    Raises :class:`NonPositiveDepth` when the point is on or behind the
-    camera plane (depth <= 1e-9); callers treat this as a fatal trial
-    condition.
+    A ``(3,)`` point gives ``((2,), depth)``; ``(n, 3)`` points give
+    ``((n, 2), (n,))``. Raises :class:`NonPositiveDepth` when any point
+    is on or behind the camera plane (depth <= 1e-9); callers treat this
+    as a fatal trial condition.
     """
-    p_cam = np.asarray(p_cam, dtype=float)
-    z = float(p_cam[2])
-    if z <= MIN_DEPTH:
-        raise NonPositiveDepth(f"point depth {z:.3e} <= {MIN_DEPTH:.0e}")
-    s = p_cam[:2] / z
-    return pixel_from_normalized(s, k), z
-
-
-def project_point(pose: CameraPose, k: CameraIntrinsics, p_world: np.ndarray) -> tuple[np.ndarray, float]:
-    """World point to normalized coordinates and depth in one go."""
     p_cam = world_to_camera(pose, p_world)
-    z = float(p_cam[2])
-    if z <= MIN_DEPTH:
-        raise NonPositiveDepth(f"point depth {z:.3e} <= {MIN_DEPTH:.0e}")
-    return p_cam[:2] / z, z
+    z = p_cam[..., 2]
+    behind = np.flatnonzero(z <= MIN_DEPTH)
+    if behind.size:
+        raise NonPositiveDepth(f"point depth {np.ravel(z)[behind[0]]:.3e} <= {MIN_DEPTH:.0e}")
+    return p_cam[..., :2] / z[..., None], z if z.ndim else float(z)
 
 
 def integrate_twist(pose: CameraPose, twist: np.ndarray, dt: float) -> CameraPose:

@@ -18,12 +18,7 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from . import solvers
-from .barrier import (
-    HalfspaceConstraint,
-    QuadraticConstraint,
-    barrier_rate_row,
-    noise_box_halfwidth,
-)
+from .barrier import barrier_rate_row, noise_box_halfwidth
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -33,11 +28,7 @@ from .geometry import (
     project_point,
     se3_exp,
 )
-from .jacobians import (
-    feature_interaction,
-    obstacle_center_interaction,
-    obstacle_radius_interaction,
-)
+from .jacobians import feature_interaction, obstacle_radius_interaction
 from .sim import make_rng
 
 FD_DT = 1e-5
@@ -92,7 +83,7 @@ def jacobian_suite(seed: int = 0, n_states: int = 100) -> SuiteReport:
 
         st = obstacle_image_state(obstacle, pose, k, 0.0)
         fd_c = _fd_columns(lambda ps: obstacle_image_state(obstacle, ps, k, 0.0).center, pose, FD_DT)
-        l_o = obstacle_center_interaction(st.center, st.depth)
+        l_o = feature_interaction(st.center, st.depth)
         err = np.abs(fd_c - l_o) - FD_RTOL * np.abs(l_o)
         worst["obstacle_center"] = max(worst["obstacle_center"], float(err.max()))
 
@@ -170,7 +161,7 @@ def chance_suite(
                 s_i,
                 s_o,
                 feature_interaction(s_i, z_i),
-                obstacle_center_interaction(s_o, z_o),
+                feature_interaction(s_o, z_o),
                 obstacle_radius_interaction(s_o, z_o, radius),
                 rn,
             )
@@ -232,24 +223,27 @@ def chance_suite(
     return SuiteReport(name="chance", passed=passed, lines=lines)
 
 
-def enumerate_projection_qp(
-    v_ref: np.ndarray, halfspaces: list[HalfspaceConstraint], v_max: float
-) -> tuple[np.ndarray | None, float]:
+def enumerate_projection_qp(problem: solvers.FilterProblem) -> tuple[np.ndarray | None, float]:
     """Brute-force projection onto half-spaces plus a ball.
 
-    Tries every subset of constraints held at equality (closed-form
-    projection onto the affine set, or onto its intersection with the
-    sphere) and returns the feasible candidate of least distance.
-    Independent of the barrier solver by construction.
+    Reads the problem's half-space rows ``b_i'V + c_i <= 0`` (every row
+    but the last, the ball, whose radius is ``v_max``), tries every
+    subset of them held at equality (closed-form projection onto the
+    affine set, or onto its intersection with the sphere) and returns
+    the feasible candidate of least distance. Independent of the
+    filter's solver by construction.
     """
-    rows = np.array([hs.row for hs in halfspaces]).reshape(len(halfspaces), 6)
-    rhs = np.array([hs.rhs for hs in halfspaces])
+    v_ref, v_max = problem.v_ref, problem.v_max
+    if problem.a[:-1].any():
+        raise ValueError("enumeration handles half-spaces only (a = 0)")
+    rows, rhs = -problem.b[:-1], problem.c[:-1]  # rows @ V >= rhs
+    n = rhs.shape[0]
     best, best_obj = None, np.inf
 
     def feasible(x):
         if np.linalg.norm(x) > v_max + 1e-9:
             return False
-        return bool(np.all(rows @ x >= rhs - 1e-9)) if len(halfspaces) else True
+        return bool(np.all(rows @ x >= rhs - 1e-9)) if n else True
 
     def consider(x):
         nonlocal best, best_obj
@@ -258,8 +252,8 @@ def enumerate_projection_qp(
             if obj < best_obj:
                 best, best_obj = x, obj
 
-    for r in range(len(halfspaces) + 1):
-        for subset in itertools.combinations(range(len(halfspaces)), r):
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
             a = rows[list(subset)]
             b = rhs[list(subset)]
             if r == 0:
@@ -301,22 +295,27 @@ def enumerate_projection_qp(
 def multistart_qcqp(
     problem: solvers.FilterProblem, rng: np.random.Generator, starts: int = 12
 ) -> tuple[np.ndarray | None, float]:
-    """Best feasible point from multi-start SLSQP on the projection problem."""
+    """Best feasible point from multi-start SLSQP on the projection problem.
+
+    The quadratics are every stacked row but the last; the last row is
+    the speed ball, posed here on its own as ``v_max^2 - V'V >= 0``.
+    """
+    quads = list(zip(problem.a[:-1], problem.b[:-1], problem.c[:-1]))
     cons = []
-    for qc in problem.quadratics:
+    for qa, qb, qc in quads:
         cons.append(
             {
                 "type": "ineq",
-                "fun": lambda v, qc=qc: -(v @ qc.a @ v + qc.b @ v + qc.c),
-                "jac": lambda v, qc=qc: -(2.0 * qc.a @ v + qc.b),
+                "fun": lambda v, qa=qa, qb=qb, qc=qc: -(v @ qa @ v + qb @ v + qc),
+                "jac": lambda v, qa=qa, qb=qb: -(2.0 * qa @ v + qb),
             }
         )
     cons.append({"type": "ineq", "fun": lambda v: problem.v_max**2 - v @ v, "jac": lambda v: -2.0 * v})
 
     def violation(x):
         worst = float(x @ x - problem.v_max**2)
-        for qc in problem.quadratics:
-            worst = max(worst, float(x @ qc.a @ x + qc.b @ x + qc.c))
+        for qa, qb, qc in quads:
+            worst = max(worst, float(x @ qa @ x + qb @ x + qc))
         return worst
 
     best, best_obj = None, np.inf
@@ -338,24 +337,27 @@ def multistart_qcqp(
 
 
 def random_qp_problem(rng: np.random.Generator) -> solvers.FilterProblem:
-    halfspaces = [
-        HalfspaceConstraint(row=rng.normal(size=6), rhs=float(rng.normal() * 0.3)) for _ in range(4)
-    ]
-    return solvers.FilterProblem(
-        v_ref=rng.normal(size=6), v_max=1.0 + float(rng.uniform()), halfspaces=halfspaces
-    )
+    """Four random half-spaces ``row @ V >= rhs``, stacked as ``b = -row``, ``c = rhs``."""
+    rows, rhs = [], []
+    for _ in range(4):
+        rows.append(rng.normal(size=6))
+        rhs.append(float(rng.normal() * 0.3))
+    v_ref = rng.normal(size=6)
+    v_max = 1.0 + float(rng.uniform())
+    return solvers.FilterProblem(v_ref, v_max, np.zeros((4, 6, 6)), -np.array(rows), np.array(rhs))
 
 
 def random_qcqp_problem(rng: np.random.Generator, n_con: int = 3) -> solvers.FilterProblem:
-    quads = []
+    """``n_con`` random convex quadratics with rank-2 Gram matrices."""
+    a, b, c = [], [], []
     for _ in range(n_con):
         g = rng.normal(size=(2, 6))
-        quads.append(
-            QuadraticConstraint(a=g.T @ g, b=rng.normal(size=6) * 0.5, c=float(rng.uniform(-1.5, 0.3)))
-        )
-    return solvers.FilterProblem(
-        v_ref=rng.normal(size=6), v_max=1.0 + float(rng.uniform()), quadratics=quads
-    )
+        a.append(g.T @ g)
+        b.append(rng.normal(size=6) * 0.5)
+        c.append(float(rng.uniform(-1.5, 0.3)))
+    v_ref = rng.normal(size=6)
+    v_max = 1.0 + float(rng.uniform())
+    return solvers.FilterProblem(v_ref, v_max, np.array(a), np.array(b), np.array(c))
 
 
 def solver_suite(
@@ -372,7 +374,7 @@ def solver_suite(
     for _ in range(n_qp):
         problem = random_qp_problem(rng)
         sol = solvers.solve_filter_qp(problem)
-        ref, _ = enumerate_projection_qp(problem.v_ref, problem.halfspaces, problem.v_max)
+        ref, _ = enumerate_projection_qp(problem)
         if sol.status != solvers.STATUS_OPTIMAL:
             qp_holds += 1
             if ref is None:

@@ -188,9 +188,7 @@ def from_dict(data: dict) -> Scenario:
     if "target_pose" in data:
         target_pose = _pose_from_dict(data["target_pose"], "target_pose")
         try:
-            target_features = np.array(
-                [project_point(target_pose, intrinsics, p)[0] for p in features_world]
-            )
+            target_features = project_point(target_pose, intrinsics, features_world)[0]
         except Exception as exc:
             raise ScenarioError(f"target_pose: features not all in front of the camera ({exc})") from exc
     else:
@@ -298,7 +296,7 @@ def reference_scenario(
     cam0, cam1, yaw1 = np.array([0.0, 0.0, 1.1]), np.array([-0.10, -0.10, 0.8]), 0.4
     pose0 = CameraPose.from_rpy([np.pi, 0.0, 0.0], cam0)
     pose1 = CameraPose.from_rpy([np.pi, 0.0, yaw1], cam1)
-    target = np.array([project_point(pose1, k, p)[0] for p in feats])
+    target = project_point(pose1, k, feats)[0]
     # hover on the target-pose line of sight to feature 1, at z = 0.45
     lam = (cam1[2] - 0.45) / (cam1[2] - feats[0][2])
     hover = cam1 + lam * (feats[0] - cam1)
@@ -364,9 +362,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         from .geometry import obstacle_image_state
 
         obs_state = obstacle_image_state(sc.obstacle, sc.initial_pose, sc.intrinsics, 0.0)
-        for i, p in enumerate(sc.features_world):
-            s, _ = project_point(sc.initial_pose, sc.intrinsics, p)
-            h = barrier_value(s, obs_state.center, obs_state.rn)
+        features, _ = project_point(sc.initial_pose, sc.intrinsics, sc.features_world)
+        for i, h in enumerate(barrier_value(features, obs_state.center, obs_state.rn)):
             if h <= 0.0:
                 problems.append(f"initial state not occlusion-free: feature {i} has margin {h:.3e}")
     except Exception as exc:

@@ -1,11 +1,15 @@
 """Closed-loop scenario engine: observe, plan, filter, integrate, log.
 
-One step runs the full pipeline: project the true scene, draw the
-(optional) pixel noise, plan the nominal twist over the horizon, build
-the mode-appropriate occlusion constraints, project the nominal twist
-onto them, then advance the camera pose and obstacle clock. Everything
-is driven by a counter-based generator keyed on the scenario seed, so a
-(scenario, seed) pair reproduces bit-identical logs.
+Each pose's true feature projection is computed once, as ``(m, 2)``
+points and ``(m,)`` depths, by ``run``'s convergence check, and handed
+to the step. One step runs the full pipeline on arrays: project the
+obstacle, draw the (optional) pixel noise for all features at once,
+build the ``(m, 2, 6)`` interaction matrices, plan the nominal twist
+over the horizon, build the mode-appropriate occlusion constraints as
+stacked arrays, project the nominal twist onto them, log the true
+margins and clearances, then advance the camera pose and obstacle
+clock. Everything is driven by a counter-based generator keyed on the
+scenario seed, so a (scenario, seed) pair reproduces bit-identical logs.
 """
 
 from __future__ import annotations
@@ -29,17 +33,14 @@ from .barrier import (
 from .errors import CertificationFailed, SafeIbvsError, ScenarioError
 from .geometry import (
     CameraPose,
+    ObstacleImageState,
     integrate_twist,
     obstacle_image_state,
     pixel_from_normalized,
     project_point,
 )
 from .ibvs import clip_twist, feature_error
-from .jacobians import (
-    feature_interaction,
-    obstacle_center_interaction,
-    obstacle_radius_interaction,
-)
+from .jacobians import feature_interaction, obstacle_radius_interaction
 from .observation import FeatureObservation
 from .scenario import MODE_CBC, MODE_PRCBC, MODE_UNFILTERED, Scenario
 from .solvers import (
@@ -157,47 +158,46 @@ class TrajectoryLog:
         )
 
 
-def pixel_clearance(q_i: np.ndarray, q_o: np.ndarray, r_px: float) -> float:
-    """Pixel distance from a feature point to the obstacle's projected edge."""
+def pixel_clearance(q_i: np.ndarray, q_o: np.ndarray, r_px: float) -> float | np.ndarray:
+    """Pixel distance from a ``(2,)`` feature point, or each row of ``(m, 2)`` points, to the obstacle's projected edge."""
     if r_px < 0.0:
         raise ValueError(f"pixel radius must be nonnegative, got {r_px}")
-    return float(np.linalg.norm(np.asarray(q_i, dtype=float) - np.asarray(q_o, dtype=float))) - r_px
+    d = np.asarray(q_i, dtype=float) - np.asarray(q_o, dtype=float)
+    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0] - r_px
 
 
-def _project_features(sc: Scenario, pose) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.empty((sc.m, 2))
-    depths = np.empty(sc.m)
-    for i, p in enumerate(sc.features_world):
-        pts[i], depths[i] = project_point(pose, sc.intrinsics, p)
-    return pts, depths
+def observe(
+    sc: Scenario,
+    features: np.ndarray,
+    depths: np.ndarray,
+    obstacle: ObstacleImageState,
+    rng: np.random.Generator | None,
+) -> FeatureObservation:
+    """Measure the scene from its exact projection, optionally with pixel noise.
 
-
-def observe(sc: Scenario, state: SimState, rng: np.random.Generator | None) -> FeatureObservation:
-    """Project the scene, optionally perturb positions with pixel noise.
-
-    Noise is drawn in pixel coordinates and divided by the focal length
-    (the intrinsics map is linear). Depths stay exact; the interaction
+    ``features`` ``(m, 2)``, ``depths`` ``(m,)`` and ``obstacle`` are the
+    true projection at the current pose and time. Noise is drawn in pixel
+    coordinates, one ``(m + 1, 2)`` standard normal block (feature rows,
+    then the obstacle row), and divided by the focal length (the
+    intrinsics map is linear). Depths stay exact; the interaction
     matrices are evaluated at the observed coordinates. Passing
     ``rng=None`` or a scenario without a noise model yields the truth.
     """
-    features, depths = _project_features(sc, state.pose)
-    obstacle = obstacle_image_state(sc.obstacle, state.pose, sc.intrinsics, state.t)
     if sc.noise is not None and rng is not None:
         f = sc.intrinsics.f
-        for i in range(sc.m):
-            features[i] = features[i] + (sc.noise.feature_sqrt @ rng.standard_normal(2)) / f
-        noisy_center = obstacle.center + (sc.noise.obstacle_sqrt @ rng.standard_normal(2)) / f
-        obstacle = dc_replace(obstacle, center=noisy_center)
-    l_features = np.stack([feature_interaction(features[i], depths[i]) for i in range(sc.m)])
-    l_obstacle = obstacle_center_interaction(obstacle.center, obstacle.depth)
-    l_radius = obstacle_radius_interaction(obstacle.center, obstacle.depth, sc.obstacle.radius)
+        z = rng.standard_normal((sc.m + 1, 2))
+        # one 2x2 @ 2x1 product per row; z @ S.T would round differently for a non-diagonal S
+        features = features + (sc.noise.feature_sqrt @ z[:-1, :, None])[..., 0] / f
+        obstacle = dc_replace(obstacle, center=obstacle.center + (sc.noise.obstacle_sqrt @ z[-1]) / f)
+    # the projected obstacle center moves like one more point feature, at its own depth
+    l_points = feature_interaction(np.vstack([features, obstacle.center]), np.append(depths, obstacle.depth))
     return FeatureObservation(
         features=features,
         depths=depths,
         obstacle=obstacle,
-        l_features=l_features,
-        l_obstacle=l_obstacle,
-        l_radius=l_radius,
+        l_features=l_points[:-1],
+        l_obstacle=l_points[-1],
+        l_radius=obstacle_radius_interaction(obstacle.center, obstacle.depth, sc.obstacle.radius),
     )
 
 
@@ -220,14 +220,20 @@ def step(
     sc: Scenario,
     state: SimState,
     rng: np.random.Generator,
-    halfwidth: float | None = None,
+    truth: tuple[np.ndarray, np.ndarray],
 ) -> tuple[SimState, StepRecord]:
-    """Run one closed-loop step and return the advanced state plus record."""
-    truth = observe(sc, state, None)
-    obs = observe(sc, state, rng) if sc.noise is not None else truth
+    """Run one closed-loop step and return the advanced state plus record.
+
+    ``truth`` is the exact feature projection ``(features, depths)`` at
+    ``state.pose``, as :func:`geometry.project_point` returns it for the
+    scenario's ``(m, 3)`` feature points.
+    """
+    features, depths = truth
+    obstacle = obstacle_image_state(sc.obstacle, state.pose, sc.intrinsics, state.t)
+    obs = observe(sc, features, depths, obstacle, rng)
 
     e_obs = feature_error(obs.features, sc.target_features)
-    e_true = feature_error(truth.features, sc.target_features)
+    e_true = feature_error(features, sc.target_features)
     L = obs.stacked_interaction()
 
     v_mpc = mpc.plan(e_obs, L, sc.mpc)[0]
@@ -238,30 +244,21 @@ def step(
         status = "unfiltered"
     else:
         if sc.mode == MODE_CBC:
-            problem = FilterProblem(
-                v_ref=v_mpc, v_max=sc.mpc.v_max, halfspaces=cbc_halfspaces(obs, sc.gamma)
-            )
-            for hs in problem.halfspaces:
-                min_row_inf = min(min_row_inf, float(np.abs(hs.row).max()))
+            problem = FilterProblem(v_mpc, sc.mpc.v_max, *cbc_halfspaces(obs, sc.gamma))
+            rows = problem.b[:-1]  # the negated rate rows
             solution = solve_filter_qp(problem)
         elif sc.mode == MODE_PRCBC:
             if sc.noise is None:
                 raise ScenarioError("prcbc mode needs a noise model")
-            hw = _noise_halfwidth(sc) if halfwidth is None else halfwidth
-            problem = FilterProblem(
-                v_ref=v_mpc,
-                v_max=sc.mpc.v_max,
-                quadratics=prcbc_quadratics(obs, sc.gamma, hw, sc.prcbc_radius_term),
+            quadratics = prcbc_quadratics(obs, sc.gamma, _noise_halfwidth(sc), sc.prcbc_radius_term)
+            problem = FilterProblem(v_mpc, sc.mpc.v_max, *quadratics)
+            rows = barrier_rate_row(
+                obs.features, obs.obstacle.center, obs.l_features, obs.l_obstacle, obs.l_radius, obs.obstacle.rn
             )
-            rn = obs.obstacle.rn
-            for i in range(obs.m):
-                row = barrier_rate_row(
-                    obs.features[i], obs.obstacle.center, obs.l_features[i], obs.l_obstacle, obs.l_radius, rn
-                )
-                min_row_inf = min(min_row_inf, float(np.abs(row).max()))
             solution = solve_filter_qcqp(problem)
         else:
             raise ScenarioError(f"unknown mode {sc.mode!r}")
+        min_row_inf = float(np.abs(rows).max(axis=1).min())
         if solution.status == STATUS_OPTIMAL:
             try:
                 certify(solution, problem)
@@ -271,14 +268,12 @@ def step(
         else:
             v_star, status = np.zeros(6), hold_status(solution)
 
-    h = np.array(
-        [barrier_value(truth.features[i], truth.obstacle.center, truth.obstacle.rn) for i in range(sc.m)]
-    )
-    dists = np.linalg.norm(truth.features - truth.obstacle.center, axis=1)
-    q_o = pixel_from_normalized(truth.obstacle.center, sc.intrinsics)
-    dis_px = min(
-        pixel_clearance(pixel_from_normalized(truth.features[i], sc.intrinsics), q_o, truth.obstacle.radius_px)
-        for i in range(sc.m)
+    h = barrier_value(features, obstacle.center, obstacle.rn)
+    dists = np.linalg.norm(features - obstacle.center, axis=1)
+    clearance = pixel_clearance(
+        pixel_from_normalized(features, sc.intrinsics),
+        pixel_from_normalized(obstacle.center, sc.intrinsics),
+        obstacle.radius_px,
     )
 
     record = StepRecord(
@@ -287,7 +282,7 @@ def step(
         e_norm=float(np.linalg.norm(e_true)),
         h=h,
         min_dist=float(dists.min()),
-        dis_px=dis_px,
+        dis_px=float(clearance.min()),
         v_star=np.asarray(v_star, dtype=float),
         v_mpc=np.asarray(v_mpc, dtype=float),
         filter_status=status,
@@ -301,8 +296,10 @@ def step(
 def run(sc: Scenario) -> TrajectoryLog:
     """Iterate steps until the feature error converges or steps run out.
 
-    A package error (:class:`SafeIbvsError`) or a ``LinAlgError`` ends the
-    trial early, marked aborted with the error's type and message.
+    Each pose's features are projected once: for the convergence check,
+    and then by the step that starts from that pose. A package error
+    (:class:`SafeIbvsError`) or a ``LinAlgError`` ends the trial early,
+    marked aborted with the error's type and message.
     """
     rng = make_rng(sc.seed)
     state = SimState(pose=sc.initial_pose)
@@ -310,20 +307,14 @@ def run(sc: Scenario) -> TrajectoryLog:
 
     final_e = np.inf
     try:
-        halfwidth = _noise_halfwidth(sc) if sc.mode == MODE_PRCBC else None
-        for _ in range(sc.max_steps):
-            truth_pts, _ = _project_features(sc, state.pose)
-            final_e = float(np.linalg.norm(feature_error(truth_pts, sc.target_features)))
-            if final_e < sc.convergence_tol:
-                log.summary.converged = True
+        for k in range(sc.max_steps + 1):
+            truth = project_point(state.pose, sc.intrinsics, sc.features_world)
+            final_e = float(np.linalg.norm(feature_error(truth[0], sc.target_features)))
+            log.summary.converged = final_e < sc.convergence_tol
+            if log.summary.converged or k == sc.max_steps:
                 break
-            state, record = step(sc, state, rng, halfwidth=halfwidth)
+            state, record = step(sc, state, rng, truth)
             log.records.append(record)
-            final_e = record.e_norm
-        else:
-            truth_pts, _ = _project_features(sc, state.pose)
-            final_e = float(np.linalg.norm(feature_error(truth_pts, sc.target_features)))
-            log.summary.converged = bool(final_e < sc.convergence_tol)
     except (SafeIbvsError, np.linalg.LinAlgError) as exc:
         log.summary.aborted = True
         log.summary.abort_reason = f"{type(exc).__name__}: {exc}"

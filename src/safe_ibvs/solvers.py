@@ -6,26 +6,26 @@ occlusion constraints and the speed ball ``||V|| <= v_max``:
 * :func:`solve_filter_qp` for half-space constraints (exact case),
 * :func:`solve_filter_qcqp` for quadratic constraints (noisy case).
 
-Every constraint, the ball included, is stacked once per problem as
-``V'A_i V + b_i'V + c_i <= 0`` (A_i = 0 for a half-space, A_i = I for the
-ball). One exact dual solve (:func:`qcqp.solve`) serves both filters; its
-only linear systems have matrices at least I, so it cannot fail to
-factor. It holds, returning the hold-in-place twist ``V = 0`` so the
-platform waits until the obstacle clears, for one of two reasons, kept
-in ``FilterSolution.message``: the dual value proves the admissible set
-empty, or the multipliers do not converge (a set without interior).
+A :class:`FilterProblem` holds every constraint in one stacked format,
+``V'A_i V + b_i'V + c_i <= 0``: the occlusion rows exactly as
+``barrier.cbc_halfspaces`` and ``barrier.prcbc_quadratics`` return them
+(A_i = 0 for a half-space), then the ball (A_i = I). One exact dual solve (:func:`qcqp.solve`) serves both
+filters; its only linear systems have matrices at least I, so it cannot
+fail to factor. It holds, returning the hold-in-place twist ``V = 0`` so
+the platform waits until the obstacle clears, for one of two reasons,
+kept in ``FilterSolution.message``: the dual value proves the admissible
+set empty, or the multipliers do not converge (a set without interior).
 :func:`certify` re-checks each answer with its own multipliers, found by
 a nonnegative least-squares fit (:func:`nnls`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcqp
-from .barrier import HalfspaceConstraint, QuadraticConstraint
 from .errors import CertificationFailed
 
 STATUS_OPTIMAL = "optimal"
@@ -40,39 +40,33 @@ ACTIVE_SLACK_TOL = 1e-6
 CERT_FEAS_TOL = 1e-7
 CERT_STAT_TOL = 1e-6
 CERT_COMP_TOL = 1e-6
+# rounding allowance of the PSD input check, relative to the largest eigenvalue
+PSD_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class FilterProblem:
     """Reference twist plus the admissible set to project it onto.
 
-    Exactly one of ``halfspaces`` / ``quadratics`` should be non-empty
-    per solve; the speed ball applies in both modes. ``a``, ``b``, ``c``
-    stack every constraint as ``V'a_i V + b_i'V + c_i <= 0``: half-spaces
-    first, then quadratics, then the ball.
+    ``a``, ``b``, ``c`` stack the k occlusion constraints as
+    ``V'a_i V + b_i'V + c_i <= 0``, shapes ``(k, 6, 6)``, ``(k, 6)`` and
+    ``(k,)``. Construction appends the speed ball ``||V||^2 <= v_max^2``
+    as row k, so the stored arrays hold k + 1 rows.
     """
 
     v_ref: np.ndarray
     v_max: float
-    halfspaces: list[HalfspaceConstraint] = field(default_factory=list)
-    quadratics: list[QuadraticConstraint] = field(default_factory=list)
-    a: np.ndarray = field(init=False, repr=False)  # (k, 6, 6)
-    b: np.ndarray = field(init=False, repr=False)  # (k, 6)
-    c: np.ndarray = field(init=False, repr=False)  # (k,)
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "v_ref", np.asarray(self.v_ref, dtype=float).reshape(6))
         if not self.v_max > 0.0:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
-        n_hs = len(self.halfspaces)
-        k = n_hs + len(self.quadratics) + 1
-        a, b, c = np.zeros((k, 6, 6)), np.zeros((k, 6)), np.zeros(k)
-        for i, hs in enumerate(self.halfspaces):
-            # row @ V >= rhs  <=>  rhs - row @ V <= 0
-            b[i], c[i] = -np.asarray(hs.row, dtype=float), hs.rhs
-        for i, qc in enumerate(self.quadratics, start=n_hs):
-            a[i], b[i], c[i] = qc.a, qc.b, qc.c
-        a[-1], c[-1] = np.eye(6), -self.v_max**2
+        a = np.concatenate([np.asarray(self.a, dtype=float).reshape(-1, 6, 6), np.eye(6)[None]])
+        b = np.concatenate([np.asarray(self.b, dtype=float).reshape(-1, 6), np.zeros((1, 6))])
+        c = np.append(np.asarray(self.c, dtype=float).reshape(-1), -self.v_max**2)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -114,18 +108,22 @@ def _solve(problem: FilterProblem) -> FilterSolution:
 
 def solve_filter_qp(problem: FilterProblem) -> FilterSolution:
     """Project the reference twist onto half-spaces plus the speed ball."""
-    if problem.quadratics:
-        raise ValueError("QP filter expects half-space constraints only")
+    if problem.a[:-1].any():
+        raise ValueError("QP filter expects half-space constraints only (a = 0)")
     return _solve(problem)
 
 
 def solve_filter_qcqp(problem: FilterProblem) -> FilterSolution:
-    """Project the reference twist onto convex quadratics plus the speed ball."""
-    if problem.halfspaces:
-        raise ValueError("QCQP filter expects quadratic constraints only")
-    for i, qc in enumerate(problem.quadratics):
-        if np.linalg.eigvalsh(0.5 * (qc.a + qc.a.T))[0] < -1e-10:
-            raise ValueError(f"quadratic constraint {i} is not PSD")
+    """Project the reference twist onto convex quadratics plus the speed ball.
+
+    Each A_i must be PSD up to rounding: its least eigenvalue may fall
+    below zero by at most ``PSD_RTOL`` times its largest (or times 1).
+    """
+    a = problem.a
+    eigs = np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))
+    not_psd = np.flatnonzero(eigs[:, 0] < -PSD_RTOL * np.maximum(eigs[:, -1], 1.0))
+    if not_psd.size:
+        raise ValueError(f"quadratic constraint {not_psd[0]} is not PSD")
     return _solve(problem)
 
 

@@ -4,11 +4,7 @@ from scipy.integrate import dblquad
 
 from safe_ibvs import barrier, geometry as geo
 from safe_ibvs.errors import UnsupportedCovariance
-from safe_ibvs.jacobians import (
-    feature_interaction,
-    obstacle_center_interaction,
-    obstacle_radius_interaction,
-)
+from safe_ibvs.jacobians import feature_interaction, obstacle_radius_interaction
 from safe_ibvs.observation import FeatureObservation
 from safe_ibvs.oracles import chance_suite
 
@@ -26,8 +22,8 @@ def make_observation(features, depths, obs_center, z_o, radius):
         features=features,
         depths=depths,
         obstacle=state,
-        l_features=np.stack([feature_interaction(p, z) for p, z in zip(features, depths)]),
-        l_obstacle=obstacle_center_interaction(obs_center, z_o),
+        l_features=feature_interaction(features, depths),
+        l_obstacle=feature_interaction(obs_center, z_o),
         l_radius=obstacle_radius_interaction(obs_center, z_o, radius),
     )
 
@@ -51,7 +47,7 @@ def test_rate_row_coincident_centers():
 def test_rate_row_offset_linearity():
     z_i, z_o, radius = 1.2, 0.7, 0.06
     s_o = np.array([0.05, 0.0])
-    l_o = obstacle_center_interaction(s_o, z_o)
+    l_o = feature_interaction(s_o, z_o)
     l_r = obstacle_radius_interaction(s_o, z_o, radius)
     rn = radius / z_o
 
@@ -82,7 +78,7 @@ def test_rate_row_matches_finite_difference(intrinsics):
         s_i,
         st.center,
         feature_interaction(s_i, z_i),
-        obstacle_center_interaction(st.center, st.depth),
+        feature_interaction(st.center, st.depth),
         obstacle_radius_interaction(st.center, st.depth, obstacle.radius),
         st.rn,
     )
@@ -102,15 +98,14 @@ def test_cbc_halfspaces_zero_twist_iff_nonnegative_margin():
         0.8,
         0.08,
     )
-    constraints = barrier.cbc_halfspaces(obs, gamma=2.0)
-    assert len(constraints) == 4
-    margins = [
-        barrier.barrier_value(obs.features[i], obs.obstacle.center, obs.obstacle.rn) for i in range(4)
-    ]
-    for hs, h in zip(constraints, margins):
-        # V = 0 gives rate 0, admissible exactly when -gamma*h <= 0
-        assert (0.0 >= hs.rhs) == (h >= 0.0)
-    assert margins[3] < 0.0 and constraints[3].rhs > 0.0
+    a, b, c = barrier.cbc_halfspaces(obs, gamma=2.0)
+    assert a.shape == (4, 6, 6) and b.shape == (4, 6) and c.shape == (4,)
+    assert not a.any()
+    margins = barrier.barrier_value(obs.features, obs.obstacle.center, obs.obstacle.rn)
+    for c_i, h in zip(c, margins):
+        # V = 0 gives rate 0, admissible exactly when c = -gamma*h <= 0
+        assert (c_i <= 0.0) == (h >= 0.0)
+    assert margins[3] < 0.0 and c[3] > 0.0
 
 
 def test_cbc_one_step_decay_bound(intrinsics):
@@ -123,19 +118,79 @@ def test_cbc_one_step_decay_bound(intrinsics):
     s_i, z_i = geo.project_point(pose, intrinsics, feat_world)
     st = geo.obstacle_image_state(obstacle, pose, intrinsics, 0.0)
     obs = make_observation([s_i], [z_i], st.center, st.depth, obstacle.radius)
-    (hs,) = barrier.cbc_halfspaces(obs, gamma)
+    _, b, c = barrier.cbc_halfspaces(obs, gamma)
+    row, rhs = -b[0], c[0]  # row @ V >= rhs
     h0 = barrier.barrier_value(s_i, st.center, st.rn)
 
     rng = np.random.default_rng(0)
     for _ in range(20):
         v = rng.normal(size=6) * 0.4
-        if float(hs.row @ v) < hs.rhs:  # make it admissible by pushing along the row
-            v = v + (hs.rhs - float(hs.row @ v)) * hs.row / float(hs.row @ hs.row)
+        if float(row @ v) < rhs:  # make it admissible by pushing along the row
+            v = v + (rhs - float(row @ v)) * row / float(row @ row)
         pose1 = geo.integrate_twist(pose, v, dt)
         s1, _ = geo.project_point(pose1, intrinsics, feat_world)
         st1 = geo.obstacle_image_state(obstacle, pose1, intrinsics, dt)
         h1 = barrier.barrier_value(s1, st1.center, st1.rn)
         assert h1 >= h0 * (1.0 - gamma * dt) - 50.0 * dt**2
+
+
+def cbc_loop(obs, gamma):
+    """Per-feature reference for cbc_halfspaces: one rate row and margin per feature, then stacked."""
+    m, s_o, rn = obs.m, obs.obstacle.center, obs.obstacle.rn
+    a, b, c = np.zeros((m, 6, 6)), np.zeros((m, 6)), np.zeros(m)
+    for i in range(m):
+        d = obs.features[i] - s_o
+        row = 2.0 * d @ (obs.l_features[i] - obs.l_obstacle) - 2.0 * rn * obs.l_radius
+        b[i], c[i] = -row, -gamma * (float(d @ d) - rn * rn)
+    return a, b, c
+
+
+def prcbc_loop(obs, gamma, halfwidth, include_radius_term=True):
+    """Per-feature reference for prcbc_quadratics."""
+    m, rn = obs.m, obs.obstacle.rn
+    a, b, c = np.zeros((m, 6, 6)), np.zeros((m, 6)), np.zeros(m)
+    for i in range(m):
+        ds = obs.features[i] - obs.obstacle.center
+        dl = obs.l_features[i] - obs.l_obstacle
+        a[i] = dl.T @ dl / gamma**2
+        b[i] = -2.0 * (ds @ dl) / gamma
+        if include_radius_term:
+            b[i] = b[i] + 8.0 * rn * obs.l_radius / gamma
+        c[i] = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - float(ds @ ds)
+    return a, b, c
+
+
+def random_observations(seed, count=60, m=4):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield make_observation(
+            rng.uniform(-0.5, 0.5, (m, 2)),
+            rng.uniform(0.5, 2.0, m),
+            rng.uniform(-0.4, 0.4, 2),
+            rng.uniform(0.4, 1.5),
+            rng.uniform(0.02, 0.12),
+        )
+
+
+def test_batched_margins_and_rows_equal_per_feature_calls():
+    for obs in random_observations(21):
+        s_o, rn = obs.obstacle.center, obs.obstacle.rn
+        h = barrier.barrier_value(obs.features, s_o, rn)
+        rows = barrier.barrier_rate_row(obs.features, s_o, obs.l_features, obs.l_obstacle, obs.l_radius, rn)
+        assert h.shape == (obs.m,) and rows.shape == (obs.m, 6)
+        for i in range(obs.m):
+            assert h[i] == barrier.barrier_value(obs.features[i], s_o, rn)
+            row_i = barrier.barrier_rate_row(obs.features[i], s_o, obs.l_features[i], obs.l_obstacle, obs.l_radius, rn)
+            assert np.array_equal(rows[i], row_i)
+
+
+def test_constraint_arrays_equal_per_feature_reference_loops():
+    for obs in random_observations(22):
+        for got, ref in zip(barrier.cbc_halfspaces(obs, 2.5), cbc_loop(obs, 2.5)):
+            assert np.array_equal(got, ref)
+        for term in (True, False):
+            for got, ref in zip(barrier.prcbc_quadratics(obs, 4.0, 0.013, term), prcbc_loop(obs, 4.0, 0.013, term)):
+                assert np.array_equal(got, ref)
 
 
 def box_probability_quadrature(e, cov):
@@ -208,8 +263,7 @@ def test_prcbc_zero_twist_inflated_boundary():
     for halfwidth in (0.0, 0.02):
         for dist, expect_ok in ((np.sqrt(2.0) * rn * 1.05, None), (rn * 1.05, False)):
             obs = make_observation([[dist, 0.0]], [1.0], [0.0, 0.0], z_o, radius)
-            (qc,) = barrier.prcbc_quadratics(obs, 2.0, halfwidth)
-            value = qc.c  # V = 0
+            _, _, (value,) = barrier.prcbc_quadratics(obs, 2.0, halfwidth)  # the value at V = 0
             boundary = 2.0 * rn * rn + 4.0 * halfwidth**2 - dist * dist
             assert np.isclose(value, boundary)
             if expect_ok is False:
@@ -221,20 +275,22 @@ def test_prcbc_quadratic_structure():
     obs = make_observation(
         rng.normal(size=(4, 2)) * 0.3, rng.uniform(0.5, 2.0, 4), [0.02, -0.03], 0.9, 0.07
     )
-    for qc in barrier.prcbc_quadratics(obs, 2.0, 0.015):
-        assert np.allclose(qc.a, qc.a.T, atol=1e-12)
-        eigs = np.linalg.eigvalsh(qc.a)
+    a, b, c = barrier.prcbc_quadratics(obs, 2.0, 0.015)
+    assert a.shape == (4, 6, 6) and b.shape == (4, 6) and c.shape == (4,)
+    for a_i in a:
+        assert np.allclose(a_i, a_i.T, atol=1e-12)
+        eigs = np.linalg.eigvalsh(a_i)
         assert eigs[0] >= -1e-10
-        assert np.linalg.matrix_rank(qc.a, tol=1e-12) <= 2
+        assert np.linalg.matrix_rank(a_i, tol=1e-12) <= 2
 
 
 def test_prcbc_radius_term_switch():
     obs = make_observation([[0.3, 0.1]], [1.0], [0.05, 0.0], 0.8, 0.06)
     gamma = 2.0
-    (qc_on,) = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=True)
-    (qc_off,) = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=False)
-    assert np.allclose(qc_on.b - qc_off.b, 8.0 * obs.obstacle.rn * obs.l_radius / gamma)
-    assert np.allclose(qc_on.a, qc_off.a) and qc_on.c == qc_off.c
+    a_on, b_on, c_on = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=True)
+    a_off, b_off, c_off = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=False)
+    assert np.allclose(b_on - b_off, 8.0 * obs.obstacle.rn * obs.l_radius / gamma)
+    assert np.allclose(a_on, a_off) and np.array_equal(c_on, c_off)
 
 
 def test_chance_suite_small():

@@ -37,48 +37,58 @@ def test_pose_validation_rejects_non_orthonormal():
         geo.CameraPose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
-def test_normalize_principal_point(intrinsics):
-    assert np.allclose(geo.normalize([320.0, 240.0], intrinsics), [0.0, 0.0])
-
-
-def test_normalize_unit_offset(intrinsics):
-    assert np.allclose(geo.normalize([820.0, 240.0], intrinsics), [1.0, 0.0])
-
-
 def test_pixel_round_trip(intrinsics):
     rng = np.random.default_rng(5)
+    k = intrinsics
     for _ in range(50):
         q = rng.uniform(-1000, 1000, 2)
-        back = geo.pixel_from_normalized(geo.normalize(q, intrinsics), intrinsics)
+        back = geo.pixel_from_normalized((q - [k.px, k.py]) / k.f, k)
         assert np.abs(back - q).max() < 1e-9
 
 
 def test_project_optical_axis(intrinsics):
-    pixel, depth = geo.project_to_pixel([0.0, 0.0, 2.0], intrinsics)
-    assert np.allclose(pixel, [320.0, 240.0]) and depth == 2.0
+    s, depth = geo.project_point(geo.CameraPose.identity(), intrinsics, [0.0, 0.0, 2.0])
+    assert np.allclose(geo.pixel_from_normalized(s, intrinsics), [320.0, 240.0]) and depth == 2.0
 
 
 def test_project_unit_depth():
     k = geo.CameraIntrinsics(1.0, 0.0, 0.0)
-    pixel, depth = geo.project_to_pixel([1.0, 1.0, 1.0], k)
-    assert np.allclose(pixel, [1.0, 1.0]) and depth == 1.0
+    s, depth = geo.project_point(geo.CameraPose.identity(), k, [1.0, 1.0, 1.0])
+    assert np.allclose(geo.pixel_from_normalized(s, k), [1.0, 1.0]) and depth == 1.0
 
 
 def test_project_rejects_nonpositive_depth(intrinsics):
+    pose = geo.CameraPose.identity()
     with pytest.raises(NonPositiveDepth):
-        geo.project_to_pixel([0.0, 0.0, 0.0], intrinsics)
-    with pytest.raises(NonPositiveDepth):
-        geo.project_to_pixel([0.1, 0.1, -0.5], intrinsics)
+        geo.project_point(pose, intrinsics, [0.0, 0.0, 0.0])
+    with pytest.raises(NonPositiveDepth, match="-5.000e-01"):
+        # every row is checked, and the first one behind the camera is named
+        geo.project_point(pose, intrinsics, [[0.0, 0.0, 1.0], [0.1, 0.1, -0.5], [0.0, 0.0, -2.0]])
 
 
 def test_project_point_depth_matches_pixel_projection(intrinsics, pose_above):
     p_world = np.array([0.2, 0.1, 0.0])
     s, z = geo.project_point(pose_above, intrinsics, p_world)
-    _, z_px = geo.project_to_pixel(geo.world_to_camera(pose_above, p_world), intrinsics)
-    assert z == z_px
+    p_cam = geo.world_to_camera(pose_above, p_world)
+    assert z == p_cam[2]
+    assert np.array_equal(s, p_cam[:2] / p_cam[2])
     # the depth fed to the interaction matrix is the same quantity
     L = feature_interaction(s, z)
     assert np.isclose(L[0, 0], -1.0 / z)
+
+
+def test_batched_projection_equals_per_point_calls(intrinsics):
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        pose = downward_pose(rng.uniform(-0.3, 0.3, 3) + [0.0, 0.0, 1.2], wiggle=rng.uniform(-0.2, 0.2, 3))
+        points = np.column_stack([rng.uniform(-0.5, 0.5, (6, 2)), rng.uniform(-0.1, 0.3, 6)])
+        s, z = geo.project_point(pose, intrinsics, points)
+        assert s.shape == (6, 2) and z.shape == (6,)
+        for i, p in enumerate(points):
+            s_i, z_i = geo.project_point(pose, intrinsics, p)
+            assert np.array_equal(s[i], s_i) and z[i] == z_i
+        pixels = geo.pixel_from_normalized(s, intrinsics)
+        assert all(np.array_equal(pixels[i], geo.pixel_from_normalized(s[i], intrinsics)) for i in range(6))
 
 
 def test_integrate_zero_twist(pose_above):

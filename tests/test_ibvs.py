@@ -3,13 +3,13 @@ import pytest
 
 from safe_ibvs import ibvs
 from safe_ibvs.errors import DimensionMismatch, RankDeficient
-from safe_ibvs.jacobians import stack_interaction
+from safe_ibvs.jacobians import feature_interaction
 
 
 def random_stack(rng, m=4):
     pts = rng.normal(size=(m, 2)) * 0.3
     depths = rng.uniform(0.5, 2.0, m)
-    return stack_interaction(pts, depths)
+    return feature_interaction(pts, depths).reshape(-1, 6)
 
 
 def test_feature_error_zero():

@@ -34,15 +34,6 @@ def test_depth_scaling_of_columns():
     assert np.allclose(L2[:, 3:], L1[:, 3:])
 
 
-def test_obstacle_center_matches_feature_form():
-    p, z = np.array([0.2, -0.3]), 1.4
-    assert np.array_equal(jac.obstacle_center_interaction(p, z), jac.feature_interaction(p, z))
-    assert np.allclose(
-        jac.obstacle_center_interaction([0.0, 0.0], 1.0),
-        [[-1, 0, 0, 0, -1, 0], [0, -1, 0, 1, 0, 0]],
-    )
-
-
 def test_radius_interaction_axis_case():
     row = jac.obstacle_radius_interaction([0.0, 0.0], 1.0, 0.1)
     assert np.allclose(row, [0.0, 0.0, 0.1, 0.0, 0.0, 0.0])
@@ -78,15 +69,15 @@ def test_radius_rate_under_pure_approach():
 
 def test_stack_single_feature_equals_block():
     p, z = np.array([0.1, 0.2]), 0.9
-    assert np.allclose(jac.stack_interaction([p], [z]), jac.feature_interaction(p, z))
+    assert np.array_equal(jac.feature_interaction([p], [z])[0], jac.feature_interaction(p, z))
 
 
 def test_stack_shape_for_four_features():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(4, 2)) * 0.3
     depths = rng.uniform(0.5, 2.0, 4)
-    L = jac.stack_interaction(pts, depths)
-    assert L.shape == (8, 6)
+    assert jac.feature_interaction(pts, depths).shape == (4, 2, 6)
+    assert jac.feature_interaction(pts, depths).reshape(-1, 6).shape == (8, 6)
 
 
 def test_stack_permutation_permutes_blocks():
@@ -94,15 +85,30 @@ def test_stack_permutation_permutes_blocks():
     pts = rng.normal(size=(4, 2)) * 0.3
     depths = rng.uniform(0.5, 2.0, 4)
     perm = [2, 0, 3, 1]
-    L = jac.stack_interaction(pts, depths)
-    Lp = jac.stack_interaction(pts[perm], depths[perm])
+    L = jac.feature_interaction(pts, depths)
+    Lp = jac.feature_interaction(pts[perm], depths[perm])
     for new_i, old_i in enumerate(perm):
-        assert np.array_equal(Lp[2 * new_i : 2 * new_i + 2], L[2 * old_i : 2 * old_i + 2])
+        assert np.array_equal(Lp[new_i], L[old_i])
 
 
 def test_stack_validates_lengths():
     with pytest.raises(ValueError):
-        jac.stack_interaction(np.zeros((2, 2)), np.ones(3))
+        jac.feature_interaction(np.zeros((2, 2)), np.ones(3))
+
+
+def test_batched_interaction_equals_per_point_calls():
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        pts = rng.normal(size=(5, 2)) * 0.4
+        depths = rng.uniform(0.3, 2.5, 5)
+        L = jac.feature_interaction(pts, depths)
+        for i in range(5):
+            assert np.array_equal(L[i], jac.feature_interaction(pts[i], float(depths[i])))
+
+
+def test_batched_interaction_rejects_any_bad_depth():
+    with pytest.raises(NonPositiveDepth, match="-0.5"):
+        jac.feature_interaction(np.zeros((3, 2)), [1.0, -0.5, 0.0])
 
 
 def test_finite_difference_oracle_suite():

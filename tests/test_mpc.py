@@ -5,13 +5,13 @@ from scipy.optimize import minimize
 from safe_ibvs import mpc
 from safe_ibvs.errors import DimensionMismatch
 from safe_ibvs.ibvs import clip_twist, gradient_controller, pseudo_inverse
-from safe_ibvs.jacobians import stack_interaction
+from safe_ibvs.jacobians import feature_interaction
 
 
 def random_stack(rng, m=4):
     pts = rng.normal(size=(m, 2)) * 0.3
     depths = rng.uniform(0.5, 2.0, m)
-    return stack_interaction(pts, depths)
+    return feature_interaction(pts, depths).reshape(-1, 6)
 
 
 def spd(rng, n, floor):

@@ -1,0 +1,124 @@
+"""Property: every scenario that ``safe-ibvs check`` accepts runs to a typed end.
+
+Scenarios are drawn around the shipped noisy reference scene: camera
+pose offsets, obstacle starts, isotropic, diagonal, correlated, singular
+and near-singular covariances, confidence levels, horizons, and scalar
+or matrix weights, in every mode. Each one that loads and passes
+``validate_scenario`` must ``run`` to convergence, to its step cap, or
+to a typed abort, without raising, and log only the fixed step statuses.
+Examples are derandomized, so the suite draws the same scenarios on
+every run.
+"""
+
+import copy
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import yaml
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
+
+from safe_ibvs import errors, scenario, sim, solvers
+from safe_ibvs.errors import ScenarioError
+
+BASE = yaml.safe_load((Path(__file__).parents[1] / "scenarios" / "reference_noise.yaml").read_text())
+STATUSES = {
+    solvers.STATUS_OPTIMAL,
+    "unfiltered",
+    solvers.HOLD_INFEASIBLE,
+    solvers.HOLD_NO_CONVERGENCE,
+    solvers.HOLD_CERTIFICATION,
+}
+ABORT_TYPES = {cls.__name__ for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)}
+ABORT_TYPES.add("LinAlgError")
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def covariances(draw):
+    v1, v2 = draw(_floats(0.0, 40.0)), draw(_floats(0.0, 40.0))
+    kind = draw(st.sampled_from(["isotropic", "diagonal", "correlated", "singular", "near_singular"]))
+    if kind == "isotropic":
+        return [[v1, 0.0], [0.0, v1]]
+    if kind == "diagonal":
+        rho = 0.0
+    elif kind == "correlated":
+        rho = draw(_floats(-0.99, 0.99))
+    elif kind == "singular":
+        rho = draw(st.sampled_from([-1.0, 1.0]))
+    else:
+        rho = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - 10.0 ** -draw(st.integers(6, 12)))
+    off = rho * math.sqrt(v1 * v2)
+    return [[v1, off], [off, v2]]
+
+
+@st.composite
+def weights(draw, size, floor):
+    """A scalar weight, or an SPD matrix with eigenvalues at least ``floor``."""
+    if draw(st.booleans()):
+        return draw(_floats(floor, 5.0))
+    g = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(size, size))
+    return (g @ g.T / size + floor * np.eye(size)).tolist()
+
+
+@st.composite
+def scenario_documents(draw):
+    data = copy.deepcopy(BASE)
+    m = len(data["features_world"])
+    pose = data["initial_pose"]
+    pose["xyz"] = [x + draw(_floats(-0.3, 0.3)) for x in pose["xyz"]]
+    pose["rpy"] = [a + draw(_floats(-0.3, 0.3)) for a in pose["rpy"]]
+    start = [draw(_floats(-0.6, 0.6)), draw(_floats(-0.6, 0.6)), draw(_floats(-0.2, 0.9))]
+    shift = np.subtract(start, data["obstacle"]["waypoints"][0]["center"])
+    for wp in data["obstacle"]["waypoints"]:
+        wp["center"] = (np.asarray(wp["center"]) + shift).tolist()
+    data["noise"] = {
+        "feature_cov": draw(covariances()),
+        "obstacle_cov": draw(covariances()),
+        "sigma": draw(_floats(0.5, 0.99)),
+    }
+    data["mode"] = draw(st.sampled_from(scenario.MODES))
+    data["gamma"] = draw(_floats(0.5, 8.0))
+    data["mpc"] = {
+        "horizon": draw(st.integers(1, 6)),
+        "q": draw(weights(2 * m, 0.0)),
+        "r": draw(weights(6, 1e-3)),
+        "f": draw(weights(2 * m, 0.0)),
+        "v_max": 0.5,
+        "dt": 0.05,
+    }
+    data["max_steps"] = draw(st.integers(1, 10))
+    data["seed"] = draw(st.integers(0, 2**31 - 1))
+    return data
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(scenario_documents())
+def test_checked_scenario_runs_to_a_typed_end(data):
+    try:
+        sc = scenario.from_dict(data)
+    except ScenarioError:
+        assume(False)
+    assume(scenario.validate_scenario(sc) == [])
+    log = sim.run(sc)
+    s = log.summary
+    assert s.steps == len(log.records) <= sc.max_steps
+    assert s.converged or s.aborted or s.steps == sc.max_steps
+    if s.aborted:
+        assert s.abort_reason.split(":")[0] in ABORT_TYPES, s.abort_reason
+    assert {r.filter_status for r in log.records} <= STATUSES
+    json.dumps(log.summary_dict(), allow_nan=False)
+    log.csv_text()
+    # shown by pytest --hypothesis-show-statistics
+    event(f"{sc.mode}: " + ("aborted " + s.abort_reason.split(":")[0] if s.aborted else "converged" if s.converged else "step cap"))
+    event(f"holds: {s.fallback_steps > 0}")

@@ -6,9 +6,10 @@ import pytest
 import yaml
 
 from safe_ibvs import mpc, scenario, sim
-from safe_ibvs.barrier import HalfspaceConstraint, QuadraticConstraint, barrier_value
+from safe_ibvs.barrier import barrier_value
 from safe_ibvs.errors import CertificationFailed
-from safe_ibvs.geometry import CameraPose, Obstacle3, pixel_from_normalized, project_point
+from safe_ibvs.geometry import CameraPose, Obstacle3, obstacle_image_state, pixel_from_normalized, project_point
+from safe_ibvs.jacobians import feature_interaction
 from safe_ibvs.scenario import reference_scenario
 
 from conftest import downward_pose
@@ -21,9 +22,15 @@ def quiet_scenario():
     return replace(sc, obstacle=Obstacle3.static([0.0, 0.0, -5.0], 0.05))
 
 
+def true_scene(sc, state):
+    """Exact (features, depths, obstacle) projection at a state, as sim.run and sim.step compute it."""
+    features, depths = project_point(state.pose, sc.intrinsics, sc.features_world)
+    return features, depths, obstacle_image_state(sc.obstacle, state.pose, sc.intrinsics, state.t)
+
+
 def test_observe_without_noise_is_truth(quiet_scenario):
     state = sim.SimState(pose=quiet_scenario.initial_pose)
-    obs = sim.observe(quiet_scenario, state, None)
+    obs = sim.observe(quiet_scenario, *true_scene(quiet_scenario, state), None)
     for i, p in enumerate(quiet_scenario.features_world):
         s, z = project_point(quiet_scenario.initial_pose, quiet_scenario.intrinsics, p)
         assert np.allclose(obs.features[i], s)
@@ -33,14 +40,15 @@ def test_observe_without_noise_is_truth(quiet_scenario):
 def test_observe_noise_statistics():
     sc = reference_scenario(mode="prcbc", noisy=True)
     state = sim.SimState(pose=sc.initial_pose)
-    truth = sim.observe(sc, state, None)
+    scene = true_scene(sc, state)
+    truth = sim.observe(sc, *scene, None)
     rng = sim.make_rng(99)
     n = 30000
     f = sc.intrinsics.f
     residuals = np.empty((n, 2))
     obs_residuals = np.empty((n, 2))
     for i in range(n):
-        noisy = sim.observe(sc, state, rng)
+        noisy = sim.observe(sc, *scene, rng)
         residuals[i] = (noisy.features[0] - truth.features[0]) * f
         obs_residuals[i] = (noisy.obstacle.center - truth.obstacle.center) * f
     for sample, cov in ((residuals, sc.noise.feature_cov), (obs_residuals, sc.noise.obstacle_cov)):
@@ -49,9 +57,52 @@ def test_observe_noise_statistics():
         assert abs(emp[0, 1]) < 0.03 * cov[0, 0]
         assert np.abs(sample.mean(axis=0)).max() < 0.1
     # depths and interaction inputs stay exact
-    noisy = sim.observe(sc, state, rng)
+    noisy = sim.observe(sc, *scene, rng)
     assert np.array_equal(noisy.depths, truth.depths)
     assert noisy.obstacle.rn == truth.obstacle.rn
+
+
+def test_observe_noise_equals_per_point_draws():
+    # reference: one 2-vector draw per feature, in feature order, then one for the obstacle
+    data = yaml.safe_load((Path(__file__).parents[1] / "scenarios" / "reference_noise.yaml").read_text())
+    data["noise"] = {"feature_cov": [[10.0, 4.0], [4.0, 7.0]], "obstacle_cov": [[3.0, -1.0], [-1.0, 9.0]]}
+    sc = scenario.from_dict(data)
+    state = sim.SimState(pose=sc.initial_pose, t=0.35)
+    features, depths, obstacle = true_scene(sc, state)
+    f = sc.intrinsics.f
+    for seed in range(20):
+        obs = sim.observe(sc, features, depths, obstacle, sim.make_rng(seed))
+        rng = sim.make_rng(seed)
+        expected = np.array([features[i] + (sc.noise.feature_sqrt @ rng.standard_normal(2)) / f for i in range(sc.m)])
+        center = obstacle.center + (sc.noise.obstacle_sqrt @ rng.standard_normal(2)) / f
+        assert np.array_equal(obs.features, expected) and np.array_equal(obs.obstacle.center, center)
+        for i in range(sc.m):
+            assert np.array_equal(obs.l_features[i], feature_interaction(expected[i], float(depths[i])))
+    # the truth handed in is not perturbed in place
+    assert np.array_equal(features, true_scene(sc, state)[0])
+
+
+def test_run_projects_each_pose_once(monkeypatch):
+    counts = {"project_point": 0, "obstacle_image_state": 0, "feature_interaction": 0, "barrier_rate_row": 0}
+    for name in counts:
+        original = getattr(sim, name)
+
+        def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sim, name, counted)
+    for mode in scenario.MODES:
+        counts.update(dict.fromkeys(counts, 0))
+        log = sim.run(replace(reference_scenario(mode=mode, noisy=mode != "cbc"), max_steps=12))
+        steps = log.summary.steps
+        assert steps == 12
+        # one batched feature projection per pose (the last pose only gets its convergence check)
+        assert counts["project_point"] == steps + 1
+        assert counts["obstacle_image_state"] == steps
+        # one interaction call per step covers the features and the obstacle center
+        assert counts["feature_interaction"] == steps
+        assert counts["barrier_rate_row"] == (steps if mode == "prcbc" else 0)
 
 
 def test_pixel_clearance_cases():
@@ -59,6 +110,14 @@ def test_pixel_clearance_cases():
     assert sim.pixel_clearance([13.0, 14.0], [10.0, 10.0], 5.0) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         sim.pixel_clearance([0.0, 0.0], [1.0, 1.0], -1.0)
+
+
+def test_batched_pixel_clearance_equals_per_point_calls():
+    rng = np.random.default_rng(13)
+    q = rng.uniform(0.0, 640.0, (50, 2))
+    q_o = rng.uniform(0.0, 640.0, 2)
+    batched = sim.pixel_clearance(q, q_o, 17.5)
+    assert all(batched[i] == float(np.linalg.norm(q[i] - q_o)) - 17.5 for i in range(50))
 
 
 def test_pixel_clearance_sign_matches_margin():
@@ -81,7 +140,8 @@ def test_pixel_clearance_sign_matches_margin():
 def test_step_unfiltered_keeps_nominal_twist(quiet_scenario):
     state = sim.SimState(pose=quiet_scenario.initial_pose)
     rng = sim.make_rng(0)
-    _, record = sim.step(quiet_scenario, state, rng)
+    truth = project_point(state.pose, quiet_scenario.intrinsics, quiet_scenario.features_world)
+    _, record = sim.step(quiet_scenario, state, rng, truth)
     assert record.filter_status == "unfiltered"
     assert np.allclose(record.v_star, record.v_mpc)  # bound inactive here
 
@@ -152,11 +212,11 @@ def _fail_certification(solution, problem):
     "mode, patch, token",
     [
         # v_x >= 2 inside the 0.5 speed ball
-        pytest.param("cbc", {"cbc_halfspaces": lambda obs, gamma: [HalfspaceConstraint(E[0], 2.0)]}, "infeasible", id="infeasible"),
+        pytest.param("cbc", {"cbc_halfspaces": lambda obs, gamma: (np.zeros((1, 6, 6)), -E[:1], np.array([2.0]))}, "infeasible", id="infeasible"),
         # disks of radius 0.2 centred at +-0.2 e_x meet only at V = 0: no interior, so the multipliers diverge
         pytest.param(
             "prcbc",
-            {"prcbc_quadratics": lambda obs, gamma, hw, term: [QuadraticConstraint(E, s * 0.4 * E[0], 0.0) for s in (-1.0, 1.0)]},
+            {"prcbc_quadratics": lambda obs, gamma, hw, term: (np.stack([E, E]), np.stack([-0.4 * E[0], 0.4 * E[0]]), np.zeros(2))},
             "no_convergence",
             id="no_convergence",
         ),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from safe_ibvs import solvers
-from safe_ibvs.barrier import HalfspaceConstraint, QuadraticConstraint
 from safe_ibvs.errors import CertificationFailed
 from safe_ibvs.oracles import (
     enumerate_projection_qp,
@@ -12,13 +11,26 @@ from safe_ibvs.oracles import (
 )
 from safe_ibvs.sim import make_rng
 
+E = np.eye(6)
+
+
+def halfspaces(*pairs):
+    """Stacked (a, b, c) of half-spaces ``row @ V >= rhs``, given as (row, rhs) pairs."""
+    rows = np.array([row for row, _ in pairs], dtype=float).reshape(-1, 6)
+    return np.zeros((len(pairs), 6, 6)), -rows, np.array([rhs for _, rhs in pairs], dtype=float)
+
+
+def quadratics(*triples):
+    """Stacked (a, b, c) of quadratics ``V'a V + b'V + c <= 0``, given as (a, b, c) triples."""
+    a, b, c = zip(*triples)
+    return np.array(a, dtype=float), np.array(b, dtype=float), np.array(c, dtype=float)
+
+
+NONE = halfspaces()
+
 
 def test_feasible_reference_returned_exactly():
-    prob = solvers.FilterProblem(
-        v_ref=np.array([0.1, -0.05, 0.02, 0.0, 0.01, -0.02]),
-        v_max=0.5,
-        halfspaces=[HalfspaceConstraint(np.array([1.0, 0, 0, 0, 0, 0]), -1.0)],
-    )
+    prob = solvers.FilterProblem(np.array([0.1, -0.05, 0.02, 0.0, 0.01, -0.02]), 0.5, *halfspaces((E[0], -1.0)))
     sol = solvers.solve_filter_qp(prob)
     assert sol.status == solvers.STATUS_OPTIMAL
     assert np.array_equal(sol.twist, prob.v_ref)
@@ -26,11 +38,7 @@ def test_feasible_reference_returned_exactly():
 
 
 def test_single_halfspace_projection():
-    prob = solvers.FilterProblem(
-        v_ref=np.array([-1.0, 0, 0, 0, 0, 0]),
-        v_max=10.0,
-        halfspaces=[HalfspaceConstraint(np.array([1.0, 0, 0, 0, 0, 0]), 0.0)],
-    )
+    prob = solvers.FilterProblem(-E[0], 10.0, *halfspaces((E[0], 0.0)))
     sol = solvers.solve_filter_qp(prob)
     assert sol.status == solvers.STATUS_OPTIMAL
     assert np.abs(sol.twist).max() < 1e-8
@@ -42,7 +50,7 @@ def test_qp_matches_enumeration_on_random_instances():
     for _ in range(200):
         prob = random_qp_problem(rng)
         sol = solvers.solve_filter_qp(prob)
-        ref, _ = enumerate_projection_qp(prob.v_ref, prob.halfspaces, prob.v_max)
+        ref, _ = enumerate_projection_qp(prob)
         if ref is None:
             assert sol.status == solvers.STATUS_FALLBACK
             assert np.array_equal(sol.twist, np.zeros(6))
@@ -51,16 +59,13 @@ def test_qp_matches_enumeration_on_random_instances():
         assert np.abs(sol.twist - ref).max() < 1e-6
 
 
-E = np.eye(6)
-
-
 def _disk(center, radius):
-    """||V - center||^2 <= radius^2 as a quadratic constraint."""
-    return QuadraticConstraint(np.eye(6), -2.0 * center, float(center @ center) - radius**2)
+    """||V - center||^2 <= radius^2 as an (a, b, c) triple."""
+    return np.eye(6), -2.0 * center, float(center @ center) - radius**2
 
 
 def _filter(prob):
-    return solvers.solve_filter_qcqp(prob) if prob.quadratics else solvers.solve_filter_qp(prob)
+    return solvers.solve_filter_qcqp(prob) if prob.a[:-1].any() else solvers.solve_filter_qp(prob)
 
 
 @pytest.mark.parametrize(
@@ -68,18 +73,18 @@ def _filter(prob):
     [
         pytest.param(
             # needs v_x >= 2 inside a 0.5 ball
-            solvers.FilterProblem(v_ref=np.zeros(6), v_max=0.5, halfspaces=[HalfspaceConstraint(E[0], 2.0)]),
+            solvers.FilterProblem(np.zeros(6), 0.5, *halfspaces((E[0], 2.0))),
             "dual value",
             id="halfspace_outside_ball",
         ),
         pytest.param(
-            solvers.FilterProblem(v_ref=np.zeros(6), v_max=0.5, quadratics=[_disk(E[0], 0.2)]),
+            solvers.FilterProblem(np.zeros(6), 0.5, *quadratics(_disk(E[0], 0.2))),
             "dual value",
             id="disk_outside_ball",
         ),
         pytest.param(
             # the disks meet only at V = 0: a set with no interior, whose multipliers diverge
-            solvers.FilterProblem(v_ref=0.3 * E[1], v_max=0.5, quadratics=[_disk(0.2 * E[0], 0.2), _disk(-0.2 * E[0], 0.2)]),
+            solvers.FilterProblem(0.3 * E[1], 0.5, *quadratics(_disk(0.2 * E[0], 0.2), _disk(-0.2 * E[0], 0.2))),
             "no convergence",
             id="touching_disks",
         ),
@@ -97,17 +102,13 @@ def test_engineered_infeasible_holds(prob, message):
     [
         pytest.param(
             # V = 0 violates v_x >= 0.2, but the set is not empty
-            solvers.FilterProblem(v_ref=np.zeros(6), v_max=0.5, halfspaces=[HalfspaceConstraint(E[0], 0.2)]),
+            solvers.FilterProblem(np.zeros(6), 0.5, *halfspaces((E[0], 0.2))),
             0.2 * E[0],
             id="zero_reference_infeasible",
         ),
         pytest.param(
             # two identical active rows make the dual Newton system singular
-            solvers.FilterProblem(
-                v_ref=-0.3 * E[0] + 0.1 * E[1],
-                v_max=0.5,
-                halfspaces=[HalfspaceConstraint(E[0], 0.1), HalfspaceConstraint(E[0], 0.1)],
-            ),
+            solvers.FilterProblem(-0.3 * E[0] + 0.1 * E[1], 0.5, *halfspaces((E[0], 0.1), (E[0], 0.1))),
             0.1 * E[0] + 0.1 * E[1],
             id="duplicated_active_halfspace",
         ),
@@ -121,9 +122,7 @@ def test_engineered_edge_cases_certify(prob, expected):
 
 
 def test_qcqp_vacuous_constraints_clip_to_ball():
-    quads = [QuadraticConstraint(a=np.zeros((6, 6)), b=np.zeros(6), c=-0.5)]
-    v_ref = np.array([2.0, 0, 0, 0, 0, 0])
-    prob = solvers.FilterProblem(v_ref=v_ref, v_max=1.0, quadratics=quads)
+    prob = solvers.FilterProblem(2.0 * E[0], 1.0, *quadratics((np.zeros((6, 6)), np.zeros(6), -0.5)))
     sol = solvers.solve_filter_qcqp(prob)
     assert sol.status == solvers.STATUS_OPTIMAL
     assert np.abs(sol.twist - np.array([1.0, 0, 0, 0, 0, 0])).max() < 1e-7
@@ -133,8 +132,7 @@ def test_qcqp_zero_reference_fixed_point():
     rng = make_rng(3)
     prob = random_qcqp_problem(rng)
     # make 0 feasible by forcing all offsets negative
-    quads = [QuadraticConstraint(q.a, q.b, -abs(q.c) - 0.1) for q in prob.quadratics]
-    prob0 = solvers.FilterProblem(v_ref=np.zeros(6), v_max=prob.v_max, quadratics=quads)
+    prob0 = solvers.FilterProblem(np.zeros(6), prob.v_max, prob.a[:-1], prob.b[:-1], -np.abs(prob.c[:-1]) - 0.1)
     sol = solvers.solve_filter_qcqp(prob0)
     assert sol.status == solvers.STATUS_OPTIMAL
     assert np.abs(sol.twist).max() < 1e-9
@@ -156,15 +154,34 @@ def test_qcqp_matches_multistart_on_random_instances():
 
 
 def test_mode_preconditions():
-    hs = [HalfspaceConstraint(np.ones(6), 0.0)]
-    qc = [QuadraticConstraint(np.eye(6), np.zeros(6), -1.0)]
-    with pytest.raises(ValueError):
-        solvers.solve_filter_qp(solvers.FilterProblem(v_ref=np.zeros(6), v_max=1.0, quadratics=qc))
-    with pytest.raises(ValueError):
-        solvers.solve_filter_qcqp(solvers.FilterProblem(v_ref=np.zeros(6), v_max=1.0, halfspaces=hs))
-    bad = [QuadraticConstraint(-np.eye(6), np.zeros(6), -1.0)]
-    with pytest.raises(ValueError, match="PSD"):
-        solvers.solve_filter_qcqp(solvers.FilterProblem(v_ref=np.zeros(6), v_max=1.0, quadratics=bad))
+    qc = quadratics((np.eye(6), np.zeros(6), -1.0))
+    with pytest.raises(ValueError, match="half-space"):
+        solvers.solve_filter_qp(solvers.FilterProblem(np.zeros(6), 1.0, *qc))
+    # a half-space is a quadratic with a = 0, so the QCQP filter accepts it
+    hs = solvers.FilterProblem(-E[0], 1.0, *halfspaces((np.ones(6), 0.0)))
+    assert solvers.solve_filter_qcqp(hs).status == solvers.STATUS_OPTIMAL
+    # one batched PSD check names the first indefinite row of the stack
+    bad = quadratics((np.eye(6), np.zeros(6), -1.0), (-np.eye(6), np.zeros(6), -1.0))
+    with pytest.raises(ValueError, match="constraint 1 is not PSD"):
+        solvers.solve_filter_qcqp(solvers.FilterProblem(np.zeros(6), 1.0, *bad))
+
+
+def test_psd_check_allows_rounding_of_large_gram_matrices():
+    # a rank-2 Gram matrix with entries near 1e7, as PrCBC builds for a small gamma and a close obstacle:
+    # eigvalsh puts its zero eigenvalues at about -3e-10, which is rounding, not indefiniteness
+    g = np.random.default_rng(0).normal(size=(2, 6)) * 1.5e3
+    assert np.linalg.eigvalsh(g.T @ g)[0] < -1e-10
+    prob = solvers.FilterProblem(np.zeros(6), 1.0, *quadratics((g.T @ g, np.zeros(6), -1.0)))
+    assert solvers.solve_filter_qcqp(prob).status == solvers.STATUS_OPTIMAL
+
+
+def test_problem_appends_the_speed_ball():
+    prob = solvers.FilterProblem(np.zeros(6), 0.7, *halfspaces((E[0], 0.1), (E[1], -0.2)))
+    assert prob.a.shape == (3, 6, 6) and prob.b.shape == (3, 6) and prob.c.shape == (3,)
+    assert np.array_equal(prob.a[-1], np.eye(6)) and not prob.b[-1].any() and prob.c[-1] == -0.7**2
+    assert np.array_equal(prob.b[:-1], -E[:2]) and np.array_equal(prob.c[:-1], [0.1, -0.2])
+    empty = solvers.FilterProblem(np.zeros(6), 1.0, *NONE)
+    assert empty.a.shape == (1, 6, 6)
 
 
 def test_certify_accepts_solver_output():
@@ -181,11 +198,7 @@ def test_certify_accepts_solver_output():
 
 
 def test_certify_rejects_tampered_solution():
-    prob = solvers.FilterProblem(
-        v_ref=np.array([-1.0, 0, 0, 0, 0, 0]),
-        v_max=10.0,
-        halfspaces=[HalfspaceConstraint(np.array([1.0, 0, 0, 0, 0, 0]), 0.0)],
-    )
+    prob = solvers.FilterProblem(-E[0], 10.0, *halfspaces((E[0], 0.0)))
     sol = solvers.solve_filter_qp(prob)
     tampered = solvers.FilterSolution(
         twist=sol.twist - 0.1 * np.array([1.0, 0, 0, 0, 0, 0]),  # step through the violated normal
@@ -197,7 +210,7 @@ def test_certify_rejects_tampered_solution():
 
 
 def test_certify_rejects_fallback_input():
-    prob = solvers.FilterProblem(v_ref=np.zeros(6), v_max=1.0)
+    prob = solvers.FilterProblem(np.zeros(6), 1.0, *NONE)
     held = solvers.FilterSolution(twist=np.zeros(6), status=solvers.STATUS_FALLBACK)
     with pytest.raises(ValueError):
         solvers.certify(held, prob)
@@ -220,11 +233,7 @@ def test_qp_scaling_sanity():
         if sol.status != solvers.STATUS_OPTIMAL:
             continue
         c = 2.5
-        scaled = solvers.FilterProblem(
-            v_ref=c * prob.v_ref,
-            v_max=c * prob.v_max,
-            halfspaces=[HalfspaceConstraint(h.row, c * h.rhs) for h in prob.halfspaces],
-        )
+        scaled = solvers.FilterProblem(c * prob.v_ref, c * prob.v_max, prob.a[:-1], prob.b[:-1], c * prob.c[:-1])
         sol_c = solvers.solve_filter_qp(scaled)
         assert sol_c.status == solvers.STATUS_OPTIMAL
         assert np.abs(sol_c.twist - c * sol.twist).max() < 1e-8
@@ -237,8 +246,7 @@ def test_minimal_deviation_against_sampled_feasible_points():
     while sol.status != solvers.STATUS_OPTIMAL:
         prob = random_qp_problem(rng)
         sol = solvers.solve_filter_qp(prob)
-    rows = np.array([h.row for h in prob.halfspaces])
-    rhs = np.array([h.rhs for h in prob.halfspaces])
+    rows, rhs = -prob.b[:-1], prob.c[:-1]
     best = np.linalg.norm(sol.twist - prob.v_ref)
     found = 0
     while found < 1000:
