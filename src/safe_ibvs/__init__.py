@@ -14,7 +14,6 @@ from .barrier import (
     barrier_value,
     cbc_halfspaces,
     noise_box_halfwidth,
-    noise_box_halfwidth_numeric,
     prcbc_quadratics,
 )
 from .geometry import (

@@ -18,9 +18,11 @@ nonnegative along the closed loop:
   true margin nonnegative whenever the noise falls inside the box, i.e.
   with probability at least the box's confidence level.
 
-Both constraint functions return the filter's stacked format ``(a, b, c)`` of shapes
-``(m, 6, 6)``, ``(m, 6)`` and ``(m,)``: row i admits the twists with
-``V'a_i V + b_i'V + c_i <= 0`` (a_i = 0 for a half-space).
+Both constraint functions return the filter's stacked format ``(f, b, c)`` of shapes
+``(m, r, 6)``, ``(m, 6)`` and ``(m,)``: row i admits the twists with
+``||f_i V||^2 + b_i'V + c_i <= 0``. The quadratic term is passed as its
+factor f_i (r = 2 for PrCBC, r = 0 for a half-space), so it is convex by
+construction.
 
 The box half-width needs only the standard library's ``erf``/``erfc``
 and a fixed Gauss-Legendre rule, so this module, like the rest of the
@@ -37,7 +39,6 @@ import numpy as np
 from .errors import UnsupportedCovariance
 from .observation import FeatureObservation
 
-_DIAG_TOL = 1e-12
 # Winitzki's constant in the closed-form first guess for erfinv (relative error below 2e-3)
 _WINITZKI_A = 0.147
 _ERFINV_NEWTON_STEPS = 5
@@ -120,10 +121,10 @@ def barrier_rate_row(
 
 
 def cbc_halfspaces(obs: FeatureObservation, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One admissible half-space per feature, ``row @ V >= -gamma * h``, as stacked ``(a, b, c)``.
+    """One admissible half-space per feature, ``row @ V >= -gamma * h``, as stacked ``(f, b, c)``.
 
     The rows are the margins' rate rows, so ``b = -row``, ``c = -gamma * h``
-    and ``a = 0``. Rows never vanish for a projectable obstacle: even with
+    and ``f`` has no rows, shape ``(m, 0, 6)``. Rows never vanish for a projectable obstacle: even with
     the feature on the projected center, the radius-rate entry
     ``-2 Rn R / Zo^2`` survives. A zero row would make the constraint
     meaningless, so it is rejected here.
@@ -136,7 +137,7 @@ def cbc_halfspaces(obs: FeatureObservation, gamma: float) -> tuple[np.ndarray, n
     if degenerate.size:
         raise ValueError(f"degenerate barrier row for feature {degenerate[0]}")
     h = barrier_value(obs.features, center, rn)
-    return np.zeros((obs.m, 6, 6)), -rows, -gamma * h
+    return np.zeros((obs.m, 0, 6)), -rows, -gamma * h
 
 
 def _erfinv(y: float) -> float:
@@ -187,17 +188,21 @@ def _bisect(f, hi: float) -> float:
 def noise_box_halfwidth(sigma: float, cov: np.ndarray) -> float:
     """Half-width e of the square [-e, e]^2 holding probability ``sigma``.
 
-    ``cov`` is the (diagonal) covariance of the zero-mean planar noise.
-    Isotropic covariances use the closed form ``nu * sqrt(2) *
-    erfinv(sqrt(sigma))``; unequal diagonals solve the product-of-erf
-    equation by bisection. Non-diagonal covariances are rejected (see
-    :func:`noise_box_halfwidth_numeric` for those).
+    ``cov`` is the PSD covariance of the zero-mean planar noise. An
+    off-diagonal entry of exactly zero takes the closed forms: isotropic
+    covariances ``nu * sqrt(2) * erfinv(sqrt(sigma))``, unequal diagonals
+    a bisection on the product-of-erf equation. Correlated and singular
+    covariances bisect on :func:`box_probability`.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
     cov = np.asarray(cov, dtype=float).reshape(2, 2)
-    if max(abs(cov[0, 1]), abs(cov[1, 0])) > _DIAG_TOL * max(1.0, cov[0, 0], cov[1, 1]):
-        raise UnsupportedCovariance(f"closed form needs a diagonal covariance, got {cov.tolist()}")
+    if cov[0, 1] != 0.0:
+        if np.linalg.eigvalsh(cov)[0] < -1e-12:
+            raise UnsupportedCovariance("covariance must be PSD")
+        if cov.max() == 0.0:
+            return 0.0
+        return _bisect(lambda e: box_probability(e, cov) - sigma, 2.0 * math.sqrt(max(cov[0, 0], cov[1, 1])))
     v1, v2 = math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0))
     if v1 == 0.0 and v2 == 0.0:
         return 0.0
@@ -261,35 +266,24 @@ def box_probability(e: float, cov: np.ndarray) -> float:
     return float(weights @ (density * np.array(inside)))
 
 
-def noise_box_halfwidth_numeric(sigma: float, cov: np.ndarray) -> float:
-    """Half-width for general PSD covariances, by bisection on :func:`box_probability`."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    cov = np.asarray(cov, dtype=float).reshape(2, 2)
-    if np.linalg.eigvalsh(cov)[0] < -1e-12:
-        raise UnsupportedCovariance("covariance must be PSD")
-    if cov.max() == 0.0:
-        return 0.0
-    return _bisect(lambda e: box_probability(e, cov) - sigma, 2.0 * math.sqrt(max(cov[0, 0], cov[1, 1])))
-
-
 def prcbc_quadratics(
     obs: FeatureObservation,
     gamma: float,
     halfwidth: float,
     include_radius_term: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One convex quadratic per feature for the noisy-measurement case, as stacked ``(a, b, c)``.
+    """One convex quadratic per feature for the noisy-measurement case, as stacked ``(f, b, c)``.
 
     With ``ds`` the observed feature-to-obstacle offset and ``dl`` the
     difference of their interaction matrices, the constraint is
 
-        V' (dl'dl / gamma^2) V + b V + (2 Rn^2 + 4 e^2 - ||ds||^2) <= 0
-        b = (-2 ds'dl + 8 Rn L_r) / gamma
+        ||f V||^2 + b V + (2 Rn^2 + 4 e^2 - ||ds||^2) <= 0
+        f = dl / gamma,   b = (-2 ds'dl + 8 Rn L_r) / gamma
 
     where the radius-rate term ``8 Rn L_r`` can be dropped via
     ``include_radius_term=False`` for comparison runs. The quadratic part
-    is a Gram matrix, hence PSD of rank <= 2.
+    is passed as its ``(m, 2, 6)`` factor ``f``; its Gram matrix
+    ``f'f = dl'dl / gamma^2`` is PSD of rank <= 2 by construction.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -298,9 +292,9 @@ def prcbc_quadratics(
     rn = obs.obstacle.rn
     ds = obs.features - obs.obstacle.center
     dl = obs.l_features - obs.l_obstacle
-    a = dl.transpose(0, 2, 1) @ dl / gamma**2
+    f = dl / gamma
     b = -2.0 * (ds[:, None, :] @ dl)[:, 0] / gamma
     if include_radius_term:
         b = b + 8.0 * rn * obs.l_radius / gamma
     c = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - (ds[:, None, :] @ ds[:, :, None])[:, 0, 0]
-    return a, b, c
+    return f, b, c

@@ -3,9 +3,10 @@
 Each suite validates one subsystem against a method that shares no code
 with the implementation under test: central finite differences for the
 interaction matrices, Monte-Carlo sampling for the chance constraints,
-and brute-force enumeration / multi-start local search for the filter
-solvers. The suites are deterministic given their seed and are used by
-both the test suite and the command-line ``oracle`` command.
+brute-force enumeration / multi-start local search for the filter
+solvers, and an epigraph search of the least constraint value for the
+filter's holds. The suites are deterministic given their seed and are
+used by both the test suite and the command-line ``oracle`` command.
 """
 
 from __future__ import annotations
@@ -344,26 +345,104 @@ def random_qp_problem(rng: np.random.Generator) -> solvers.FilterProblem:
         rhs.append(float(rng.normal() * 0.3))
     v_ref = rng.normal(size=6)
     v_max = 1.0 + float(rng.uniform())
-    return solvers.FilterProblem(v_ref, v_max, np.zeros((4, 6, 6)), -np.array(rows), np.array(rhs))
+    return solvers.FilterProblem(v_ref, v_max, np.zeros((4, 0, 6)), -np.array(rows), np.array(rhs))
 
 
 def random_qcqp_problem(rng: np.random.Generator, n_con: int = 3) -> solvers.FilterProblem:
-    """``n_con`` random convex quadratics with rank-2 Gram matrices."""
-    a, b, c = [], [], []
+    """``n_con`` random convex quadratics, each passed as a random ``(2, 6)`` factor (a rank-2 Gram matrix)."""
+    f, b, c = [], [], []
     for _ in range(n_con):
-        g = rng.normal(size=(2, 6))
-        a.append(g.T @ g)
+        f.append(rng.normal(size=(2, 6)))
         b.append(rng.normal(size=6) * 0.5)
         c.append(float(rng.uniform(-1.5, 0.3)))
     v_ref = rng.normal(size=6)
     v_max = 1.0 + float(rng.uniform())
-    return solvers.FilterProblem(v_ref, v_max, np.array(a), np.array(b), np.array(c))
+    return solvers.FilterProblem(v_ref, v_max, np.array(f), np.array(b), np.array(c))
+
+
+def min_max_value(problem: solvers.FilterProblem, rng: np.random.Generator, starts: int = 4) -> float:
+    """Least value over V of ``max_i g_i(V)``, every stacked row and the speed ball included.
+
+    Multi-start SLSQP on the epigraph form ``min t`` subject to
+    ``t - g_i(V) >= 0``. The value is read as ``max_i g_i`` at the best
+    point found, so it bounds the true least value from above, up to
+    rounding; every g_i is convex, so a converged search attains it. The
+    admissible set is empty exactly when this value is positive, and has
+    an interior exactly when it is negative.
+    """
+    a, b, c = problem.a, problem.b, problem.c
+
+    def g(v):
+        return np.einsum("i,kij,j->k", v, a, v) + b @ v + c
+
+    cons = {
+        "type": "ineq",
+        "fun": lambda x: x[6] - g(x[:6]),
+        "jac": lambda x: np.hstack([-(2.0 * a @ x[:6] + b), np.ones((c.shape[0], 1))]),
+    }
+    best = np.inf
+    for v0 in [np.zeros(6), problem.v_ref] + [rng.normal(size=6) * problem.v_max for _ in range(starts - 2)]:
+        x0 = np.append(v0, g(v0).max())
+        res = minimize(
+            lambda x: x[6], x0, jac=lambda x: np.eye(7)[6], method="SLSQP", constraints=[cons],
+            options={"maxiter": 500, "ftol": 1e-16},
+        )
+        best = min(best, float(x0[6]), float(g(res.x[:6]).max()))
+    return best
+
+
+def near_empty_problems(rng: np.random.Generator, n_random: int = 100, directions: int = 3):
+    """Problems at the edge of emptiness, in factor form, then random ones.
+
+    Engineered families, each at a gap ``delta`` in (1e-3, 1e-6, 0,
+    -1e-6, -1e-3) along a random unit direction u (empty for delta > 0,
+    a point or a hyperplane at 0, a sliver with interior below 0):
+
+    * ``ball``: a ball of radius rho centred at ``(v_max + rho + delta) u``;
+    * ``halfspace``: ``u'V >= v_max + delta``;
+    * ``slab``: ``u'V >= delta`` and ``-u'V >= delta``;
+    * ``cylinder``: ``||s G (V - p)|| <= s rho`` with orthonormal rank-2 G,
+      u in G's row space, ``p = (v_max + rho + delta) u`` and s up to 1.5e3.
+
+    The random problems stack 1-5 rows with factors of 0, 1, 2 or 6 rows.
+    """
+    for delta in (1e-3, 1e-6, 0.0, -1e-6, -1e-3):
+        for _ in range(directions):
+            u = rng.normal(size=6)
+            u /= np.linalg.norm(u)
+            v_ref, v_max, rho = rng.normal(size=6), 1.0 + float(rng.uniform()), float(rng.uniform(0.1, 1.0))
+            p = (v_max + rho + delta) * u
+            yield solvers.FilterProblem(v_ref, v_max, np.eye(6)[None], -2.0 * p[None], np.array([p @ p - rho**2]))
+            yield solvers.FilterProblem(v_ref, v_max, np.zeros((1, 0, 6)), -u[None], np.array([v_max + delta]))
+            yield solvers.FilterProblem(v_ref, v_max, np.zeros((2, 0, 6)), np.stack([-u, u]), np.array([delta, delta]))
+            s = float(rng.uniform(1.0, 1.5e3))
+            f = s * np.linalg.qr(np.column_stack([u, rng.normal(size=6)]))[0].T
+            fp = f @ p
+            yield solvers.FilterProblem(v_ref, v_max, f[None], -2.0 * (f.T @ fp)[None], np.array([fp @ fp - (s * rho) ** 2]))
+    for _ in range(n_random):
+        k = int(rng.integers(1, 6))
+        r = int(rng.choice([0, 1, 2, 6]))
+        f = rng.normal(size=(k, r, 6)) * float(rng.uniform(0.1, 3.0))
+        yield solvers.FilterProblem(
+            rng.normal(size=6), 1.0 + float(rng.uniform()), f, rng.normal(size=(k, 6)), rng.uniform(-1.5, 0.5, k)
+        )
 
 
 def solver_suite(
-    seed: int = 0, n_qp: int = 1000, n_qcqp: int = 200, qp_tol: float = 1e-6, qcqp_tol: float = 1e-4
+    seed: int = 0,
+    n_qp: int = 1000,
+    n_qcqp: int = 200,
+    qp_tol: float = 1e-6,
+    qcqp_tol: float = 1e-4,
+    n_hold: int = 100,
 ) -> SuiteReport:
-    """Filter solvers vs enumeration (QP) and multi-start search (QCQP)."""
+    """Filter solvers vs enumeration (QP), multi-start search (QCQP) and the least constraint value (holds).
+
+    Every ``fallback_hold:infeasible`` must have a least value (see
+    :func:`min_max_value`) above 0, every ``no_convergence`` hold one of at
+    least -1e-9, and no hold of any kind one below -1e-6, over the
+    problems of :func:`near_empty_problems`.
+    """
     rng = make_rng(seed)
     lines = []
     passed = True
@@ -421,4 +500,21 @@ def solver_suite(
         f"(allowed {qcqp_tol:.0e}); holds {qcqp_holds}"
     )
     lines.append(f"certification failures: {cert_failures}")
+
+    holds = {solvers.HOLD_INFEASIBLE: [], solvers.HOLD_NO_CONVERGENCE: [], solvers.HOLD_CERTIFICATION: []}
+    problems = list(near_empty_problems(rng, n_random=n_hold))
+    for problem in problems:
+        sol = solvers.solve_filter_qcqp(problem)
+        if sol.status != solvers.STATUS_OPTIMAL:
+            holds[sol.status].append(min_max_value(problem, rng))
+    infeasible, stalled = holds[solvers.HOLD_INFEASIBLE], holds[solvers.HOLD_NO_CONVERGENCE]
+    wrong_holds = sum(value < -1e-6 for values in holds.values() for value in values)
+    holds_ok = all(v > 0.0 for v in infeasible) and all(v >= -1e-9 for v in stalled) and wrong_holds == 0
+    passed = passed and holds_ok
+    lines.append(
+        f"holds: {len(infeasible)} infeasible (least value {min(infeasible, default=np.inf):.3e}, need > 0), "
+        f"{len(stalled)} no convergence (least value {min(stalled, default=np.inf):.3e}, need >= -1e-9), "
+        f"{len(holds[solvers.HOLD_CERTIFICATION])} certification; {wrong_holds} held with value < -1e-6 "
+        f"over {len(problems)} near-empty and random problems"
+    )
     return SuiteReport(name="solvers", passed=passed, lines=lines)

@@ -4,29 +4,39 @@ Solves
 
     min ||V - v_ref||^2   s.t.   g_i(V) = V'A_i V + b_i'V + c_i <= 0,   i < k,
 
-for k <= m + 1 stacked constraints with every A_i PSD. Half-spaces have
-A_i = 0, and one constraint is the speed ball ``||V||^2 <= v_max^2``
-(A_i = I). For multipliers lambda >= 0 the Lagrangian's minimiser solves
+for k <= m + 1 stacked constraints with every A_i PSD: the filter passes
+each A_i as the Gram matrix F_i'F_i of its factor, so convexity holds by
+construction and is not checked here. Half-spaces have A_i = 0, and one
+constraint is the speed ball ``||V||^2 <= v_max^2`` (A_i = I). For
+multipliers lambda >= 0 the Lagrangian's minimiser solves
 
     (I + sum_i lambda_i A_i) V = v_ref - 0.5 sum_i lambda_i b_i.
 
-That matrix M is at least I, so the solve cannot fail to factor and
-needs no regularisation. lambda = 0 gives V = v_ref, which is returned
-as is when it is already admissible. Otherwise projected Newton ascends
-the concave dual d(lambda) = L(V(lambda), lambda), whose gradient is g(V)
-and whose Hessian is -0.5 G M^-1 G' for the stacked constraint gradients
-G, over the multipliers that are positive or whose constraint is violated
-(the dual approach of Goldfarb & Idnani, Math. Prog. 27, 1983). Each step
-is cut back until the dual value rises (Armijo). At the dual optimum V is
-the exact projection. Every call starts from lambda = 0 and keeps no
-state between calls.
+That matrix M is at least I, so it needs no regularisation. lambda = 0
+gives V = v_ref, which is returned as is when it is already admissible.
+Otherwise projected Newton ascends the concave dual
+d(lambda) = L(V(lambda), lambda), whose gradient is g(V) and whose
+Hessian is -0.5 G M^-1 G' for the stacked constraint gradients G, over
+the multipliers that are positive or whose constraint is violated (the
+dual approach of Goldfarb & Idnani, Math. Prog. 27, 1983). When that
+Hessian is rank-deficient to ``lstsq``, the step is solved again on its
+Jacobi-scaled form, and the dual, linear along what stays null, is
+followed there until a multiplier reaches zero (two opposed half-spaces
+that both carry a multiplier need this). Each step is cut back until
+the dual value rises (Armijo). At the dual optimum V is the exact
+projection. Every call starts from lambda = 0 and keeps no state
+between calls.
 
-The solve holds, returning a reason instead of a twist, in two cases:
+The solve holds, returning a reason instead of a twist, in two cases,
+each reason starting with its own first word:
 
 * the dual value exceeds ``(||v_ref|| + v_max)^2``, which by weak duality
   proves the feasible set empty (:func:`phase_one`);
 * the multipliers do not converge within ``MAX_ITER`` steps, as when the
-  feasible set has no interior and the multipliers grow without bound.
+  feasible set has no interior and the multipliers grow without bound,
+  or grow so large that M rounds to a singular matrix. At the step cap
+  V is still kept when g is zero up to the rounding its own solve
+  carries into g.
 """
 
 from __future__ import annotations
@@ -38,13 +48,16 @@ MAX_ITER = 30
 # g_i's terms. On a set with no interior the multipliers grow without bound and this relative
 # residual decays only like 1/lambda, so such a set reaches MAX_ITER and holds.
 FEAS_RTOL = 1e-12
+# and no g_i may exceed this, whatever its size: a hundredth of the filter's certification tolerance
+FEAS_ATOL = 1e-9
 ARMIJO = 1e-4
 MAX_HALVINGS = 40
 # relative rounding error allowed in the dual value, so that steps near the optimum are not
 # refused for a loss that is only the rounding of the terms summed into d
 ROUNDING = 64.0 * np.finfo(float).eps
-# first word of the reason a solve holds when the dual proves the set empty
+# first words of the two reasons a solve holds: the dual proves the set empty, or the cap is reached
 INFEASIBLE = "infeasible"
+NO_CONVERGENCE = "no convergence"
 
 
 def evaluate(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,19 +99,28 @@ def _minimiser(v_ref, a, b, c, lam):
 
 def solve(
     v_ref: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, v_max: float
-) -> tuple[np.ndarray, np.ndarray, str]:
+) -> tuple[np.ndarray, str]:
     """Project ``v_ref`` onto ``{V : V'a_i V + b_i'V + c_i <= 0}``; the constraints include the ``v_max`` ball.
 
-    Returns ``(V, lambda, reason)``. ``reason`` is "" for the exact
-    projection with its multipliers; otherwise it says why the solve
-    holds, and V is zero.
+    Returns ``(V, reason)``. ``reason`` is "" for the exact projection;
+    otherwise it says why the solve holds, starting with
+    :data:`INFEASIBLE` or :data:`NO_CONVERGENCE`, and V is zero.
     """
+    try:
+        return _ascend(v_ref, a, b, c, v_max)
+    except np.linalg.LinAlgError as exc:
+        # multipliers so large that I + sum_i lambda_i A_i rounds to a singular matrix
+        return np.zeros_like(v_ref), f"{NO_CONVERGENCE}: the multipliers diverged ({exc})"
+
+
+def _ascend(v_ref, a, b, c, v_max):
+    """The projected Newton ascent of :func:`solve`."""
     lam = np.zeros(c.shape[0])
     m_mat, x, g, grads, sizes, dual, dual_size = _minimiser(v_ref, a, b, c, lam)
     for it in range(MAX_ITER + 1):
         residual = np.where(lam > 0.0, np.abs(g), g)
-        if np.all(residual <= FEAS_RTOL * sizes):
-            return x, lam, ""
+        if np.all(residual <= FEAS_RTOL * sizes) and np.all(g <= FEAS_ATOL):
+            return x, ""
         if it == MAX_ITER:
             break
         free = np.flatnonzero((lam > 0.0) | (g > 0.0))
@@ -107,7 +129,20 @@ def solve(
             hess = 0.5 * (g_free @ g_free.T)
         else:
             hess = 0.5 * (g_free @ np.linalg.solve(m_mat, g_free.T))
-        step = np.linalg.lstsq(hess, g[free], rcond=None)[0]
+        step, _, rank, _ = np.linalg.lstsq(hess, g[free], rcond=None)
+        if rank < free.size:
+            # rank-deficient, or rows whose scales differ beyond lstsq's cutoff: solve again with the
+            # rows scaled to a unit diagonal (Jacobi). On what stays null the dual is linear with
+            # slope `drift`: follow it until the first multiplier it lowers reaches zero.
+            scale = np.sqrt(np.diag(hess))
+            scale[scale == 0.0] = 1.0
+            scaled = hess / np.outer(scale, scale)
+            step, _, rank, _ = np.linalg.lstsq(scaled, g[free] / scale, rcond=None)
+            drift = (g[free] / scale - scaled @ step) / scale
+            step = step / scale
+            falling = (drift * scale < -FEAS_RTOL * sizes[free]) & (lam[free] > 0.0)
+            if rank < free.size and falling.any():
+                step = step + drift * np.min(lam[free][falling] / -drift[falling])
         t = 1.0
         for _ in range(MAX_HALVINGS):
             trial = lam.copy()
@@ -123,9 +158,10 @@ def solve(
         m_mat, x, g, grads, sizes, dual, dual_size = point
         reason = phase_one(dual, v_ref, v_max)
         if reason:
-            return np.zeros_like(x), lam, reason
-    return (
-        np.zeros_like(x),
-        lam,
-        f"no convergence after {it} dual Newton steps (residual {residual.max():.3e})",
-    )
+            return np.zeros_like(x), reason
+    # out of steps: keep V if g is zero up to the rounding that V's own solve carries into g
+    if np.all(residual <= FEAS_RTOL * (sizes + np.linalg.norm(grads, axis=1) * np.linalg.norm(x))) and np.all(
+        g <= FEAS_ATOL
+    ):
+        return x, ""
+    return np.zeros_like(x), f"{NO_CONVERGENCE} after {it} dual Newton steps (residual {residual.max():.3e})"

@@ -348,6 +348,17 @@ def validate_scenario(sc: Scenario) -> list[str]:
     from .barrier import barrier_value  # local import to keep module deps one-way
 
     problems = []
+    numbers = {
+        "initial_pose": (sc.initial_pose.rotation, sc.initial_pose.translation),
+        "features_world": (sc.features_world,),
+        "target_features": (sc.target_features,),
+        "obstacle": (sc.obstacle.radius, sc.obstacle.times, sc.obstacle.points),
+    }
+    for name, arrays in numbers.items():
+        if not all(np.isfinite(x).all() for x in arrays):
+            problems.append(f"{name} holds a non-finite number")
+    if not (np.isfinite(sc.convergence_tol) and sc.convergence_tol > 0.0):
+        problems.append(f"convergence_tol must be finite and positive, got {sc.convergence_tol}")
     if sc.m < 3:
         problems.append(f"need at least 3 feature points for a stable servo, got {sc.m}")
     if not sc.gamma > 0.0:

@@ -6,10 +6,11 @@ to the step. One step runs the full pipeline on arrays: project the
 obstacle, draw the (optional) pixel noise for all features at once,
 build the ``(m, 2, 6)`` interaction matrices, plan the nominal twist
 over the horizon, build the mode-appropriate occlusion constraints as
-stacked arrays, project the nominal twist onto them, log the true
-margins and clearances, then advance the camera pose and obstacle
-clock. Everything is driven by a counter-based generator keyed on the
-scenario seed, so a (scenario, seed) pair reproduces bit-identical logs.
+stacked factor arrays, execute the filter's certified projection of the
+nominal twist or its typed hold (``V = 0``), log the true margins and
+clearances, then advance the camera pose and obstacle clock. Everything
+is driven by a counter-based generator keyed on the scenario seed, so a
+(scenario, seed) pair reproduces bit-identical logs.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .barrier import (
     barrier_rate_row,
     cbc_halfspaces,
     noise_box_halfwidth,
-    noise_box_halfwidth_numeric,
     prcbc_quadratics,
 )
-from .errors import CertificationFailed, SafeIbvsError, ScenarioError
+from .errors import SafeIbvsError, ScenarioError
 from .geometry import (
     CameraPose,
     ObstacleImageState,
@@ -43,16 +43,7 @@ from .ibvs import clip_twist, feature_error
 from .jacobians import feature_interaction, obstacle_radius_interaction
 from .observation import FeatureObservation
 from .scenario import MODE_CBC, MODE_PRCBC, MODE_UNFILTERED, Scenario
-from .solvers import (
-    HOLD_CERTIFICATION,
-    STATUS_FALLBACK,
-    STATUS_OPTIMAL,
-    FilterProblem,
-    certify,
-    hold_status,
-    solve_filter_qp,
-    solve_filter_qcqp,
-)
+from .solvers import STATUS_FALLBACK, FilterProblem, solve_filter_qp, solve_filter_qcqp
 
 CSV_FLOAT_FMT = "{:.17g}"
 
@@ -210,10 +201,7 @@ def _noise_halfwidth(sc: Scenario) -> float:
 @lru_cache(maxsize=64)
 def _halfwidth(sigma: float, cov_bytes: bytes) -> float:
     """Half-width per noise model, once per process: every trial of a sweep shares it."""
-    cov = np.frombuffer(cov_bytes).reshape(2, 2)
-    # the closed form covers uncorrelated noise; correlated and singular covariances invert numerically
-    invert = noise_box_halfwidth if cov[0, 1] == 0.0 else noise_box_halfwidth_numeric
-    return invert(sigma, cov)
+    return noise_box_halfwidth(sigma, np.frombuffer(cov_bytes).reshape(2, 2))
 
 
 def step(
@@ -259,14 +247,7 @@ def step(
         else:
             raise ScenarioError(f"unknown mode {sc.mode!r}")
         min_row_inf = float(np.abs(rows).max(axis=1).min())
-        if solution.status == STATUS_OPTIMAL:
-            try:
-                certify(solution, problem)
-                v_star, status = solution.twist, STATUS_OPTIMAL
-            except CertificationFailed:
-                v_star, status = np.zeros(6), HOLD_CERTIFICATION
-        else:
-            v_star, status = np.zeros(6), hold_status(solution)
+        v_star, status = solution.twist, solution.status
 
     h = barrier_value(features, obstacle.center, obstacle.rn)
     dists = np.linalg.norm(features - obstacle.center, axis=1)

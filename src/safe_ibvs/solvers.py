@@ -7,21 +7,25 @@ occlusion constraints and the speed ball ``||V|| <= v_max``:
 * :func:`solve_filter_qcqp` for quadratic constraints (noisy case).
 
 A :class:`FilterProblem` holds every constraint in one stacked format,
-``V'A_i V + b_i'V + c_i <= 0``: the occlusion rows exactly as
-``barrier.cbc_halfspaces`` and ``barrier.prcbc_quadratics`` return them
-(A_i = 0 for a half-space), then the ball (A_i = I). One exact dual solve (:func:`qcqp.solve`) serves both
-filters; its only linear systems have matrices at least I, so it cannot
-fail to factor. It holds, returning the hold-in-place twist ``V = 0`` so
-the platform waits until the obstacle clears, for one of two reasons,
-kept in ``FilterSolution.message``: the dual value proves the admissible
-set empty, or the multipliers do not converge (a set without interior).
-:func:`certify` re-checks each answer with its own multipliers, found by
-a nonnegative least-squares fit (:func:`nnls`).
+``V'A_i V + b_i'V + c_i <= 0``. It takes each occlusion row's factor F_i,
+``A_i = F_i'F_i``, as ``barrier.cbc_halfspaces`` (no rows: A_i = 0) and
+``barrier.prcbc_quadratics`` return it, and appends the ball (A_i = I),
+so it cannot hold a non-convex problem. One exact dual solve
+(:func:`qcqp.solve`) serves both filters.
+
+Each filter owns what its step executes. It returns either an optimum
+that :func:`certify` has re-checked with its own multipliers (a
+nonnegative least-squares fit, :func:`nnls`), or the hold-in-place twist
+``V = 0``, so the platform waits until the obstacle clears, with one of
+three hold statuses and its reason in ``FilterSolution.message``: the
+dual value proves the admissible set empty, the multipliers do not
+converge (a set without interior), or the certification rejects the
+answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,31 +44,36 @@ ACTIVE_SLACK_TOL = 1e-6
 CERT_FEAS_TOL = 1e-7
 CERT_STAT_TOL = 1e-6
 CERT_COMP_TOL = 1e-6
-# rounding allowance of the PSD input check, relative to the largest eigenvalue
-PSD_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class FilterProblem:
     """Reference twist plus the admissible set to project it onto.
 
-    ``a``, ``b``, ``c`` stack the k occlusion constraints as
-    ``V'a_i V + b_i'V + c_i <= 0``, shapes ``(k, 6, 6)``, ``(k, 6)`` and
-    ``(k,)``. Construction appends the speed ball ``||V||^2 <= v_max^2``
-    as row k, so the stored arrays hold k + 1 rows.
+    ``f``, ``b``, ``c`` stack the k occlusion constraints as
+    ``||f_i V||^2 + b_i'V + c_i <= 0``, shapes ``(k, r, 6)``, ``(k, 6)``
+    and ``(k,)``; r = 0 makes every row a half-space. Construction
+    derives ``a = f'f`` and appends the speed ball ``||V||^2 <= v_max^2``
+    as row k, so ``a``, ``b`` and ``c`` hold k + 1 rows of
+    ``V'a_i V + b_i'V + c_i <= 0``.
     """
 
     v_ref: np.ndarray
     v_max: float
-    a: np.ndarray
+    f: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v_ref", np.asarray(self.v_ref, dtype=float).reshape(6))
         if not self.v_max > 0.0:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
-        a = np.concatenate([np.asarray(self.a, dtype=float).reshape(-1, 6, 6), np.eye(6)[None]])
+        f = np.asarray(self.f, dtype=float)
+        if f.ndim != 3 or f.shape[2] != 6:
+            raise ValueError(f"f must have shape (k, r, 6), got {f.shape}")
+        object.__setattr__(self, "f", f)
+        a = np.concatenate([f.transpose(0, 2, 1) @ f, np.eye(6)[None]])
         b = np.concatenate([np.asarray(self.b, dtype=float).reshape(-1, 6), np.zeros((1, 6))])
         c = np.append(np.asarray(self.c, dtype=float).reshape(-1), -self.v_max**2)
         object.__setattr__(self, "a", a)
@@ -75,8 +84,7 @@ class FilterProblem:
 @dataclass(frozen=True, eq=False)
 class FilterSolution:
     twist: np.ndarray
-    status: str  # STATUS_OPTIMAL or STATUS_FALLBACK
-    kkt_residual: float = np.inf
+    status: str  # STATUS_OPTIMAL or one of the HOLD_* statuses
     active_set: tuple[int, ...] = ()  # constraint indices; ball is the last index
     message: str = ""
 
@@ -89,41 +97,30 @@ class CertificationReport:
     duals: np.ndarray
 
 
-def hold_status(solution: FilterSolution) -> str:
-    """The step status of a held solution: HOLD_INFEASIBLE or HOLD_NO_CONVERGENCE, from its message."""
-    return HOLD_INFEASIBLE if solution.message.startswith(qcqp.INFEASIBLE) else HOLD_NO_CONVERGENCE
-
-
 def _solve(problem: FilterProblem) -> FilterSolution:
-    v, duals, reason = qcqp.solve(problem.v_ref, problem.a, problem.b, problem.c, problem.v_max)
+    v, reason = qcqp.solve(problem.v_ref, problem.a, problem.b, problem.c, problem.v_max)
     if reason:
-        return FilterSolution(twist=np.zeros(6), status=STATUS_FALLBACK, message=reason)
-    values, grads = qcqp.evaluate(problem.a, problem.b, problem.c, v)
-    stationarity = float(np.abs(2.0 * (v - problem.v_ref) + grads.T @ duals).max())
-    comp = float((duals * np.maximum(-values, 0.0)).max())
-    kkt = max(stationarity, max(float(values.max()), 0.0), comp)
+        status = HOLD_INFEASIBLE if reason.startswith(qcqp.INFEASIBLE) else HOLD_NO_CONVERGENCE
+        return FilterSolution(twist=np.zeros(6), status=status, message=reason)
+    values, _ = qcqp.evaluate(problem.a, problem.b, problem.c, v)
     active = tuple(int(i) for i in np.flatnonzero(-values <= ACTIVE_SLACK_TOL))
-    return FilterSolution(twist=v, status=STATUS_OPTIMAL, kkt_residual=kkt, active_set=active)
+    solution = FilterSolution(twist=v, status=STATUS_OPTIMAL, active_set=active)
+    try:
+        certify(solution, problem)
+    except CertificationFailed as exc:
+        return FilterSolution(twist=np.zeros(6), status=HOLD_CERTIFICATION, message=str(exc))
+    return solution
 
 
 def solve_filter_qp(problem: FilterProblem) -> FilterSolution:
-    """Project the reference twist onto half-spaces plus the speed ball."""
+    """Project the reference twist onto half-spaces plus the speed ball: a certified optimum or a hold."""
     if problem.a[:-1].any():
         raise ValueError("QP filter expects half-space constraints only (a = 0)")
     return _solve(problem)
 
 
 def solve_filter_qcqp(problem: FilterProblem) -> FilterSolution:
-    """Project the reference twist onto convex quadratics plus the speed ball.
-
-    Each A_i must be PSD up to rounding: its least eigenvalue may fall
-    below zero by at most ``PSD_RTOL`` times its largest (or times 1).
-    """
-    a = problem.a
-    eigs = np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1)))
-    not_psd = np.flatnonzero(eigs[:, 0] < -PSD_RTOL * np.maximum(eigs[:, -1], 1.0))
-    if not_psd.size:
-        raise ValueError(f"quadratic constraint {not_psd[0]} is not PSD")
+    """Project the reference twist onto convex quadratics plus the speed ball: a certified optimum or a hold."""
     return _solve(problem)
 
 
@@ -169,29 +166,31 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
     Recomputes constraint slacks, finds best nonnegative multipliers by
     least squares (:func:`nnls`, independent of the solver's duals), and
     checks stationarity and complementary slackness.
-    Raises :class:`CertificationFailed` when any tolerance is exceeded;
-    hold-static solutions are rejected outright (nothing to certify).
+    Raises :class:`CertificationFailed` when any tolerance is exceeded
+    or any checked number is not finite; hold-static solutions are
+    rejected outright (nothing to certify).
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("only optimal solutions can be certified")
     v = solution.twist
     values, grads = qcqp.evaluate(problem.a, problem.b, problem.c, v)
 
+    # every gate is written "not value <= tol", so that NaN fails it
     violation = float(values.max())
-    if violation > CERT_FEAS_TOL:
+    if not violation <= CERT_FEAS_TOL:
         raise CertificationFailed(f"constraint violation {violation:.3e} > {CERT_FEAS_TOL:.0e}")
     speed = float(np.linalg.norm(v))
-    if speed > problem.v_max + 1e-9:
+    if not speed <= problem.v_max + 1e-9:
         raise CertificationFailed(f"speed {speed} exceeds bound {problem.v_max}")
 
     grad_obj = 2.0 * (v - problem.v_ref)
     duals, residual = nnls(grads.T, -grad_obj)
     scale = 1.0 + float(np.linalg.norm(grad_obj))
-    if residual > CERT_STAT_TOL * scale:
+    if not residual <= CERT_STAT_TOL * scale:
         raise CertificationFailed(f"stationarity residual {residual:.3e} > {CERT_STAT_TOL:.0e} * {scale:.3e}")
 
     comp = float((duals * np.maximum(-values, 0.0)).max())
-    if comp > CERT_COMP_TOL:
+    if not comp <= CERT_COMP_TOL:
         raise CertificationFailed(f"complementarity {comp:.3e} > {CERT_COMP_TOL:.0e}")
     return CertificationReport(
         max_violation=violation,

@@ -98,9 +98,8 @@ def test_cbc_halfspaces_zero_twist_iff_nonnegative_margin():
         0.8,
         0.08,
     )
-    a, b, c = barrier.cbc_halfspaces(obs, gamma=2.0)
-    assert a.shape == (4, 6, 6) and b.shape == (4, 6) and c.shape == (4,)
-    assert not a.any()
+    f, b, c = barrier.cbc_halfspaces(obs, gamma=2.0)
+    assert f.shape == (4, 0, 6) and b.shape == (4, 6) and c.shape == (4,)
     margins = barrier.barrier_value(obs.features, obs.obstacle.center, obs.obstacle.rn)
     for c_i, h in zip(c, margins):
         # V = 0 gives rate 0, admissible exactly when c = -gamma*h <= 0
@@ -137,27 +136,27 @@ def test_cbc_one_step_decay_bound(intrinsics):
 def cbc_loop(obs, gamma):
     """Per-feature reference for cbc_halfspaces: one rate row and margin per feature, then stacked."""
     m, s_o, rn = obs.m, obs.obstacle.center, obs.obstacle.rn
-    a, b, c = np.zeros((m, 6, 6)), np.zeros((m, 6)), np.zeros(m)
+    f, b, c = np.zeros((m, 0, 6)), np.zeros((m, 6)), np.zeros(m)
     for i in range(m):
         d = obs.features[i] - s_o
         row = 2.0 * d @ (obs.l_features[i] - obs.l_obstacle) - 2.0 * rn * obs.l_radius
         b[i], c[i] = -row, -gamma * (float(d @ d) - rn * rn)
-    return a, b, c
+    return f, b, c
 
 
 def prcbc_loop(obs, gamma, halfwidth, include_radius_term=True):
     """Per-feature reference for prcbc_quadratics."""
     m, rn = obs.m, obs.obstacle.rn
-    a, b, c = np.zeros((m, 6, 6)), np.zeros((m, 6)), np.zeros(m)
+    f, b, c = np.zeros((m, 2, 6)), np.zeros((m, 6)), np.zeros(m)
     for i in range(m):
         ds = obs.features[i] - obs.obstacle.center
         dl = obs.l_features[i] - obs.l_obstacle
-        a[i] = dl.T @ dl / gamma**2
+        f[i] = dl / gamma
         b[i] = -2.0 * (ds @ dl) / gamma
         if include_radius_term:
             b[i] = b[i] + 8.0 * rn * obs.l_radius / gamma
         c[i] = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - float(ds @ ds)
-    return a, b, c
+    return f, b, c
 
 
 def random_observations(seed, count=60, m=4):
@@ -229,22 +228,22 @@ def test_halfwidth_vanishing_noise():
     assert barrier.noise_box_halfwidth(0.8, 1e-20 * np.eye(2)) < 1e-9
 
 
-def test_halfwidth_rejects_correlated_covariance():
+def test_halfwidth_rejects_indefinite_covariance():
     with pytest.raises(UnsupportedCovariance):
-        barrier.noise_box_halfwidth(0.8, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        barrier.noise_box_halfwidth(0.8, np.array([[1.0, 1.5], [1.5, 1.0]]))
 
 
 def test_halfwidth_numeric_handles_correlation():
     cov = np.array([[1.0, 0.6], [0.6, 1.5]])
-    e = barrier.noise_box_halfwidth_numeric(0.8, cov)
+    e = barrier.noise_box_halfwidth(0.8, cov)
     assert abs(box_probability_quadrature(e, cov) - 0.8) < 1e-6
 
 
 def test_halfwidth_numeric_agrees_with_closed_form():
-    cov = np.diag([1.3, 0.4])
-    a = barrier.noise_box_halfwidth(0.85, cov)
-    b = barrier.noise_box_halfwidth_numeric(0.85, cov)
-    assert abs(a - b) < 1e-8
+    # any nonzero off-diagonal takes the bisection on box_probability; exactly zero takes the closed form
+    closed = barrier.noise_box_halfwidth(0.85, np.diag([1.3, 0.4]))
+    numeric = barrier.noise_box_halfwidth(0.85, np.array([[1.3, 1e-300], [1e-300, 0.4]]))
+    assert closed != numeric and abs(closed - numeric) < 1e-8
 
 
 def test_halfwidth_degenerate_axis():
@@ -275,22 +274,22 @@ def test_prcbc_quadratic_structure():
     obs = make_observation(
         rng.normal(size=(4, 2)) * 0.3, rng.uniform(0.5, 2.0, 4), [0.02, -0.03], 0.9, 0.07
     )
-    a, b, c = barrier.prcbc_quadratics(obs, 2.0, 0.015)
-    assert a.shape == (4, 6, 6) and b.shape == (4, 6) and c.shape == (4,)
-    for a_i in a:
-        assert np.allclose(a_i, a_i.T, atol=1e-12)
-        eigs = np.linalg.eigvalsh(a_i)
-        assert eigs[0] >= -1e-10
-        assert np.linalg.matrix_rank(a_i, tol=1e-12) <= 2
+    f, b, c = barrier.prcbc_quadratics(obs, 2.0, 0.015)
+    assert f.shape == (4, 2, 6) and b.shape == (4, 6) and c.shape == (4,)
+    # the quadratic term is the factor's Gram matrix dl'dl / gamma^2: PSD of rank <= 2 by construction
+    dl = obs.l_features - obs.l_obstacle
+    assert np.array_equal(f, dl / 2.0)
+    for f_i in f:
+        assert np.linalg.matrix_rank(f_i.T @ f_i, tol=1e-12) <= 2
 
 
 def test_prcbc_radius_term_switch():
     obs = make_observation([[0.3, 0.1]], [1.0], [0.05, 0.0], 0.8, 0.06)
     gamma = 2.0
-    a_on, b_on, c_on = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=True)
-    a_off, b_off, c_off = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=False)
+    f_on, b_on, c_on = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=True)
+    f_off, b_off, c_off = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=False)
     assert np.allclose(b_on - b_off, 8.0 * obs.obstacle.rn * obs.l_radius / gamma)
-    assert np.allclose(a_on, a_off) and np.array_equal(c_on, c_off)
+    assert np.array_equal(f_on, f_off) and np.array_equal(c_on, c_off)
 
 
 def test_chance_suite_small():

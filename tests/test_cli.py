@@ -63,6 +63,23 @@ def test_check_names_bad_weight(tmp_path, capsys):
     assert "q" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("xyz: [0.0, 0.0, 1.1]", "xyz: [.nan, 0.0, 1.1]", "initial_pose"),
+        ("convergence_tol: 5.0e-3", "convergence_tol: .nan", "convergence_tol"),
+    ],
+)
+def test_check_rejects_non_finite_numbers(tmp_path, capsys, old, new, named):
+    # both once passed check: the first then aborted run on a NaN depth, the second never converged
+    text = Path(REF_NOISE).read_text()
+    assert old in text
+    bad = tmp_path / "nan.yaml"
+    bad.write_text(text.replace(old, new))
+    assert main(["check", "--scenario", str(bad)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().out
+
+
 def test_run_writes_outputs_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--scenario", REF_CBC, "--mode", "unfiltered", "--out", str(out)])

@@ -1,4 +1,6 @@
-"""Property: every scenario that ``safe-ibvs check`` accepts runs to a typed end.
+"""Properties: every scenario that ``safe-ibvs check`` accepts runs to a typed end,
+and the filter answers every finite factor-form problem with a certified
+twist or a typed hold.
 
 Scenarios are drawn around the shipped noisy reference scene: camera
 pose offsets, obstacle starts, isotropic, diagonal, correlated, singular
@@ -6,8 +8,10 @@ and near-singular covariances, confidence levels, horizons, and scalar
 or matrix weights, in every mode. Each one that loads and passes
 ``validate_scenario`` must ``run`` to convergence, to its step cap, or
 to a typed abort, without raising, and log only the fixed step statuses.
-Examples are derandomized, so the suite draws the same scenarios on
-every run.
+Filter problems stack up to five constraints whose factors have 0, 1, 2
+or 6 rows and entries up to 1.5e3, the size of PrCBC's factors for a
+small gamma and a close obstacle. Examples are derandomized, so the
+suite draws the same cases on every run.
 """
 
 import copy
@@ -122,3 +126,30 @@ def test_checked_scenario_runs_to_a_typed_end(data):
     # shown by pytest --hypothesis-show-statistics
     event(f"{sc.mode}: " + ("aborted " + s.abort_reason.split(":")[0] if s.aborted else "converged" if s.converged else "step cap"))
     event(f"holds: {s.fallback_steps > 0}")
+
+
+HOLDS = {solvers.HOLD_INFEASIBLE, solvers.HOLD_NO_CONVERGENCE, solvers.HOLD_CERTIFICATION}
+
+
+@st.composite
+def factor_problems(draw):
+    k = draw(st.integers(0, 5))
+    r = draw(st.sampled_from([0, 1, 2, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.normal(size=(k, r, 6)) * draw(_floats(0.0, 1.5e3))
+    b = rng.normal(size=(k, 6)) * draw(_floats(0.0, 1.5e3))
+    c = rng.uniform(-1.0, 1.0, k) * draw(_floats(0.0, 10.0))
+    v_ref = rng.normal(size=6) * draw(_floats(0.0, 5.0))
+    return solvers.FilterProblem(v_ref, draw(_floats(0.01, 2.0)), f, b, c)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(factor_problems())
+def test_filter_returns_a_certified_twist_or_a_typed_hold(problem):
+    sol = solvers.solve_filter_qcqp(problem)
+    if sol.status == solvers.STATUS_OPTIMAL:
+        solvers.certify(sol, problem)
+    else:
+        assert sol.status in HOLDS and sol.message
+        assert np.array_equal(sol.twist, np.zeros(6))
+    event(sol.status)

@@ -108,6 +108,26 @@ def test_validate_rejects_initial_occlusion():
     assert any("occlusion-free" in p for p in problems)
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda cfg: cfg["initial_pose"].update(rpy=[np.nan, 0.0, 0.0]), "initial_pose"),
+        (lambda cfg: cfg["features_world"][2].__setitem__(0, np.inf), "features_world"),
+        (lambda cfg: cfg.update(target_features=[[0.1, 0.1], [-0.1, 0.1], [-0.1, -0.1], [np.nan, -0.1]]) or cfg.pop("target_pose"), "target_features"),
+        (lambda cfg: cfg["obstacle"].update(center=[0.43, np.nan, 0.10]), "obstacle"),
+        (lambda cfg: cfg["obstacle"].update(radius=np.inf), "obstacle"),
+        (lambda cfg: cfg.update(convergence_tol=np.nan), "convergence_tol"),
+        (lambda cfg: cfg.update(convergence_tol=0.0), "convergence_tol"),
+        (lambda cfg: cfg.update(convergence_tol=np.inf), "convergence_tol"),
+    ],
+)
+def test_validate_names_non_finite_numbers(edit, named):
+    cfg = base_config()
+    edit(cfg)
+    problems = sm.validate_scenario(sm.from_dict(cfg))
+    assert any(p.startswith(named) for p in problems), problems
+
+
 def test_validate_prcbc_needs_noise():
     cfg = base_config()
     cfg["mode"] = "prcbc"

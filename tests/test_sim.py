@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from safe_ibvs import mpc, scenario, sim
+from safe_ibvs import mpc, scenario, sim, solvers
 from safe_ibvs.barrier import barrier_value
 from safe_ibvs.errors import CertificationFailed
 from safe_ibvs.geometry import CameraPose, Obstacle3, obstacle_image_state, pixel_from_normalized, project_point
@@ -184,13 +184,13 @@ def test_sweep_computes_the_halfwidth_once(monkeypatch):
     data["max_steps"] = 5
     sc = scenario.from_dict(data)
     calls = []
-    bisection = sim.noise_box_halfwidth_numeric
+    invert = sim.noise_box_halfwidth
 
     def counted(sigma, rel_cov):
         calls.append(sigma)
-        return bisection(sigma, rel_cov)
+        return invert(sigma, rel_cov)
 
-    monkeypatch.setattr(sim, "noise_box_halfwidth_numeric", counted)
+    monkeypatch.setattr(sim, "noise_box_halfwidth", counted)
     sim._halfwidth.cache_clear()
     start = np.array([0.43, 0.23, 0.10])
     res = sim.sweep(sc, start[None], trials_per_location=5, jobs=1)
@@ -212,20 +212,20 @@ def _fail_certification(solution, problem):
     "mode, patch, token",
     [
         # v_x >= 2 inside the 0.5 speed ball
-        pytest.param("cbc", {"cbc_halfspaces": lambda obs, gamma: (np.zeros((1, 6, 6)), -E[:1], np.array([2.0]))}, "infeasible", id="infeasible"),
-        # disks of radius 0.2 centred at +-0.2 e_x meet only at V = 0: no interior, so the multipliers diverge
+        pytest.param("cbc", (sim, "cbc_halfspaces", lambda obs, gamma: (np.zeros((1, 0, 6)), -E[:1], np.array([2.0]))), "infeasible", id="infeasible"),
+        # disks of radius 0.2 centred at +-0.2 e_x (factor I) meet only at V = 0: no interior, so the multipliers diverge
         pytest.param(
             "prcbc",
-            {"prcbc_quadratics": lambda obs, gamma, hw, term: (np.stack([E, E]), np.stack([-0.4 * E[0], 0.4 * E[0]]), np.zeros(2))},
+            (sim, "prcbc_quadratics", lambda obs, gamma, hw, term: (np.stack([E, E]), np.stack([-0.4 * E[0], 0.4 * E[0]]), np.zeros(2))),
             "no_convergence",
             id="no_convergence",
         ),
-        pytest.param("cbc", {"certify": _fail_certification}, "certification", id="certification"),
+        # the filter certifies its own answer
+        pytest.param("cbc", (solvers, "certify", _fail_certification), "certification", id="certification"),
     ],
 )
 def test_hold_logs_its_reason_token(monkeypatch, mode, patch, token):
-    for name, value in patch.items():
-        monkeypatch.setattr(sim, name, value)
+    monkeypatch.setattr(*patch)
     log = sim.run(replace(reference_scenario(mode=mode, noisy=mode == "prcbc"), max_steps=3))
     assert log.summary.fallback_steps == log.summary.steps == 3 and not log.summary.aborted
     assert {r.filter_status for r in log.records} == {f"fallback_hold:{token}"}

@@ -15,18 +15,19 @@ E = np.eye(6)
 
 
 def halfspaces(*pairs):
-    """Stacked (a, b, c) of half-spaces ``row @ V >= rhs``, given as (row, rhs) pairs."""
+    """Stacked (f, b, c) of half-spaces ``row @ V >= rhs``, given as (row, rhs) pairs: factors with no rows."""
     rows = np.array([row for row, _ in pairs], dtype=float).reshape(-1, 6)
-    return np.zeros((len(pairs), 6, 6)), -rows, np.array([rhs for _, rhs in pairs], dtype=float)
+    return np.zeros((len(pairs), 0, 6)), -rows, np.array([rhs for _, rhs in pairs], dtype=float)
 
 
 def quadratics(*triples):
-    """Stacked (a, b, c) of quadratics ``V'a V + b'V + c <= 0``, given as (a, b, c) triples."""
-    a, b, c = zip(*triples)
-    return np.array(a, dtype=float), np.array(b, dtype=float), np.array(c, dtype=float)
+    """Stacked (f, b, c) of quadratics ``||f V||^2 + b'V + c <= 0``, given as (f, b, c) triples."""
+    f, b, c = zip(*triples)
+    return np.array(f, dtype=float), np.array(b, dtype=float), np.array(c, dtype=float)
 
 
 NONE = halfspaces()
+HOLDS = {solvers.HOLD_INFEASIBLE, solvers.HOLD_NO_CONVERGENCE, solvers.HOLD_CERTIFICATION}
 
 
 def test_feasible_reference_returned_exactly():
@@ -34,7 +35,7 @@ def test_feasible_reference_returned_exactly():
     sol = solvers.solve_filter_qp(prob)
     assert sol.status == solvers.STATUS_OPTIMAL
     assert np.array_equal(sol.twist, prob.v_ref)
-    assert sol.kkt_residual == 0.0
+    assert sol.active_set == ()
 
 
 def test_single_halfspace_projection():
@@ -52,7 +53,7 @@ def test_qp_matches_enumeration_on_random_instances():
         sol = solvers.solve_filter_qp(prob)
         ref, _ = enumerate_projection_qp(prob)
         if ref is None:
-            assert sol.status == solvers.STATUS_FALLBACK
+            assert sol.status in HOLDS
             assert np.array_equal(sol.twist, np.zeros(6))
             continue
         assert sol.status == solvers.STATUS_OPTIMAL
@@ -60,7 +61,7 @@ def test_qp_matches_enumeration_on_random_instances():
 
 
 def _disk(center, radius):
-    """||V - center||^2 <= radius^2 as an (a, b, c) triple."""
+    """||V - center||^2 <= radius^2 as an (f, b, c) triple."""
     return np.eye(6), -2.0 * center, float(center @ center) - radius**2
 
 
@@ -69,30 +70,33 @@ def _filter(prob):
 
 
 @pytest.mark.parametrize(
-    "prob, message",
+    "prob, status, message",
     [
         pytest.param(
             # needs v_x >= 2 inside a 0.5 ball
             solvers.FilterProblem(np.zeros(6), 0.5, *halfspaces((E[0], 2.0))),
+            solvers.HOLD_INFEASIBLE,
             "dual value",
             id="halfspace_outside_ball",
         ),
         pytest.param(
             solvers.FilterProblem(np.zeros(6), 0.5, *quadratics(_disk(E[0], 0.2))),
+            solvers.HOLD_INFEASIBLE,
             "dual value",
             id="disk_outside_ball",
         ),
         pytest.param(
             # the disks meet only at V = 0: a set with no interior, whose multipliers diverge
             solvers.FilterProblem(0.3 * E[1], 0.5, *quadratics(_disk(0.2 * E[0], 0.2), _disk(-0.2 * E[0], 0.2))),
+            solvers.HOLD_NO_CONVERGENCE,
             "no convergence",
             id="touching_disks",
         ),
     ],
 )
-def test_engineered_infeasible_holds(prob, message):
+def test_engineered_infeasible_holds(prob, status, message):
     sol = _filter(prob)
-    assert sol.status == solvers.STATUS_FALLBACK
+    assert sol.status == status
     assert np.array_equal(sol.twist, np.zeros(6))
     assert message in sol.message
 
@@ -132,7 +136,7 @@ def test_qcqp_zero_reference_fixed_point():
     rng = make_rng(3)
     prob = random_qcqp_problem(rng)
     # make 0 feasible by forcing all offsets negative
-    prob0 = solvers.FilterProblem(np.zeros(6), prob.v_max, prob.a[:-1], prob.b[:-1], -np.abs(prob.c[:-1]) - 0.1)
+    prob0 = solvers.FilterProblem(np.zeros(6), prob.v_max, prob.f, prob.b[:-1], -np.abs(prob.c[:-1]) - 0.1)
     sol = solvers.solve_filter_qcqp(prob0)
     assert sol.status == solvers.STATUS_OPTIMAL
     assert np.abs(sol.twist).max() < 1e-9
@@ -160,28 +164,25 @@ def test_mode_preconditions():
     # a half-space is a quadratic with a = 0, so the QCQP filter accepts it
     hs = solvers.FilterProblem(-E[0], 1.0, *halfspaces((np.ones(6), 0.0)))
     assert solvers.solve_filter_qcqp(hs).status == solvers.STATUS_OPTIMAL
-    # one batched PSD check names the first indefinite row of the stack
-    bad = quadratics((np.eye(6), np.zeros(6), -1.0), (-np.eye(6), np.zeros(6), -1.0))
-    with pytest.raises(ValueError, match="constraint 1 is not PSD"):
-        solvers.solve_filter_qcqp(solvers.FilterProblem(np.zeros(6), 1.0, *bad))
-
-
-def test_psd_check_allows_rounding_of_large_gram_matrices():
-    # a rank-2 Gram matrix with entries near 1e7, as PrCBC builds for a small gamma and a close obstacle:
-    # eigvalsh puts its zero eigenvalues at about -3e-10, which is rounding, not indefiniteness
-    g = np.random.default_rng(0).normal(size=(2, 6)) * 1.5e3
-    assert np.linalg.eigvalsh(g.T @ g)[0] < -1e-10
-    prob = solvers.FilterProblem(np.zeros(6), 1.0, *quadratics((g.T @ g, np.zeros(6), -1.0)))
-    assert solvers.solve_filter_qcqp(prob).status == solvers.STATUS_OPTIMAL
 
 
 def test_problem_appends_the_speed_ball():
     prob = solvers.FilterProblem(np.zeros(6), 0.7, *halfspaces((E[0], 0.1), (E[1], -0.2)))
+    assert prob.f.shape == (2, 0, 6)
     assert prob.a.shape == (3, 6, 6) and prob.b.shape == (3, 6) and prob.c.shape == (3,)
     assert np.array_equal(prob.a[-1], np.eye(6)) and not prob.b[-1].any() and prob.c[-1] == -0.7**2
     assert np.array_equal(prob.b[:-1], -E[:2]) and np.array_equal(prob.c[:-1], [0.1, -0.2])
     empty = solvers.FilterProblem(np.zeros(6), 1.0, *NONE)
     assert empty.a.shape == (1, 6, 6)
+
+
+def test_problem_derives_the_gram_matrices_from_the_factors():
+    f = np.random.default_rng(4).normal(size=(3, 2, 6))
+    prob = solvers.FilterProblem(np.zeros(6), 1.0, f, np.zeros((3, 6)), -np.ones(3))
+    for i in range(3):
+        assert np.array_equal(prob.a[i], f[i].T @ f[i])
+    with pytest.raises(ValueError, match="shape"):
+        solvers.FilterProblem(np.zeros(6), 1.0, np.zeros((3, 6, 5)), np.zeros((3, 6)), -np.ones(3))
 
 
 def test_certify_accepts_solver_output():
@@ -203,7 +204,6 @@ def test_certify_rejects_tampered_solution():
     tampered = solvers.FilterSolution(
         twist=sol.twist - 0.1 * np.array([1.0, 0, 0, 0, 0, 0]),  # step through the violated normal
         status=solvers.STATUS_OPTIMAL,
-        kkt_residual=sol.kkt_residual,
     )
     with pytest.raises(CertificationFailed):
         solvers.certify(tampered, prob)
@@ -211,9 +211,55 @@ def test_certify_rejects_tampered_solution():
 
 def test_certify_rejects_fallback_input():
     prob = solvers.FilterProblem(np.zeros(6), 1.0, *NONE)
-    held = solvers.FilterSolution(twist=np.zeros(6), status=solvers.STATUS_FALLBACK)
+    held = solvers.FilterSolution(twist=np.zeros(6), status=solvers.HOLD_INFEASIBLE)
     with pytest.raises(ValueError):
         solvers.certify(held, prob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certify_rejects_a_non_finite_twist(bad):
+    prob = solvers.FilterProblem(np.zeros(6), 1.0, *halfspaces((E[0], -1.0)))
+    with pytest.raises(CertificationFailed):
+        solvers.certify(solvers.FilterSolution(twist=np.full(6, bad), status=solvers.STATUS_OPTIMAL), prob)
+
+
+def test_filter_holds_with_the_certification_text(monkeypatch):
+    def reject(solution, problem):
+        raise CertificationFailed("stationarity residual 1e-3 > 1e-6")
+
+    monkeypatch.setattr(solvers, "certify", reject)
+    sol = solvers.solve_filter_qp(solvers.FilterProblem(-E[0], 10.0, *halfspaces((E[0], 0.0))))
+    assert sol.status == solvers.HOLD_CERTIFICATION
+    assert np.array_equal(sol.twist, np.zeros(6)) and sol.active_set == ()
+    assert sol.message == "stationarity residual 1e-3 > 1e-6"
+
+
+@pytest.mark.parametrize("v_ref", [[0.3, 0.8, 0.3, -1.3, 0.9, 0.4], [2.0, -2.6, 0.4, -0.6, -0.5, -0.2]])
+def test_thin_slab_is_projected(v_ref):
+    # |V_x| <= 1e-6: two opposed half-spaces whose gradients cancel, so the dual Hessian is singular
+    # once both carry a multiplier; the dual is linear along its null space
+    prob = solvers.FilterProblem(v_ref, 1.0, *halfspaces((E[0], -1e-6), (-E[0], -1e-6)))
+    sol = solvers.solve_filter_qcqp(prob)
+    assert sol.status == solvers.STATUS_OPTIMAL
+    # the slab contains the ball's center, so the projection clips V_x, then scales the rest onto the ball
+    expected = np.array(v_ref)
+    expected[0] = np.clip(expected[0], -1e-6, 1e-6)
+    expected[1:] *= min(1.0, np.sqrt(1.0 - expected[0] ** 2) / np.linalg.norm(expected[1:]))
+    assert np.abs(sol.twist - expected).max() < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sliver_of_a_steep_cylinder_is_projected(seed):
+    # ||s (V - p)_xy|| <= s rho with s = 1e3 overlaps the unit ball in a lens 1e-6 deep: the dual
+    # Hessian's diagonal spans 1e11, beyond lstsq's rank cutoff, and g's rounding outgrows FEAS_RTOL
+    s, rho, delta = 1e3, 0.5, -1e-6
+    f = s * E[:2]
+    fp = f @ ((1.0 + rho + delta) * E[0])
+    v_ref = np.random.default_rng(seed).normal(size=6)
+    prob = solvers.FilterProblem(v_ref, 1.0, f[None], -2.0 * (f.T @ fp)[None], np.array([fp @ fp - (s * rho) ** 2]))
+    sol = solvers.solve_filter_qcqp(prob)
+    assert sol.status == solvers.STATUS_OPTIMAL
+    assert np.abs(sol.twist - E[0]).max() < 2e-3
 
 
 def test_determinism_bit_identical():
@@ -222,7 +268,7 @@ def test_determinism_bit_identical():
     a = solvers.solve_filter_qcqp(prob)
     b = solvers.solve_filter_qcqp(prob)
     assert np.array_equal(a.twist, b.twist)
-    assert a.kkt_residual == b.kkt_residual
+    assert a.status == b.status and a.active_set == b.active_set
 
 
 def test_qp_scaling_sanity():
@@ -233,7 +279,7 @@ def test_qp_scaling_sanity():
         if sol.status != solvers.STATUS_OPTIMAL:
             continue
         c = 2.5
-        scaled = solvers.FilterProblem(c * prob.v_ref, c * prob.v_max, prob.a[:-1], prob.b[:-1], c * prob.c[:-1])
+        scaled = solvers.FilterProblem(c * prob.v_ref, c * prob.v_max, prob.f, prob.b[:-1], c * prob.c[:-1])
         sol_c = solvers.solve_filter_qp(scaled)
         assert sol_c.status == solvers.STATUS_OPTIMAL
         assert np.abs(sol_c.twist - c * sol.twist).max() < 1e-8
