@@ -360,11 +360,11 @@ def random_qcqp_problem(rng: np.random.Generator, n_con: int = 3) -> solvers.Fil
     return solvers.FilterProblem(v_ref, v_max, np.array(f), np.array(b), np.array(c))
 
 
-def min_max_value(problem: solvers.FilterProblem, rng: np.random.Generator, starts: int = 4) -> float:
+def min_max_value(problem: solvers.FilterProblem, rng: np.random.Generator) -> float:
     """Least value over V of ``max_i g_i(V)``, every stacked row and the speed ball included.
 
-    Multi-start SLSQP on the epigraph form ``min t`` subject to
-    ``t - g_i(V) >= 0``. The value is read as ``max_i g_i`` at the best
+    SLSQP on the epigraph form ``min t`` subject to ``t - g_i(V) >= 0``,
+    started from 0, ``v_ref`` and two random twists. The value is read as ``max_i g_i`` at the best
     point found, so it bounds the true least value from above, up to
     rounding; every g_i is convex, so a converged search attains it. The
     admissible set is empty exactly when this value is positive, and has
@@ -381,7 +381,7 @@ def min_max_value(problem: solvers.FilterProblem, rng: np.random.Generator, star
         "jac": lambda x: np.hstack([-(2.0 * a @ x[:6] + b), np.ones((c.shape[0], 1))]),
     }
     best = np.inf
-    for v0 in [np.zeros(6), problem.v_ref] + [rng.normal(size=6) * problem.v_max for _ in range(starts - 2)]:
+    for v0 in [np.zeros(6), problem.v_ref] + [rng.normal(size=6) * problem.v_max for _ in range(2)]:
         x0 = np.append(v0, g(v0).max())
         res = minimize(
             lambda x: x[6], x0, jac=lambda x: np.eye(7)[6], method="SLSQP", constraints=[cons],
@@ -391,11 +391,11 @@ def min_max_value(problem: solvers.FilterProblem, rng: np.random.Generator, star
     return best
 
 
-def near_empty_problems(rng: np.random.Generator, n_random: int = 100, directions: int = 3):
+def near_empty_problems(rng: np.random.Generator):
     """Problems at the edge of emptiness, in factor form, then random ones.
 
     Engineered families, each at a gap ``delta`` in (1e-3, 1e-6, 0,
-    -1e-6, -1e-3) along a random unit direction u (empty for delta > 0,
+    -1e-6, -1e-3) along three random unit directions u (empty for delta > 0,
     a point or a hyperplane at 0, a sliver with interior below 0):
 
     * ``ball``: a ball of radius rho centred at ``(v_max + rho + delta) u``;
@@ -404,10 +404,10 @@ def near_empty_problems(rng: np.random.Generator, n_random: int = 100, direction
     * ``cylinder``: ``||s G (V - p)|| <= s rho`` with orthonormal rank-2 G,
       u in G's row space, ``p = (v_max + rho + delta) u`` and s up to 1.5e3.
 
-    The random problems stack 1-5 rows with factors of 0, 1, 2 or 6 rows.
+    The 100 random problems stack 1-5 rows with factors of 0, 1, 2 or 6 rows.
     """
     for delta in (1e-3, 1e-6, 0.0, -1e-6, -1e-3):
-        for _ in range(directions):
+        for _ in range(3):
             u = rng.normal(size=6)
             u /= np.linalg.norm(u)
             v_ref, v_max, rho = rng.normal(size=6), 1.0 + float(rng.uniform()), float(rng.uniform(0.1, 1.0))
@@ -419,7 +419,7 @@ def near_empty_problems(rng: np.random.Generator, n_random: int = 100, direction
             f = s * np.linalg.qr(np.column_stack([u, rng.normal(size=6)]))[0].T
             fp = f @ p
             yield solvers.FilterProblem(v_ref, v_max, f[None], -2.0 * (f.T @ fp)[None], np.array([fp @ fp - (s * rho) ** 2]))
-    for _ in range(n_random):
+    for _ in range(100):
         k = int(rng.integers(1, 6))
         r = int(rng.choice([0, 1, 2, 6]))
         f = rng.normal(size=(k, r, 6)) * float(rng.uniform(0.1, 3.0))
@@ -429,19 +429,16 @@ def near_empty_problems(rng: np.random.Generator, n_random: int = 100, direction
 
 
 def solver_suite(
-    seed: int = 0,
-    n_qp: int = 1000,
-    n_qcqp: int = 200,
-    qp_tol: float = 1e-6,
-    qcqp_tol: float = 1e-4,
-    n_hold: int = 100,
+    seed: int = 0, n_qp: int = 1000, n_qcqp: int = 200, qp_tol: float = 1e-6, qcqp_tol: float = 1e-4
 ) -> SuiteReport:
     """Filter solvers vs enumeration (QP), multi-start search (QCQP) and the least constraint value (holds).
 
     Every ``fallback_hold:infeasible`` must have a least value (see
     :func:`min_max_value`) above 0, every ``no_convergence`` hold one of at
     least -1e-9, and no hold of any kind one below -1e-6, over the
-    problems of :func:`near_empty_problems`.
+    problems of :func:`near_empty_problems`. The filters certify their
+    own optima, so the certification failures counted are the
+    ``fallback_hold:certification`` holds of the QP and QCQP instances.
     """
     rng = make_rng(seed)
     lines = []
@@ -456,13 +453,10 @@ def solver_suite(
         ref, _ = enumerate_projection_qp(problem)
         if sol.status != solvers.STATUS_OPTIMAL:
             qp_holds += 1
+            cert_failures += sol.status == solvers.HOLD_CERTIFICATION
             if ref is None:
                 qp_infeasible_agree += 1
             continue
-        try:
-            solvers.certify(sol, problem)
-        except Exception:
-            cert_failures += 1
         if ref is None:
             worst_qp = np.inf
             continue
@@ -482,13 +476,10 @@ def solver_suite(
         ref, ref_obj = multistart_qcqp(problem, rng)
         if sol.status != solvers.STATUS_OPTIMAL:
             qcqp_holds += 1
+            cert_failures += sol.status == solvers.HOLD_CERTIFICATION
             if ref is not None:
                 worst_qcqp = np.inf
             continue
-        try:
-            solvers.certify(sol, problem)
-        except Exception:
-            cert_failures += 1
         if ref is None:
             continue
         obj = float((sol.twist - problem.v_ref) @ (sol.twist - problem.v_ref))
@@ -502,7 +493,7 @@ def solver_suite(
     lines.append(f"certification failures: {cert_failures}")
 
     holds = {solvers.HOLD_INFEASIBLE: [], solvers.HOLD_NO_CONVERGENCE: [], solvers.HOLD_CERTIFICATION: []}
-    problems = list(near_empty_problems(rng, n_random=n_hold))
+    problems = list(near_empty_problems(rng))
     for problem in problems:
         sol = solvers.solve_filter_qcqp(problem)
         if sol.status != solvers.STATUS_OPTIMAL:

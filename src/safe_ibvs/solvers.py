@@ -41,7 +41,7 @@ HOLD_CERTIFICATION = f"{STATUS_FALLBACK}:certification"
 
 # active-set detection and certification tolerances
 ACTIVE_SLACK_TOL = 1e-6
-CERT_FEAS_TOL = 1e-7
+CERT_FEAS_TOL = qcqp.FEAS_ATOL  # the solve's own bound on g, so no answer fails on violation alone
 CERT_STAT_TOL = 1e-6
 CERT_COMP_TOL = 1e-6
 

@@ -239,11 +239,16 @@ def test_halfwidth_numeric_handles_correlation():
     assert abs(box_probability_quadrature(e, cov) - 0.8) < 1e-6
 
 
-def test_halfwidth_numeric_agrees_with_closed_form():
+def test_halfwidth_numeric_agrees_with_closed_form(monkeypatch):
     # any nonzero off-diagonal takes the bisection on box_probability; exactly zero takes the closed form
+    calls = []
+    box_probability = barrier.box_probability
+    monkeypatch.setattr(barrier, "box_probability", lambda e, cov: calls.append(e) or box_probability(e, cov))
     closed = barrier.noise_box_halfwidth(0.85, np.diag([1.3, 0.4]))
+    assert not calls
     numeric = barrier.noise_box_halfwidth(0.85, np.array([[1.3, 1e-300], [1e-300, 0.4]]))
-    assert closed != numeric and abs(closed - numeric) < 1e-8
+    assert calls
+    assert abs(closed - numeric) < 1e-8
 
 
 def test_halfwidth_degenerate_axis():

@@ -262,6 +262,21 @@ def test_sliver_of_a_steep_cylinder_is_projected(seed):
     assert np.abs(sol.twist - E[0]).max() < 2e-3
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_active_steep_cylinder_is_projected(seed):
+    # factor scale 3e3 puts Gram entries near 1e7, and g's rounding on the active row (eps |c| = 2.4e-9)
+    # above 1e-9; the solve's absolute gate on g is certify's own, so no such answer is held
+    s, rho = 3e3, 0.5
+    f = s * E[:2]
+    fp = f @ (1.2 * E[0])
+    v_ref = 0.3 * np.random.default_rng(seed).normal(size=6)
+    prob = solvers.FilterProblem(v_ref, 1.0, f[None], -2.0 * (f.T @ fp)[None], np.array([fp @ fp - (s * rho) ** 2]))
+    sol = solvers.solve_filter_qcqp(prob)
+    assert sol.status == solvers.STATUS_OPTIMAL
+    assert 0 in sol.active_set
+    assert abs(np.hypot(sol.twist[0] - 1.2, sol.twist[1]) - rho) < 1e-9
+
+
 def test_determinism_bit_identical():
     rng = make_rng(31)
     prob = random_qcqp_problem(rng)
