@@ -18,14 +18,15 @@ Otherwise projected Newton ascends the concave dual
 d(lambda) = L(V(lambda), lambda), whose gradient is g(V) and whose
 Hessian is -0.5 G M^-1 G' for the stacked constraint gradients G, over
 the multipliers that are positive or whose constraint is violated (the
-dual approach of Goldfarb & Idnani, Math. Prog. 27, 1983). When that
-Hessian is rank-deficient to ``lstsq``, the step is solved again on its
-Jacobi-scaled form, and the dual, linear along what stays null, is
-followed there until a multiplier reaches zero (two opposed half-spaces
-that both carry a multiplier need this). Each step is cut back until
-the dual value rises (Armijo). At the dual optimum V is the exact
-projection. Every call starts from lambda = 0 and keeps no state
-between calls.
+dual approach of Goldfarb & Idnani, Math. Prog. 27, 1983). One inverse
+of M per trial point gives V(lambda) and the next Hessian; a system of
+one multiplier is solved as g/h. When the Hessian is rank-deficient to
+``lstsq``, the step is solved again on its Jacobi-scaled form, and the
+dual, linear along what stays null, is followed there until a multiplier
+reaches zero (two opposed half-spaces that both carry a multiplier need
+this). Each step is cut back until the dual value rises (Armijo). At the
+dual optimum V is the exact projection. Every call starts from
+lambda = 0 and keeps no state between calls.
 
 The solve holds, returning a reason instead of a twist, in two cases,
 each reason starting with its own first word:
@@ -34,9 +35,9 @@ each reason starting with its own first word:
   proves the feasible set empty (:func:`phase_one`);
 * the multipliers do not converge within ``MAX_ITER`` steps, as when the
   feasible set has no interior and the multipliers grow without bound,
-  or grow so large that M rounds to a singular matrix. At the step cap
-  V is still kept when g is zero up to the rounding its own solve
-  carries into g.
+  or grow so large that M rounds to a singular matrix. At the step cap,
+  or after two steps that raise the dual only within its rounding, V is
+  kept when g is zero up to the rounding its own solve carries into g.
 """
 
 from __future__ import annotations
@@ -66,35 +67,26 @@ def evaluate(a: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray) -> tupl
     return ax @ x + b @ x + c, 2.0 * ax + b
 
 
-def phase_one(dual_value: float, v_ref: np.ndarray, v_max: float) -> str:
+def phase_one(dual_value: float, bound: float) -> str:
     """Weak-duality infeasibility test: a reason to hold once ``dual_value`` proves the set empty, else "".
 
     Every admissible twist lies in the speed ball, so its squared distance
-    to ``v_ref`` is at most ``(||v_ref|| + v_max)^2``, and by weak duality
-    every dual value is at most the squared distance of the projection. A
-    dual value above the bound therefore leaves no admissible twist. This
-    is the infeasibility stage of the solve, the role a phase-I search
-    plays in interior-point methods; it keeps that name because the
+    to ``v_ref`` is at most ``bound = (||v_ref|| + v_max)^2``, and by weak
+    duality every dual value is at most the squared distance of the
+    projection. A dual value above the bound therefore leaves no admissible
+    twist. This is the infeasibility stage of the solve, the role a phase-I
+    search plays in interior-point methods; it keeps that name because the
     benchmark's traced run times ``qcqp.phase_one`` by name.
     """
-    bound = (float(np.linalg.norm(v_ref)) + v_max) ** 2
     if dual_value > bound:
         return f"{INFEASIBLE}: dual value {dual_value:.3e} exceeds the bound (||v_ref|| + v_max)^2 = {bound:.3e}"
     return ""
 
 
-def _minimiser(v_ref, a, b, c, lam):
-    """M, the Lagrangian's minimiser V, g(V), g's gradients, the size of each g_i's terms, d(lambda) and d's size."""
-    if lam.any():
-        m_mat = np.eye(v_ref.shape[0]) + np.tensordot(lam, a, 1)
-        x = np.linalg.solve(m_mat, v_ref - 0.5 * (lam @ b))
-    else:
-        m_mat, x = None, v_ref.copy()
-    g, grads = evaluate(a, b, c, x)
-    ax = np.abs(x)
-    sizes = (np.abs(a) @ ax) @ ax + np.abs(b) @ ax + np.abs(c)
-    dist = float((x - v_ref) @ (x - v_ref))
-    return m_mat, x, g, grads, sizes, dist + float(lam @ g), dist + float(lam @ sizes)
+def _settled(x, g, grads, sizes, residual) -> bool:
+    """Whether g is zero up to the rounding V's own solve carries into g: the test for a stalled or capped solve."""
+    rounding = sizes + np.linalg.norm(grads, axis=1) * np.linalg.norm(x)
+    return bool(np.all(residual <= FEAS_RTOL * rounding) and np.all(g <= FEAS_ATOL))
 
 
 def solve(
@@ -106,57 +98,79 @@ def solve(
     otherwise it says why the solve holds, starting with
     :data:`INFEASIBLE` or :data:`NO_CONVERGENCE`, and V is zero.
     """
-    lam = np.zeros(c.shape[0])
-    m_mat, x, g, grads, sizes, dual, dual_size = _minimiser(v_ref, a, b, c, lam)
+    k, n = a.shape[0], v_ref.shape[0]
+    a_rows, eye = a.reshape(k, n * n), np.eye(n)
+    abs_a, abs_b, abs_c = np.abs(a), np.abs(b), np.abs(c)
+    bound = (float(np.linalg.norm(v_ref)) + v_max) ** 2
+
+    def minimiser(lam):
+        """M^-1, the Lagrangian's minimiser V, g(V), g's gradients, the size of each g_i's terms, d(lambda), d's size."""
+        if lam.any():
+            m_inv = np.linalg.inv(eye + (lam @ a_rows).reshape(n, n))
+            x = m_inv @ (v_ref - 0.5 * (lam @ b))
+        else:
+            m_inv, x = None, v_ref.copy()
+        g, grads = evaluate(a, b, c, x)
+        ax = np.abs(x)
+        sizes = (abs_a @ ax) @ ax + abs_b @ ax + abs_c
+        d = x - v_ref
+        dist = float(d @ d)
+        return m_inv, x, g, grads, sizes, dist + float(lam @ g), dist + float(lam @ sizes)
+
+    lam = np.zeros(k)
+    m_inv, x, g, grads, sizes, dual, dual_size = minimiser(lam)
+    stalls = 0
     try:
         for it in range(MAX_ITER + 1):
             residual = np.where(lam > 0.0, np.abs(g), g)
-            if np.all(residual <= FEAS_RTOL * sizes) and np.all(g <= FEAS_ATOL):
+            if (residual <= FEAS_RTOL * sizes).all() and (g <= FEAS_ATOL).all():
+                return x, ""
+            if stalls >= 2 and _settled(x, g, grads, sizes, residual):
                 return x, ""
             if it == MAX_ITER:
                 break
-            free = np.flatnonzero((lam > 0.0) | (g > 0.0))
+            free = ((lam > 0.0) | (g > 0.0)).nonzero()[0]
             g_free = grads[free]
-            if m_mat is None:
-                hess = 0.5 * (g_free @ g_free.T)
+            hess = 0.5 * (g_free @ (g_free.T if m_inv is None else m_inv @ g_free.T))
+            if free.size == 1 and hess[0, 0] > 0.0:
+                # lstsq's own rank-1 decision for a 1x1 system, without the call
+                step = g[free] / hess[0, 0]
             else:
-                hess = 0.5 * (g_free @ np.linalg.solve(m_mat, g_free.T))
-            step, _, rank, _ = np.linalg.lstsq(hess, g[free], rcond=None)
-            if rank < free.size:
-                # rank-deficient, or rows whose scales differ beyond lstsq's cutoff: solve again with the
-                # rows scaled to a unit diagonal (Jacobi). On what stays null the dual is linear with
-                # slope `drift`: follow it until the first multiplier it lowers reaches zero.
-                scale = np.sqrt(np.diag(hess))
-                scale[scale == 0.0] = 1.0
-                scaled = hess / np.outer(scale, scale)
-                step, _, rank, _ = np.linalg.lstsq(scaled, g[free] / scale, rcond=None)
-                drift = (g[free] / scale - scaled @ step) / scale
-                step = step / scale
-                falling = (drift * scale < -FEAS_RTOL * sizes[free]) & (lam[free] > 0.0)
-                if rank < free.size and falling.any():
-                    step = step + drift * np.min(lam[free][falling] / -drift[falling])
+                step, _, rank, _ = np.linalg.lstsq(hess, g[free], rcond=None)
+                if rank < free.size:
+                    # rank-deficient, or rows whose scales differ beyond lstsq's cutoff: solve again with the
+                    # rows scaled to a unit diagonal (Jacobi). On what stays null the dual is linear with
+                    # slope `drift`: follow it until the first multiplier it lowers reaches zero.
+                    scale = np.sqrt(np.diag(hess))
+                    scale[scale == 0.0] = 1.0
+                    scaled = hess / np.outer(scale, scale)
+                    step, _, rank, _ = np.linalg.lstsq(scaled, g[free] / scale, rcond=None)
+                    drift = (g[free] / scale - scaled @ step) / scale
+                    step = step / scale
+                    falling = (drift * scale < -FEAS_RTOL * sizes[free]) & (lam[free] > 0.0)
+                    if rank < free.size and falling.any():
+                        step = step + drift * np.min(lam[free][falling] / -drift[falling])
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 trial = lam.copy()
                 trial[free] = np.maximum(lam[free] + t * step, 0.0)
-                point = _minimiser(v_ref, a, b, c, trial)
+                point = minimiser(trial)
                 trial_dual, trial_size = point[5:]
                 if trial_dual >= dual + ARMIJO * float(g @ (trial - lam)) - ROUNDING * max(dual_size, trial_size):
                     break
                 t *= 0.5
             else:
                 break
+            # a rise within the dual's rounding: lambda moves only in its last bits
+            stalls = stalls + 1 if trial_dual - dual <= ROUNDING * max(dual_size, trial_size) else 0
             lam = trial
-            m_mat, x, g, grads, sizes, dual, dual_size = point
-            reason = phase_one(dual, v_ref, v_max)
+            m_inv, x, g, grads, sizes, dual, dual_size = point
+            reason = phase_one(dual, bound)
             if reason:
                 return np.zeros_like(x), reason
     except np.linalg.LinAlgError as exc:
         # multipliers so large that I + sum_i lambda_i A_i rounds to a singular matrix
         return np.zeros_like(x), f"{NO_CONVERGENCE}: the multipliers diverged ({exc})"
-    # out of steps: keep V if g is zero up to the rounding that V's own solve carries into g (the
-    # loop itself stops only at the tighter test, which a Newton step that still gains reaches)
-    rounding = sizes + np.linalg.norm(grads, axis=1) * np.linalg.norm(x)
-    if np.all(residual <= FEAS_RTOL * rounding) and np.all(g <= FEAS_ATOL):
+    if _settled(x, g, grads, sizes, residual):
         return x, ""
     return np.zeros_like(x), f"{NO_CONVERGENCE} after {it} dual Newton steps (residual {residual.max():.3e})"

@@ -137,7 +137,7 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     n = a.shape[1]
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    tol = 10.0 * np.finfo(float).eps * max(a.shape) * max(float(np.abs(a).sum(axis=0).max()), 1.0)
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * float(np.abs(a).sum(axis=0).max(initial=1.0))
     for _ in range(3 * n):
         w = a.T @ (b - a @ x)
         w[passive] = -np.inf
@@ -164,8 +164,9 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
     """Independently re-check a filter solution against its problem.
 
     Recomputes constraint slacks, finds best nonnegative multipliers by
-    least squares (:func:`nnls`, independent of the solver's duals), and
-    checks stationarity and complementary slackness.
+    least squares (:func:`nnls` on the unit-norm constraint gradients,
+    independent of the solver's duals), and checks stationarity and
+    complementary slackness.
     Raises :class:`CertificationFailed` when any tolerance is exceeded
     or any checked number is not finite; hold-static solutions are
     rejected outright (nothing to certify).
@@ -184,7 +185,12 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
         raise CertificationFailed(f"speed {speed} exceeds bound {problem.v_max}")
 
     grad_obj = 2.0 * (v - problem.v_ref)
-    duals, residual = nnls(grads.T, -grad_obj)
+    # fit on unit columns, so no row's scale keeps it out of NNLS (x >= 0 is invariant under positive
+    # column scaling); a zero gradient keeps dual 0
+    norms = np.linalg.norm(grads, axis=1)
+    duals, nonzero = np.zeros(norms.shape[0]), norms > 0.0
+    duals[nonzero], residual = nnls(grads[nonzero].T / norms[nonzero], -grad_obj)
+    duals[nonzero] /= norms[nonzero]
     scale = 1.0 + float(np.linalg.norm(grad_obj))
     if not residual <= CERT_STAT_TOL * scale:
         raise CertificationFailed(f"stationarity residual {residual:.3e} > {CERT_STAT_TOL:.0e} * {scale:.3e}")

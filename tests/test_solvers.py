@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_properties import factor_problems
 
-from safe_ibvs import solvers
+from safe_ibvs import qcqp, solvers
 from safe_ibvs.errors import CertificationFailed
 from safe_ibvs.oracles import (
     enumerate_projection_qp,
@@ -234,12 +236,26 @@ def test_filter_holds_with_the_certification_text(monkeypatch):
     assert sol.message == "stationarity residual 1e-3 > 1e-6"
 
 
-@pytest.mark.parametrize("v_ref", [[0.3, 0.8, 0.3, -1.3, 0.9, 0.4], [2.0, -2.6, 0.4, -0.6, -0.5, -0.2]])
+def slab(v_ref):
+    """|V_x| <= 1e-6 in the unit ball: two opposed half-spaces whose gradients cancel."""
+    return solvers.FilterProblem(v_ref, 1.0, *halfspaces((E[0], -1e-6), (-E[0], -1e-6)))
+
+
+SLAB_REFS = [[0.3, 0.8, 0.3, -1.3, 0.9, 0.4], [2.0, -2.6, 0.4, -0.6, -0.5, -0.2]]
+
+
+def cylinder(s, center, rho, v_ref):
+    """``||s (V - center)_xy|| <= s rho`` in the unit ball: a rank-2 factor of scale s."""
+    f = s * E[:2]
+    fp = f @ center
+    return solvers.FilterProblem(v_ref, 1.0, f[None], -2.0 * (f.T @ fp)[None], np.array([fp @ fp - (s * rho) ** 2]))
+
+
+@pytest.mark.parametrize("v_ref", SLAB_REFS)
 def test_thin_slab_is_projected(v_ref):
-    # |V_x| <= 1e-6: two opposed half-spaces whose gradients cancel, so the dual Hessian is singular
-    # once both carry a multiplier; the dual is linear along its null space
-    prob = solvers.FilterProblem(v_ref, 1.0, *halfspaces((E[0], -1e-6), (-E[0], -1e-6)))
-    sol = solvers.solve_filter_qcqp(prob)
+    # the dual Hessian is singular once both half-spaces carry a multiplier; the dual is linear along
+    # its null space
+    sol = solvers.solve_filter_qcqp(slab(v_ref))
     assert sol.status == solvers.STATUS_OPTIMAL
     # the slab contains the ball's center, so the projection clips V_x, then scales the rest onto the ball
     expected = np.array(v_ref)
@@ -252,11 +268,7 @@ def test_thin_slab_is_projected(v_ref):
 def test_sliver_of_a_steep_cylinder_is_projected(seed):
     # ||s (V - p)_xy|| <= s rho with s = 1e3 overlaps the unit ball in a lens 1e-6 deep: the dual
     # Hessian's diagonal spans 1e11, beyond lstsq's rank cutoff, and g's rounding outgrows FEAS_RTOL
-    s, rho, delta = 1e3, 0.5, -1e-6
-    f = s * E[:2]
-    fp = f @ ((1.0 + rho + delta) * E[0])
-    v_ref = np.random.default_rng(seed).normal(size=6)
-    prob = solvers.FilterProblem(v_ref, 1.0, f[None], -2.0 * (f.T @ fp)[None], np.array([fp @ fp - (s * rho) ** 2]))
+    prob = cylinder(1e3, (1.5 - 1e-6) * E[0], 0.5, np.random.default_rng(seed).normal(size=6))
     sol = solvers.solve_filter_qcqp(prob)
     assert sol.status == solvers.STATUS_OPTIMAL
     assert np.abs(sol.twist - E[0]).max() < 2e-3
@@ -266,15 +278,11 @@ def test_sliver_of_a_steep_cylinder_is_projected(seed):
 def test_active_steep_cylinder_is_projected(seed):
     # factor scale 3e3 puts Gram entries near 1e7, and g's rounding on the active row (eps |c| = 2.4e-9)
     # above 1e-9; the solve's absolute gate on g is certify's own, so no such answer is held
-    s, rho = 3e3, 0.5
-    f = s * E[:2]
-    fp = f @ (1.2 * E[0])
-    v_ref = 0.3 * np.random.default_rng(seed).normal(size=6)
-    prob = solvers.FilterProblem(v_ref, 1.0, f[None], -2.0 * (f.T @ fp)[None], np.array([fp @ fp - (s * rho) ** 2]))
+    prob = cylinder(3e3, 1.2 * E[0], 0.5, 0.3 * np.random.default_rng(seed).normal(size=6))
     sol = solvers.solve_filter_qcqp(prob)
     assert sol.status == solvers.STATUS_OPTIMAL
     assert 0 in sol.active_set
-    assert abs(np.hypot(sol.twist[0] - 1.2, sol.twist[1]) - rho) < 1e-9
+    assert abs(np.hypot(sol.twist[0] - 1.2, sol.twist[1]) - 0.5) < 1e-9
 
 
 def test_determinism_bit_identical():
@@ -340,3 +348,148 @@ def test_nnls_matches_scipy_residual():
         assert np.all(x >= 0.0)
         assert residual == pytest.approx(float(np.linalg.norm(a @ x - b)), abs=1e-15)
         assert abs(residual - scipy_nnls(a, b)[1]) <= 1e-12
+
+
+def reference_solve(v_ref, a, b, c, v_max):
+    """``qcqp.solve`` as it was before one factorisation per iterate: kept to check that solve against.
+
+    It solves M twice per iterate, calls ``lstsq`` on every Newton system
+    and stops only at the tight test or at ``MAX_ITER``. Returns V, the
+    first word of the reason, and the final M.
+    """
+
+    def minimiser(lam):
+        if lam.any():
+            m_mat = np.eye(v_ref.shape[0]) + np.tensordot(lam, a, 1)
+            x = np.linalg.solve(m_mat, v_ref - 0.5 * (lam @ b))
+        else:
+            m_mat, x = None, v_ref.copy()
+        g, grads = qcqp.evaluate(a, b, c, x)
+        ax = np.abs(x)
+        sizes = (np.abs(a) @ ax) @ ax + np.abs(b) @ ax + np.abs(c)
+        dist = float((x - v_ref) @ (x - v_ref))
+        return m_mat, x, g, grads, sizes, dist + float(lam @ g), dist + float(lam @ sizes)
+
+    lam = np.zeros(c.shape[0])
+    m_mat, x, g, grads, sizes, dual, dual_size = minimiser(lam)
+    m_last = np.eye(v_ref.shape[0])
+    try:
+        for it in range(qcqp.MAX_ITER + 1):
+            residual = np.where(lam > 0.0, np.abs(g), g)
+            if np.all(residual <= qcqp.FEAS_RTOL * sizes) and np.all(g <= qcqp.FEAS_ATOL):
+                return x, "", m_last
+            if it == qcqp.MAX_ITER:
+                break
+            free = np.flatnonzero((lam > 0.0) | (g > 0.0))
+            g_free = grads[free]
+            if m_mat is None:
+                hess = 0.5 * (g_free @ g_free.T)
+            else:
+                hess = 0.5 * (g_free @ np.linalg.solve(m_mat, g_free.T))
+            step, _, rank, _ = np.linalg.lstsq(hess, g[free], rcond=None)
+            if rank < free.size:
+                scale = np.sqrt(np.diag(hess))
+                scale[scale == 0.0] = 1.0
+                scaled = hess / np.outer(scale, scale)
+                step, _, rank, _ = np.linalg.lstsq(scaled, g[free] / scale, rcond=None)
+                drift = (g[free] / scale - scaled @ step) / scale
+                step = step / scale
+                falling = (drift * scale < -qcqp.FEAS_RTOL * sizes[free]) & (lam[free] > 0.0)
+                if rank < free.size and falling.any():
+                    step = step + drift * np.min(lam[free][falling] / -drift[falling])
+            t = 1.0
+            for _ in range(qcqp.MAX_HALVINGS):
+                trial = lam.copy()
+                trial[free] = np.maximum(lam[free] + t * step, 0.0)
+                point = minimiser(trial)
+                trial_dual, trial_size = point[5:]
+                bar = dual + qcqp.ARMIJO * float(g @ (trial - lam)) - qcqp.ROUNDING * max(dual_size, trial_size)
+                if trial_dual >= bar:
+                    break
+                t *= 0.5
+            else:
+                break
+            lam = trial
+            m_mat, x, g, grads, sizes, dual, dual_size = point
+            m_last = m_mat if m_mat is not None else m_last
+            if dual > (float(np.linalg.norm(v_ref)) + v_max) ** 2:
+                return np.zeros_like(x), qcqp.INFEASIBLE, m_last
+    except np.linalg.LinAlgError:
+        return np.zeros_like(x), qcqp.NO_CONVERGENCE, m_last
+    rounding = sizes + np.linalg.norm(grads, axis=1) * np.linalg.norm(x)
+    if np.all(residual <= qcqp.FEAS_RTOL * rounding) and np.all(g <= qcqp.FEAS_ATOL):
+        return x, "", m_last
+    return np.zeros_like(x), qcqp.NO_CONVERGENCE, m_last
+
+
+def assert_matches_reference(prob):
+    args = (prob.v_ref, prob.a, prob.b, prob.c, prob.v_max)
+    v, reason = qcqp.solve(*args)
+    ref, ref_reason, m_mat = reference_solve(*args)
+    # which hold a divergent solve reports (the bound, or M singular at multipliers near 1e60) is rounding
+    assert bool(reason) == bool(ref_reason)
+    # plus the rounding that solving with M carries into V, which no order of operations avoids
+    rounding = np.finfo(float).eps * np.linalg.cond(m_mat) * np.linalg.norm(ref)
+    assert np.abs(v - ref).max() <= 1e-10 * (1.0 + np.linalg.norm(prob.v_ref)) + rounding
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(factor_problems())
+def test_solve_matches_the_reference_on_factor_problems(problem):
+    assert_matches_reference(problem)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [slab(v_ref) for v_ref in SLAB_REFS]
+    + [cylinder(1e3, (1.5 - 1e-6) * E[0], 0.5, np.random.default_rng(seed).normal(size=6)) for seed in range(3)]
+    + [cylinder(3e3, 1.2 * E[0], 0.5, 0.3 * np.random.default_rng(seed).normal(size=6)) for seed in range(3)],
+)
+def test_solve_matches_the_reference_on_slab_and_cylinders(prob):
+    assert_matches_reference(prob)
+
+
+@pytest.mark.parametrize("v_ref", SLAB_REFS)
+def test_stalled_slab_solve_stops_early(v_ref, monkeypatch):
+    # near the optimum the slab's multipliers only move in their last bits; the parent took 30 steps
+    steps = []
+    phase_one = qcqp.phase_one
+    monkeypatch.setattr(qcqp, "phase_one", lambda *args: steps.append(args) or phase_one(*args))
+    sol = solvers.solve_filter_qcqp(slab(v_ref))
+    assert sol.status == solvers.STATUS_OPTIMAL
+    assert 0 < len(steps) <= 10
+
+
+def test_one_factorisation_per_trial_point(monkeypatch):
+    # one rank-2 PrCBC-like row that v_ref violates: every Newton system is 1x1, so the only LAPACK
+    # call left is M's factorisation, one per trial point with a nonzero multiplier
+    counts = {"factorisations": 0, "points": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("inv", "solve", "lstsq", "cholesky", "qr", "svd", "eig", "eigh", "pinv", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), "factorisations"))
+    monkeypatch.setattr(qcqp, "evaluate", counted(qcqp.evaluate, "points"))
+    prob = cylinder(40.0, 0.6 * E[0], 0.1, np.array([0.1, 0.3, -0.2, 0.05, 0.1, 0.0]))
+    v, reason = qcqp.solve(prob.v_ref, prob.a, prob.b, prob.c, prob.v_max)
+    assert reason == "" and np.hypot(v[0] - 0.6, v[1]) == pytest.approx(0.1, abs=1e-9)
+    assert counts["points"] > 2
+    assert counts["factorisations"] == counts["points"] - 1  # the start, lambda = 0, needs none
+
+
+def test_certify_is_independent_of_row_scale():
+    # V_x <= 0.1 scaled by 2.4e-38: the row's NNLS correlation fell below the cutoff, so the exact
+    # projection failed certification with stationarity residual 0.57
+    s = 2.4e-38
+    prob = solvers.FilterProblem(np.array([0.5, 0.1, 0, 0, 0, 0]), 1.0, np.zeros((1, 0, 6)), (s * E[0])[None], [-0.1 * s])
+    sol = solvers.solve_filter_qcqp(prob)
+    assert sol.status == solvers.STATUS_OPTIMAL
+    assert np.abs(sol.twist - np.array([0.1, 0.1, 0, 0, 0, 0])).max() < 1e-12
+    report = solvers.certify(sol, prob)
+    assert report.stationarity_residual == 0.0
+    assert report.duals[0] * s == pytest.approx(0.8)
