@@ -187,10 +187,10 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
     grad_obj = 2.0 * (v - problem.v_ref)
     # fit on unit columns, so no row's scale keeps it out of NNLS (x >= 0 is invariant under positive
     # column scaling); a zero gradient stays zero, so its dual stays 0
-    scale = np.hypot.reduce(grads, axis=1)  # no underflow to 0 for tiny rows
-    scale[scale == 0.0] = 1.0
-    duals, residual = nnls(grads.T / scale, -grad_obj)
-    duals /= scale
+    norms = np.hypot.reduce(grads, axis=1)  # no underflow to 0 for tiny rows
+    norms[norms == 0.0] = 1.0
+    duals, residual = nnls(grads.T / norms, -grad_obj)
+    duals /= norms
     scale = 1.0 + float(np.linalg.norm(grad_obj))
     if not residual <= CERT_STAT_TOL * scale:
         raise CertificationFailed(f"stationarity residual {residual:.3e} > {CERT_STAT_TOL:.0e} * {scale:.3e}")
