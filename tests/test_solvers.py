@@ -351,11 +351,11 @@ def test_nnls_matches_scipy_residual():
 
 
 def reference_solve(v_ref, a, b, c, v_max):
-    """``qcqp.solve`` as it was before one factorisation per iterate: kept to check that solve against.
+    """The dual Newton loop of ``qcqp.solve`` in its plain form, the reference that solve must match.
 
-    It solves M twice per iterate, calls ``lstsq`` on every Newton system
-    and stops only at the tight test or at ``MAX_ITER``. Returns V, the
-    first word of the reason, and the final M.
+    It solves with M twice per iterate, calls ``lstsq`` on every Newton
+    system and stops only at the tight test or at ``MAX_ITER``. Returns V,
+    the first word of the reason, and the last M.
     """
 
     def minimiser(lam):
@@ -451,7 +451,8 @@ def test_solve_matches_the_reference_on_slab_and_cylinders(prob):
 
 @pytest.mark.parametrize("v_ref", SLAB_REFS)
 def test_stalled_slab_solve_stops_early(v_ref, monkeypatch):
-    # near the optimum the slab's multipliers only move in their last bits; the parent took 30 steps
+    # near the optimum the slab's multipliers only move in their last bits; without the stall exit the
+    # solve runs on to MAX_ITER (30 steps)
     steps = []
     phase_one = qcqp.phase_one
     monkeypatch.setattr(qcqp, "phase_one", lambda *args: steps.append(args) or phase_one(*args))
@@ -483,8 +484,8 @@ def test_one_factorisation_per_trial_point(monkeypatch):
 
 
 def test_certify_is_independent_of_row_scale():
-    # V_x <= 0.1 scaled by 2.4e-38: the row's NNLS correlation fell below the cutoff, so the exact
-    # projection failed certification with stationarity residual 0.57
+    # V_x <= 0.1 scaled by 2.4e-38: fitted on the raw gradients, the row's NNLS correlation is below the
+    # cutoff, and the exact projection would fail certification with stationarity residual 0.57
     s = 2.4e-38
     prob = solvers.FilterProblem(np.array([0.5, 0.1, 0, 0, 0, 0]), 1.0, np.zeros((1, 0, 6)), (s * E[0])[None], [-0.1 * s])
     sol = solvers.solve_filter_qcqp(prob)
