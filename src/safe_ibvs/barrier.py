@@ -247,9 +247,11 @@ def box_probability(e: float, cov: np.ndarray) -> float:
         return math.erf(min(e, e * a / abs(b)) / (math.sqrt(2.0) * sx))
     half = min(e / sx, _U_MAX)
     breaks = list(np.linspace(-half, half, math.ceil(2.0 * half) + 1))
-    slope = b / sx  # conditional mean of the narrow axis per standard unit of the wide one
-    if slope != 0.0:
-        crossing, width = e / abs(slope), math.sqrt(cond_var) / abs(slope)
+    slope = float(b) / sx  # conditional mean of the narrow axis per standard unit of the wide one
+    # a subnormal slope puts the crossing at inf (Python floats overflow without a warning): no break to grade
+    crossing = float(e) / abs(slope) if slope != 0.0 else math.inf
+    if math.isfinite(crossing):
+        width = math.sqrt(cond_var) / abs(slope)
         offsets = [0.0]
         while offsets[-1] < crossing + half:
             offsets.append(width * 2.0 ** (len(offsets) - 1))

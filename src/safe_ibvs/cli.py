@@ -98,6 +98,10 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _format_stat(x) -> str:
+    return "undefined" if x is None else f"{x:.4g}"
+
+
 def _cmd_sweep(args) -> int:
     try:
         if args.trials < 1:
@@ -146,7 +150,7 @@ def _cmd_sweep(args) -> int:
     for row in result.aggregate_rows():
         print(
             f"location {row['location_index']} ({row['loc_x']:.3g}, {row['loc_y']:.3g}, {row['loc_z']:.3g}): "
-            f"mean_dis={row['mean_dis']:.4g} var_dis={row['var_dis']:.4g} "
+            f"mean_dis={_format_stat(row['mean_dis'])} var_dis={_format_stat(row['var_dis'])} "
             f"violations={row['violations']} aborted={row['aborted']}"
         )
     print(f"wrote {out_dir / 'aggregate.csv'} plus {len(result.logs)} trial logs")

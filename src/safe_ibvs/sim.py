@@ -8,16 +8,19 @@ build the ``(m, 2, 6)`` interaction matrices, plan the nominal twist
 over the horizon, build the mode-appropriate occlusion constraints as
 stacked factor arrays, execute the filter's certified projection of the
 nominal twist or its typed hold (``V = 0``), log the true margins and
-clearances, then advance the camera pose and obstacle clock. Everything
-is driven by a counter-based generator keyed on the scenario seed, so a
-(scenario, seed) pair reproduces bit-identical logs.
+clearances as one row of the trial's float table (:func:`columns`), then
+advance the camera pose and obstacle clock. The CSV and the summary are
+read off that table. Everything is driven by a counter-based generator
+keyed on the scenario seed, so a (scenario, seed) pair reproduces
+bit-identical logs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +51,27 @@ from .solvers import STATUS_FALLBACK, FilterProblem, solve_filter_qp, solve_filt
 CSV_FLOAT_FMT = "{:.17g}"
 
 
+def columns(m: int) -> list[str]:
+    """The ``17 + m`` float columns of a trial's table, in CSV order; the CSV appends ``filter_status``.
+
+    ``h_i`` are the true occlusion margins, ``min_dist`` the smallest normalized feature-obstacle center
+    distance, ``dis_px`` the smallest pixel clearance to the obstacle edge, ``vstar``/``vmpc`` the executed
+    and the planned twist.
+    """
+    return (
+        ["step", "t", "e_norm"]
+        + [f"h_{i}" for i in range(1, m + 1)]
+        + ["min_dist", "dis_px"]
+        + [f"vstar_{i}" for i in range(1, 7)]
+        + [f"vmpc_{i}" for i in range(1, 7)]
+    )
+
+
+def _strict_json(value):
+    """Strict JSON has no Infinity or NaN: a non-finite float becomes ``None`` (null)."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so trials are reproducible and shardable."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -58,20 +82,6 @@ class SimState:
     pose: CameraPose
     t: float = 0.0
     step_index: int = 0
-
-
-@dataclass(eq=False)
-class StepRecord:
-    step: int
-    t: float
-    e_norm: float
-    h: np.ndarray  # (m,) true occlusion margins
-    min_dist: float  # min feature-obstacle center distance, normalized
-    dis_px: float  # min pixel clearance to the obstacle edge
-    v_star: np.ndarray
-    v_mpc: np.ndarray
-    filter_status: str
-    min_row_inf: float
 
 
 @dataclass(eq=False)
@@ -88,49 +98,21 @@ class TrajectorySummary:
     abort_reason: str = ""
 
     def to_dict(self) -> dict:
-        def num(x):
-            # strict JSON has no Infinity/NaN
-            return float(x) if np.isfinite(x) else None
-
-        return {
-            "converged": self.converged,
-            "steps": self.steps,
-            "final_e_norm": num(self.final_e_norm),
-            "min_h": num(self.min_h),
-            "min_dis_px": num(self.min_dis_px),
-            "occlusion_steps": self.occlusion_steps,
-            "fallback_steps": self.fallback_steps,
-            "min_row_inf": num(self.min_row_inf),
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-        }
+        return {k: _strict_json(v) for k, v in asdict(self).items()}
 
 
 @dataclass(eq=False)
 class TrajectoryLog:
     scenario_digest: str
-    records: list[StepRecord] = field(default_factory=list)
-    summary: TrajectorySummary = field(default_factory=TrajectorySummary)
+    m: int
+    table: np.ndarray  # (steps, 17 + m), columns(m) in order
+    status: list[str]  # filter status per step
+    summary: TrajectorySummary
 
     def csv_text(self) -> str:
-        m = self.records[0].h.shape[0] if self.records else 0
-        header = (
-            ["step", "t", "e_norm"]
-            + [f"h_{i + 1}" for i in range(m)]
-            + ["min_dist", "dis_px"]
-            + [f"vstar_{i + 1}" for i in range(6)]
-            + [f"vmpc_{i + 1}" for i in range(6)]
-            + ["filter_status"]
-        )
-        lines = [",".join(header)]
-        for r in self.records:
-            vals = [str(r.step), CSV_FLOAT_FMT.format(r.t), CSV_FLOAT_FMT.format(r.e_norm)]
-            vals += [CSV_FLOAT_FMT.format(x) for x in r.h]
-            vals += [CSV_FLOAT_FMT.format(r.min_dist), CSV_FLOAT_FMT.format(r.dis_px)]
-            vals += [CSV_FLOAT_FMT.format(x) for x in r.v_star]
-            vals += [CSV_FLOAT_FMT.format(x) for x in r.v_mpc]
-            vals.append(r.filter_status)
-            lines.append(",".join(vals))
+        fmt = CSV_FLOAT_FMT.format
+        lines = [",".join(columns(self.m) + ["filter_status"])]
+        lines += [",".join([*map(fmt, row), status]) for row, status in zip(self.table.tolist(), self.status)]
         return "\n".join(lines) + "\n"
 
     def summary_dict(self) -> dict:
@@ -209,12 +191,14 @@ def step(
     state: SimState,
     rng: np.random.Generator,
     truth: tuple[np.ndarray, np.ndarray],
-) -> tuple[SimState, StepRecord]:
-    """Run one closed-loop step and return the advanced state plus record.
+) -> tuple[SimState, np.ndarray, str, float]:
+    """Run one closed-loop step.
 
     ``truth`` is the exact feature projection ``(features, depths)`` at
     ``state.pose``, as :func:`geometry.project_point` returns it for the
-    scenario's ``(m, 3)`` feature points.
+    scenario's ``(m, 3)`` feature points. Returns the advanced state, the
+    step's ``(17 + m,)`` table row, its filter status, and the smallest
+    infinity norm of its barrier rate rows (``inf`` when unfiltered).
     """
     features, depths = truth
     obstacle = obstacle_image_state(sc.obstacle, state.pose, sc.intrinsics, state.t)
@@ -256,22 +240,12 @@ def step(
         pixel_from_normalized(obstacle.center, sc.intrinsics),
         obstacle.radius_px,
     )
-
-    record = StepRecord(
-        step=state.step_index,
-        t=state.t,
-        e_norm=float(np.linalg.norm(e_true)),
-        h=h,
-        min_dist=float(dists.min()),
-        dis_px=float(clearance.min()),
-        v_star=np.asarray(v_star, dtype=float),
-        v_mpc=np.asarray(v_mpc, dtype=float),
-        filter_status=status,
-        min_row_inf=min_row_inf,
+    row = np.concatenate(  # in columns(m) order
+        ([state.step_index, state.t, np.linalg.norm(e_true)], h, [dists.min(), clearance.min()], v_star, v_mpc)
     )
     new_pose = integrate_twist(state.pose, v_star, sc.mpc.dt)
     new_state = SimState(pose=new_pose, t=state.t + sc.mpc.dt, step_index=state.step_index + 1)
-    return new_state, record
+    return new_state, row, status, min_row_inf
 
 
 def run(sc: Scenario) -> TrajectoryLog:
@@ -280,37 +254,42 @@ def run(sc: Scenario) -> TrajectoryLog:
     Each pose's features are projected once: for the convergence check,
     and then by the step that starts from that pose. A package error
     (:class:`SafeIbvsError`) or a ``LinAlgError`` ends the trial early,
-    marked aborted with the error's type and message.
+    marked aborted with the error's type and message. The rows are
+    stacked into the table once, at the end: ``max_steps`` has no upper
+    bound, so no table is preallocated for it.
     """
     rng = make_rng(sc.seed)
     state = SimState(pose=sc.initial_pose)
-    log = TrajectoryLog(scenario_digest=sc.digest())
+    summary = TrajectorySummary()
+    rows, statuses = [], []
 
     final_e = np.inf
     try:
         for k in range(sc.max_steps + 1):
             truth = project_point(state.pose, sc.intrinsics, sc.features_world)
             final_e = float(np.linalg.norm(feature_error(truth[0], sc.target_features)))
-            log.summary.converged = final_e < sc.convergence_tol
-            if log.summary.converged or k == sc.max_steps:
+            summary.converged = final_e < sc.convergence_tol
+            if summary.converged or k == sc.max_steps:
                 break
-            state, record = step(sc, state, rng, truth)
-            log.records.append(record)
+            state, row, status, row_inf = step(sc, state, rng, truth)
+            rows.append(row)
+            statuses.append(status)
+            summary.min_row_inf = min(summary.min_row_inf, row_inf)
     except (SafeIbvsError, np.linalg.LinAlgError) as exc:
-        log.summary.aborted = True
-        log.summary.abort_reason = f"{type(exc).__name__}: {exc}"
+        summary.aborted = True
+        summary.abort_reason = f"{type(exc).__name__}: {exc}"
 
-    log.summary.steps = len(log.records)
-    log.summary.final_e_norm = final_e
-    if log.records:
-        log.summary.min_h = float(min(r.h.min() for r in log.records))
-        log.summary.min_dis_px = float(min(r.dis_px for r in log.records))
-        log.summary.occlusion_steps = int(sum(1 for r in log.records if r.h.min() < 0.0))
-        log.summary.fallback_steps = int(
-            sum(1 for r in log.records if r.filter_status.startswith(STATUS_FALLBACK))
-        )
-        log.summary.min_row_inf = float(min(r.min_row_inf for r in log.records))
-    return log
+    cols = columns(sc.m)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(cols))
+    summary.steps = len(table)
+    summary.final_e_norm = final_e
+    summary.fallback_steps = sum(s.startswith(STATUS_FALLBACK) for s in statuses)
+    if summary.steps:
+        h = table[:, cols.index("h_1") : cols.index("min_dist")]
+        summary.min_h = float(h.min())
+        summary.min_dis_px = float(table[:, cols.index("dis_px")].min())
+        summary.occlusion_steps = int((h < 0.0).any(axis=1).sum())
+    return TrajectoryLog(sc.digest(), sc.m, table, statuses, summary)
 
 
 @dataclass(eq=False)
@@ -324,32 +303,31 @@ class SweepResult:
     logs: list  # flat, ordered by (location, trial)
 
     def aggregate_rows(self) -> list[dict]:
-        rows = []
-        for i, loc in enumerate(self.locations):
-            rows.append(
-                {
-                    "location_index": i,
-                    "loc_x": float(loc[0]),
-                    "loc_y": float(loc[1]),
-                    "loc_z": float(loc[2]),
-                    "trials": int(self.trials_per_location),
-                    "mean_dis": float(np.mean(self.dis[i])),
-                    "var_dis": float(np.var(self.dis[i])),
-                    "violations": int(np.sum(self.violations[i])),
-                    "aborted": int(np.sum(self.aborted[i])),
-                }
-            )
-        return rows
+        """Per-location clearance statistics and counts, as strict JSON values: a trial with no step has
+        clearance ``inf``, which leaves the mean and variance of its location undefined (``None``)."""
+        with np.errstate(invalid="ignore"):  # the variance meets inf - inf there
+            mean, var = self.dis.mean(axis=1), self.dis.var(axis=1)
+        return [
+            {
+                "location_index": i,
+                "loc_x": float(loc[0]),
+                "loc_y": float(loc[1]),
+                "loc_z": float(loc[2]),
+                "trials": int(self.trials_per_location),
+                "mean_dis": _strict_json(float(mean[i])),
+                "var_dis": _strict_json(float(var[i])),
+                "violations": int(np.sum(self.violations[i])),
+                "aborted": int(np.sum(self.aborted[i])),
+            }
+            for i, loc in enumerate(self.locations)
+        ]
 
     def aggregate_csv(self) -> str:
+        """``aggregate_rows`` as CSV; an undefined cell is left empty."""
         cols = ["location_index", "loc_x", "loc_y", "loc_z", "trials", "mean_dis", "var_dis", "violations", "aborted"]
         lines = [",".join(cols)]
         for row in self.aggregate_rows():
-            vals = []
-            for c in cols:
-                v = row[c]
-                vals.append(CSV_FLOAT_FMT.format(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(vals))
+            lines.append(",".join("" if row[c] is None else CSV_FLOAT_FMT.format(row[c]) for c in cols))
         return "\n".join(lines) + "\n"
 
 
@@ -389,21 +367,13 @@ def sweep(
     else:
         logs = [run(s) for s in scenarios]
 
-    n_loc = locations.shape[0]
-    dis = np.empty((n_loc, trials_per_location))
-    violations = np.zeros((n_loc, trials_per_location), dtype=bool)
-    aborted = np.zeros((n_loc, trials_per_location), dtype=bool)
-    for idx, log in enumerate(logs):
-        i, j = divmod(idx, trials_per_location)
-        dis[i, j] = log.summary.min_dis_px
-        violations[i, j] = log.summary.occlusion_steps > 0
-        aborted[i, j] = log.summary.aborted
+    summaries = [log.summary for log in logs]
     return SweepResult(
         locations=locations,
         trials_per_location=trials_per_location,
-        dis=dis,
-        violations=violations,
-        aborted=aborted,
+        dis=np.reshape([s.min_dis_px for s in summaries], seeds.shape),
+        violations=np.reshape([s.occlusion_steps > 0 for s in summaries], seeds.shape),
+        aborted=np.reshape([s.aborted for s in summaries], seeds.shape),
         seeds=seeds,
         logs=logs,
     )

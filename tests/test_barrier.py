@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -249,6 +251,16 @@ def test_halfwidth_numeric_agrees_with_closed_form(monkeypatch):
     numeric = barrier.noise_box_halfwidth(0.85, np.array([[1.3, 1e-300], [1e-300, 0.4]]))
     assert calls
     assert abs(closed - numeric) < 1e-8
+
+
+def test_halfwidth_subnormal_off_diagonal_matches_diagonal():
+    # the edge crossing e / |slope| overflows to inf; grading panels towards it once made the quadrature NaN
+    cov = np.array([[1.6e-4, 5e-320], [5e-320, 4e-5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = barrier.noise_box_halfwidth(0.8, cov)
+    assert e == pytest.approx(barrier.noise_box_halfwidth(0.8, np.diag([1.6e-4, 4e-5])), rel=1e-12)
+    assert e == pytest.approx(0.016480839497191424, rel=1e-12)
 
 
 def test_halfwidth_degenerate_axis():

@@ -1,7 +1,10 @@
+import csv
+import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +143,44 @@ def test_sweep_outputs_and_jobs_independence(tmp_path, small_scenario):
     assert (out1 / "sweep_summary.json").read_bytes() == (out2 / "sweep_summary.json").read_bytes()
     for name in ("trial_00_00.csv", "trial_00_01.csv", "trial_01_00.csv", "trial_01_01.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _reject(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_sweep_summary_is_strict_json_when_a_location_has_no_step(tmp_path, small_scenario):
+    # the second start puts the obstacle behind the camera, so its trials abort before their first step
+    locs = tmp_path / "locs.yaml"
+    locs.write_text(yaml.safe_dump([[0.43, 0.23, 0.10], [0.0, 0.0, 5.0]]))
+    out = tmp_path / "s"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["sweep", "--scenario", small_scenario, "--locations", str(locs), "--trials", "2", "--out", str(out)])
+    assert code == EXIT_ABORT
+    rows = json.loads((out / "sweep_summary.json").read_text(), parse_constant=_reject)["rows"]
+    assert rows[0]["mean_dis"] > 0.0 and rows[0]["var_dis"] >= 0.0 and rows[0]["aborted"] == 0
+    assert rows[1]["mean_dis"] is None and rows[1]["var_dis"] is None and rows[1]["aborted"] == 2
+    with open(out / "aggregate.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    assert float(cells[0]["mean_dis"]) == rows[0]["mean_dis"]
+    assert cells[1]["mean_dis"] == cells[1]["var_dis"] == "" and cells[1]["aborted"] == "2"
+    # every trial CSV shares one header, with or without steps
+    headers = {(out / f"trial_{i:02d}_{j:02d}.csv").read_text().splitlines()[0] for i in range(2) for j in range(2)}
+    assert len(headers) == 1 and "h_4" in headers.pop()
+
+
+def test_check_then_run_subnormal_covariance(tmp_path):
+    # a PSD covariance whose off-diagonal is subnormal: check accepts it, so run must end typed, here converged
+    data = yaml.safe_load(Path(REF_NOISE).read_text())
+    cov = [[40.0, 1.0e-314], [1.0e-314, 10.0]]
+    data["noise"] = {"feature_cov": cov, "obstacle_cov": [[10.0, 0.0], [0.0, 10.0]], "sigma": 0.8}
+    path = tmp_path / "subnormal.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["check", "--scenario", str(path)]) == EXIT_OK
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    summary = json.loads((tmp_path / "o" / "trajectory_summary.json").read_text())
+    assert summary["converged"] and not summary["aborted"]
 
 
 def test_sweep_sigma_needs_noise_model(tmp_path, capsys):

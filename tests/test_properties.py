@@ -116,11 +116,11 @@ def test_checked_scenario_runs_to_a_typed_end(data):
     assume(scenario.validate_scenario(sc) == [])
     log = sim.run(sc)
     s = log.summary
-    assert s.steps == len(log.records) <= sc.max_steps
+    assert s.steps == len(log.table) == len(log.status) <= sc.max_steps
     assert s.converged or s.aborted or s.steps == sc.max_steps
     if s.aborted:
         assert s.abort_reason.split(":")[0] in ABORT_TYPES, s.abort_reason
-    assert {r.filter_status for r in log.records} <= STATUSES
+    assert set(log.status) <= STATUSES
     json.dumps(log.summary_dict(), allow_nan=False)
     log.csv_text()
     # shown by pytest --hypothesis-show-statistics

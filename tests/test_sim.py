@@ -1,3 +1,5 @@
+import csv
+import io
 from dataclasses import replace
 from pathlib import Path
 
@@ -137,20 +139,27 @@ def test_pixel_clearance_sign_matches_margin():
             assert np.sign(dis) == np.sign(h)
 
 
+def column(m, name, width=1):
+    """Slice of the ``width`` table columns that start at column ``name``."""
+    start = sim.columns(m).index(name)
+    return slice(start, start + width)
+
+
 def test_step_unfiltered_keeps_nominal_twist(quiet_scenario):
     state = sim.SimState(pose=quiet_scenario.initial_pose)
     rng = sim.make_rng(0)
     truth = project_point(state.pose, quiet_scenario.intrinsics, quiet_scenario.features_world)
-    _, record = sim.step(quiet_scenario, state, rng, truth)
-    assert record.filter_status == "unfiltered"
-    assert np.allclose(record.v_star, record.v_mpc)  # bound inactive here
+    _, row, status, row_inf = sim.step(quiet_scenario, state, rng, truth)
+    m = quiet_scenario.m
+    assert row.shape == (17 + m,) and status == "unfiltered" and row_inf == np.inf
+    assert np.allclose(row[column(m, "vstar_1", 6)], row[column(m, "vmpc_1", 6)])  # bound inactive here
 
 
 def test_run_converges_without_obstacle(quiet_scenario):
     log = sim.run(quiet_scenario)
     assert log.summary.converged and not log.summary.aborted
     assert log.summary.final_e_norm < quiet_scenario.convergence_tol
-    errors = [r.e_norm for r in log.records]
+    errors = log.table[:, column(quiet_scenario.m, "e_norm")].ravel().tolist()
     # monotone decrease after the initial transient
     tail = errors[10:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -228,7 +237,7 @@ def test_hold_logs_its_reason_token(monkeypatch, mode, patch, token):
     monkeypatch.setattr(*patch)
     log = sim.run(replace(reference_scenario(mode=mode, noisy=mode == "prcbc"), max_steps=3))
     assert log.summary.fallback_steps == log.summary.steps == 3 and not log.summary.aborted
-    assert {r.filter_status for r in log.records} == {f"fallback_hold:{token}"}
+    assert set(log.status) == {f"fallback_hold:{token}"}
 
 
 def test_run_aborts_on_linalg_error(monkeypatch):
@@ -281,24 +290,60 @@ def test_csv_layout_and_precision(tmp_path):
         + [f"vmpc_{i}" for i in range(1, 7)]
         + ["filter_status"]
     )
+    assert header[:-1] == sim.columns(sc.m) and log.table.shape == (4, 17 + sc.m)
     # 17 significant digit round trip
     row = text.splitlines()[1].split(",")
-    assert float(row[2]) == log.records[0].e_norm
-    assert float(row[3]) == log.records[0].h[0]
+    assert float(row[2]) == log.table[0, header.index("e_norm")]
+    assert float(row[3]) == log.table[0, header.index("h_1")]
     assert (tmp_path / "traj_summary.json").exists()
 
 
-def test_summary_recomputable_from_records():
-    sc = reference_scenario(mode="cbc")
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"convergence_tol": 1e9}, id="converged_at_start"),
+        pytest.param({"obstacle": Obstacle3.static([0.0, 0.0, 5.0], 0.05)}, id="obstacle_behind_camera"),
+    ],
+)
+def test_log_without_steps_has_the_full_header(change):
+    sc = replace(reference_scenario(mode="cbc"), **change)
     log = sim.run(sc)
+    assert log.summary.steps == 0
+    header = ["step", "t", "e_norm", "h_1", "h_2", "h_3", "h_4", "min_dist", "dis_px"]
+    header += [f"vstar_{i}" for i in range(1, 7)] + [f"vmpc_{i}" for i in range(1, 7)] + ["filter_status"]
+    assert log.csv_text() == ",".join(header) + "\n"
+    assert log.table.shape == (0, 17 + sc.m)
+
+
+@pytest.mark.parametrize("mode", ["cbc", "prcbc"])
+def test_csv_and_summary_are_read_off_the_table(monkeypatch, mode):
+    row_infs = []
+    original = sim.step
+
+    def recorded(*args):
+        out = original(*args)
+        row_infs.append(out[3])
+        return out
+
+    monkeypatch.setattr(sim, "step", recorded)
+    sc = reference_scenario(mode=mode, noisy=mode == "prcbc")
+    log = sim.run(sc)
+    header, *body = csv.reader(io.StringIO(log.csv_text()))
+    assert header == sim.columns(sc.m) + ["filter_status"]
+    # the CSV parsed back is the table, exactly, and the statuses
+    parsed = np.array([[float(x) for x in r[:-1]] for r in body])
+    assert parsed.shape == log.table.shape and np.array_equal(parsed, log.table)
+    assert [r[-1] for r in body] == log.status
     s = log.summary
-    assert s.min_h == min(r.h.min() for r in log.records)
-    assert s.min_dis_px == min(r.dis_px for r in log.records)
-    assert s.occlusion_steps == sum(1 for r in log.records if r.h.min() < 0)
-    assert s.steps == len(log.records)
+    h = log.table[:, [i for i, c in enumerate(header) if c.startswith("h_")]]
+    assert s.steps == len(log.table) == len(log.status) == len(row_infs) > 0
+    assert s.min_h == h.min()
+    assert s.min_dis_px == log.table[:, column(sc.m, "dis_px")].min()
+    assert s.occlusion_steps == int(np.sum(h.min(axis=1) < 0.0))
+    assert s.fallback_steps == sum(st.startswith(solvers.STATUS_FALLBACK) for st in log.status)
+    assert log.table[:, column(sc.m, "step")].ravel().tolist() == list(range(s.steps))
     # run-long minimum of the barrier row magnitude is tracked and nonzero
-    assert s.min_row_inf == min(r.min_row_inf for r in log.records)
-    assert 0.0 < s.min_row_inf < np.inf
+    assert s.min_row_inf == min(row_infs) and 0.0 < s.min_row_inf < np.inf
 
 
 def test_sweep_single_trial_zero_variance():
