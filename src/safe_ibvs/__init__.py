@@ -29,15 +29,9 @@ from .geometry import (
 )
 from .ibvs import clip_twist, feature_error, gradient_controller, pseudo_inverse
 from .jacobians import feature_interaction, obstacle_radius_interaction
-from .mpc import MpcConfig, plan, predict_errors, rollout_cost
+from .mpc import MpcConfig, plan
 from .observation import FeatureObservation
-from .scenario import (
-    Scenario,
-    load,
-    reference_scenario,
-    reference_sweep_locations,
-    validate_scenario,
-)
+from .scenario import Scenario, load, validate_scenario
 from .sim import TrajectoryLog, observe, pixel_clearance, run, step, sweep
 from .solvers import (
     FilterProblem,

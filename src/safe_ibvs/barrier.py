@@ -78,6 +78,8 @@ class NoiseModel:
         object.__setattr__(self, "feature_cov", fc)
         object.__setattr__(self, "obstacle_cov", oc)
         for name, cov in (("feature_cov", fc), ("obstacle_cov", oc)):
+            if not np.isfinite(cov).all():
+                raise ValueError(f"{name} holds a non-finite number")
             if np.abs(cov - cov.T).max() > 1e-12:
                 raise ValueError(f"{name} must be symmetric")
             if np.linalg.eigvalsh(cov)[0] < -1e-12:
@@ -89,7 +91,7 @@ class NoiseModel:
 
     @staticmethod
     def isotropic(pixel_variance: float, sigma: float = 0.8) -> "NoiseModel":
-        cov = pixel_variance * np.eye(2)
+        cov = np.diag([pixel_variance, pixel_variance])  # not pixel_variance * I, whose inf * 0 would warn
         return NoiseModel(cov, cov.copy(), sigma)
 
     def relative_cov_normalized(self, f: float) -> np.ndarray:

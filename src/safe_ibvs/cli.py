@@ -112,14 +112,7 @@ def _cmd_sweep(args) -> int:
         if args.seed is not None:
             sc = sc.with_seed(args.seed)
         if args.sigma is not None:
-            if sc.noise is None:
-                raise ScenarioError("--sigma needs a scenario with a noise model")
-            from dataclasses import replace
-
-            sc = replace(
-                sc,
-                noise=type(sc.noise)(sc.noise.feature_cov, sc.noise.obstacle_cov, args.sigma),
-            )
+            sc = sc.with_sigma(args.sigma)
         sc = _validated(sc)
         with open(args.locations) as fh:
             loc_data = yaml.safe_load(fh)
@@ -138,7 +131,8 @@ def _cmd_sweep(args) -> int:
         "locations": locations.tolist(),
         "trials_per_location": args.trials,
         "rows": result.aggregate_rows(),
-        "trials_dis_positive": int(np.sum(result.dis > 0.0)),
+        # a trial with no step never measured a clearance; its dis is inf
+        "trials_dis_positive": int(np.sum(np.isfinite(result.dis) & (result.dis > 0.0))),
         "trials_total": int(result.dis.size),
         "violation_trials": int(result.violations.sum()),
         "aborted_trials": int(result.aborted.sum()),

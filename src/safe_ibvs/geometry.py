@@ -68,6 +68,9 @@ class CameraIntrinsics:
     py: float
 
     def __post_init__(self):
+        for name, value in (("f", self.f), ("px", self.px), ("py", self.py)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.f > 0.0:
             raise ValueError(f"focal length must be positive, got {self.f}")
 

@@ -70,11 +70,13 @@ class MpcConfig:
         object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not self.v_max > 0.0:
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.v_max) and self.v_max > 0.0):
+            raise ValueError(f"v_max must be finite and positive, got {self.v_max}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         for name, mat, strict in (("q", self.q, False), ("r", self.r, True), ("f", self.f, False)):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} holds a non-finite number")
             if np.abs(mat - mat.T).max() > 1e-9:
                 raise ValueError(f"{name} must be symmetric")
             eig_min = float(np.linalg.eigvalsh(mat)[0])
@@ -92,54 +94,11 @@ class MpcConfig:
         object.__setattr__(self, "coupling_eig", coupling_eig)
         object.__setattr__(self, "grad_weights", grad_weights)
 
-    @staticmethod
-    def from_weights(
-        m: int,
-        horizon: int = 5,
-        q: float = 1.0,
-        r: float = 0.05,
-        f: float = 2.0,
-        v_max: float = 0.5,
-        dt: float = 0.05,
-    ) -> "MpcConfig":
-        """Scalar weights times identity, for m feature points."""
-        return MpcConfig(
-            horizon=horizon,
-            q=q * np.eye(2 * m),
-            r=r * np.eye(6),
-            f=f * np.eye(2 * m),
-            v_max=v_max,
-            dt=dt,
-        )
-
 
 def _identity_multiple(mat: np.ndarray) -> float | None:
     """s when mat is exactly s times the identity, else None."""
     s = float(mat[0, 0])
     return s if np.array_equal(mat, s * np.eye(mat.shape[0])) else None
-
-
-def predict_errors(e0: np.ndarray, L: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
-    """Roll the frozen-interaction error model; returns N+1 rows incl. e0."""
-    e0 = np.asarray(e0, dtype=float).reshape(-1)
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if L.shape[0] != e0.shape[0] or L.shape[1] != controls.shape[1]:
-        raise DimensionMismatch(f"L {L.shape} vs e0 {e0.shape} and controls {controls.shape}")
-    errors = np.empty((controls.shape[0] + 1, e0.shape[0]))
-    errors[0] = e0
-    for k in range(controls.shape[0]):
-        errors[k + 1] = errors[k] + dt * (L @ controls[k])
-    return errors
-
-
-def rollout_cost(e0: np.ndarray, L: np.ndarray, controls: np.ndarray, cfg: MpcConfig) -> float:
-    """Exact cost of a control sequence under the prediction model."""
-    errors = predict_errors(e0, L, controls, cfg.dt)
-    cost = 0.0
-    for k in range(controls.shape[0]):
-        cost += float(errors[k] @ cfg.q @ errors[k]) + float(controls[k] @ cfg.r @ controls[k])
-    cost += float(errors[-1] @ cfg.f @ errors[-1])
-    return cost
 
 
 def condense(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -55,6 +55,16 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=int(seed))
 
+    def with_sigma(self, sigma: float) -> "Scenario":
+        """Rebuild the noise model at confidence level ``sigma``."""
+        if self.noise is None:
+            raise ScenarioError("sigma needs a scenario with a noise model")
+        try:
+            noise = NoiseModel(self.noise.feature_cov, self.noise.obstacle_cov, float(sigma))
+        except ValueError as exc:
+            raise ScenarioError(f"noise: {exc}") from exc
+        return replace(self, noise=noise)
+
     def with_obstacle_start(self, start: np.ndarray) -> "Scenario":
         """Translate the whole obstacle schedule so it begins at ``start``."""
         start = np.asarray(start, dtype=float).reshape(3)
@@ -129,10 +139,18 @@ def _pose_from_dict(section: dict, where: str) -> CameraPose:
 def _weight_matrix(value, size: int, where: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        return float(arr) * np.eye(size)
+        return np.diag(np.full(size, float(arr)))  # not float(arr) * I, whose inf * 0 would warn
     if arr.shape != (size, size):
         raise ScenarioError(f"{where}: expected a scalar or {size}x{size} matrix, got shape {arr.shape}")
     return arr
+
+
+def _integer(value, where: str) -> int:
+    """``int(value)``; a value it cannot convert, such as inf or nan, is a ScenarioError that names its field."""
+    try:
+        return int(value)
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _noise_from_dict(section, where: str) -> NoiseModel | None:
@@ -225,7 +243,7 @@ def from_dict(data: dict) -> Scenario:
     _require_keys(mpc_data, {"horizon", "q", "r", "f", "v_max", "dt"}, {"horizon"}, "mpc")
     try:
         mpc_cfg = MpcConfig(
-            horizon=int(mpc_data["horizon"]),
+            horizon=_integer(mpc_data["horizon"], "mpc.horizon"),
             q=_weight_matrix(mpc_data.get("q", 1.0), 2 * m, "mpc.q"),
             r=_weight_matrix(mpc_data.get("r", 0.05), 6, "mpc.r"),
             f=_weight_matrix(mpc_data.get("f", 2.0), 2 * m, "mpc.f"),
@@ -247,8 +265,8 @@ def from_dict(data: dict) -> Scenario:
         mpc=mpc_cfg,
         noise=noise,
         gamma=float(data.get("gamma", 2.0)),
-        max_steps=int(data.get("max_steps", 400)),
-        seed=int(data.get("seed", 0)),
+        max_steps=_integer(data.get("max_steps", 400), "max_steps"),
+        seed=_integer(data.get("seed", 0), "seed"),
         convergence_tol=float(data.get("convergence_tol", 1e-3)),
         prcbc_radius_term=bool(data.get("prcbc_radius_term", True)),
     )
@@ -264,83 +282,6 @@ def load(path) -> Scenario:
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
     return from_dict(data)
-
-
-def reference_scenario(
-    mode: str = MODE_CBC,
-    noisy: bool = False,
-    sigma: float = 0.8,
-    seed: int = 2024,
-    pixel_variance: float = 10.0,
-) -> Scenario:
-    """Tuned eye-in-hand scene: servo onto a feature square past a blocker.
-
-    Four coplanar features are viewed from above; the camera servos from
-    a centered overhead pose to an offset, yawed pose. The spherical
-    obstacle flies in low, climbs to a hover that blocks feature 1's
-    target line of sight during the approach, then recedes and leaves
-    the frame. Unfiltered servoing drives feature 1 straight through the
-    projected disk; the filtered modes dodge it.
-
-    The hover makes the obstacle world-static exactly while the margin
-    rides its boundary, so the noiseless half-space filter keeps the
-    minimum margin nonnegative up to discretization. Entry and exit legs
-    run through image bands away from the feature paths, and the exit
-    recedes from the feature pinned at the disk rim.
-    """
-    k = CameraIntrinsics(500.0, 320.0, 240.0)
-    half = 0.25
-    feats = np.array(
-        [[half, half, 0.0], [-half, half, 0.0], [-half, -half, 0.0], [half, -half, 0.0]]
-    )
-    cam0, cam1, yaw1 = np.array([0.0, 0.0, 1.1]), np.array([-0.10, -0.10, 0.8]), 0.4
-    pose0 = CameraPose.from_rpy([np.pi, 0.0, 0.0], cam0)
-    pose1 = CameraPose.from_rpy([np.pi, 0.0, yaw1], cam1)
-    target = project_point(pose1, k, feats)[0]
-    # hover on the target-pose line of sight to feature 1, at z = 0.45
-    lam = (cam1[2] - 0.45) / (cam1[2] - feats[0][2])
-    hover = cam1 + lam * (feats[0] - cam1)
-    times = np.array([0.0, 0.2, 0.5, 7.0, 9.0, 12.0])
-    points = np.vstack(
-        [
-            [0.43, 0.23, 0.10],  # start low, off the feature paths
-            [0.585, 0.033, 0.45],  # climb past the right image edge
-            hover,
-            hover,
-            [-0.10, 0.05, 0.10],  # recede: shrink and slide off the pinned rim
-            [-0.98, -0.36, 0.10],  # leave through the empty mid-left band
-        ]
-    )
-    obstacle = Obstacle3(0.05, times, points)
-    noise = NoiseModel.isotropic(pixel_variance, sigma) if noisy else None
-    return Scenario(
-        name="reference",
-        intrinsics=k,
-        initial_pose=pose0,
-        features_world=feats,
-        target_features=target,
-        obstacle=obstacle,
-        mode=mode,
-        mpc=MpcConfig.from_weights(4, horizon=5, q=1.0, r=0.01, f=2.0, v_max=0.5, dt=0.05),
-        noise=noise,
-        gamma=4.0,
-        max_steps=300,
-        seed=seed,
-        convergence_tol=1e-3 if not noisy else 5e-3,
-    )
-
-
-def reference_sweep_locations() -> np.ndarray:
-    """Five obstacle start positions whose entry legs stay clear."""
-    return np.array(
-        [
-            [0.43, 0.23, 0.10],
-            [0.37, 0.25, 0.10],
-            [0.40, 0.20, 0.08],
-            [0.38, 0.21, 0.12],
-            [0.45, 0.24, 0.09],
-        ]
-    )
 
 
 def validate_scenario(sc: Scenario) -> list[str]:
@@ -361,8 +302,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append(f"convergence_tol must be finite and positive, got {sc.convergence_tol}")
     if sc.m < 3:
         problems.append(f"need at least 3 feature points for a stable servo, got {sc.m}")
-    if not sc.gamma > 0.0:
-        problems.append(f"gamma must be positive, got {sc.gamma}")
+    if not (np.isfinite(sc.gamma) and sc.gamma > 0.0):
+        problems.append(f"gamma must be finite and positive, got {sc.gamma}")
     if sc.max_steps < 1:
         problems.append(f"max_steps must be >= 1, got {sc.max_steps}")
     if sc.mpc.q.shape != (2 * sc.m, 2 * sc.m):

@@ -1,7 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from safe_ibvs import scenario
 from safe_ibvs.geometry import CameraIntrinsics, CameraPose, se3_exp
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def shipped(name, mode=None, seed=None, sigma=None):
+    """The shipped scene ``scenarios/<name>.yaml``, optionally with another mode, seed or confidence level."""
+    sc = scenario.load(SCENARIOS / f"{name}.yaml")
+    if mode is not None:
+        sc = sc.with_mode(mode)
+    if seed is not None:
+        sc = sc.with_seed(seed)
+    if sigma is not None:
+        sc = sc.with_sigma(sigma)
+    return sc
 
 
 @pytest.fixture

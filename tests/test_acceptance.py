@@ -5,7 +5,6 @@ line per criterion. Criteria with runtime budgets assert wall time too.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +14,8 @@ from scipy.integrate import dblquad
 from safe_ibvs import oracles, sim
 from safe_ibvs.barrier import noise_box_halfwidth
 from safe_ibvs.cli import EXIT_OK, main
-from safe_ibvs.scenario import reference_scenario, reference_sweep_locations
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import SCENARIOS, shipped
 
 
 def _criterion(num, cond, detail):
@@ -28,8 +26,8 @@ def _criterion(num, cond, detail):
 
 def test_criterion_1_noiseless_invariance():
     t0 = time.monotonic()
-    filtered = sim.run(reference_scenario(mode="cbc"))
-    unfiltered = sim.run(reference_scenario(mode="unfiltered"))
+    filtered = sim.run(shipped("reference_cbc"))
+    unfiltered = sim.run(shipped("reference_cbc", mode="unfiltered"))
     elapsed = time.monotonic() - t0
     ok = (
         filtered.summary.min_h >= -1e-6
@@ -49,7 +47,7 @@ def test_criterion_2_cbc_fails_under_noise():
     t0 = time.monotonic()
     occluded = 0
     for seed in range(20):
-        log = sim.run(reference_scenario(mode="cbc", noisy=True, seed=100 + seed))
+        log = sim.run(shipped("reference_noise", mode="cbc", seed=100 + seed))
         occluded += log.summary.occlusion_steps > 0
     elapsed = time.monotonic() - t0
     ok = occluded >= 1 and elapsed <= 60.0
@@ -65,7 +63,7 @@ def test_criterion_3_prcbc_succeeds_under_noise():
     t0 = time.monotonic()
     clean = 0
     for seed in range(20):
-        s = sim.run(reference_scenario(mode="prcbc", noisy=True, sigma=0.8, seed=200 + seed)).summary
+        s = sim.run(shipped("reference_noise", seed=200 + seed, sigma=0.8)).summary
         clean += s.occlusion_steps == 0 and s.final_e_norm < 1e-2 and not s.aborted
     elapsed = time.monotonic() - t0
     ok = clean >= 18 and elapsed <= 120.0
@@ -79,8 +77,9 @@ def test_criterion_3_prcbc_succeeds_under_noise():
 
 def test_criterion_4_sweep_protocol():
     t0 = time.monotonic()
-    template = reference_scenario(mode="prcbc", noisy=True, sigma=0.9, seed=5000)
-    result = sim.sweep(template, reference_sweep_locations(), trials_per_location=10, jobs=4)
+    template = shipped("reference_noise", seed=5000, sigma=0.9)
+    locations = np.asarray(yaml.safe_load((SCENARIOS / "sweep_locations.yaml").read_text()), dtype=float)
+    result = sim.sweep(template, locations, trials_per_location=10, jobs=4)
     elapsed = time.monotonic() - t0
     means = [row["mean_dis"] for row in result.aggregate_rows()]
     positive = int(np.sum(result.dis > 0.0))
@@ -125,7 +124,7 @@ def test_criterion_8_halfwidth_quadrature():
 
 
 def test_criterion_9_determinism(tmp_path):
-    with open(REPO / "scenarios" / "reference_noise.yaml") as fh:
+    with open(SCENARIOS / "reference_noise.yaml") as fh:
         data = yaml.safe_load(fh)
     data["max_steps"] = 40
     scenario_path = tmp_path / "small.yaml"

@@ -71,15 +71,27 @@ def test_check_names_bad_weight(tmp_path, capsys):
     [
         ("xyz: [0.0, 0.0, 1.1]", "xyz: [.nan, 0.0, 1.1]", "initial_pose"),
         ("convergence_tol: 5.0e-3", "convergence_tol: .nan", "convergence_tol"),
+        ("px: 320.0", "px: .nan", "camera: px"),
+        ("f: 500.0", "f: .inf", "camera: f"),
+        ("v_max: 0.5", "v_max: .inf", "mpc: v_max"),
+        ("pixel_variance: 10.0", "pixel_variance: .inf", "noise: feature_cov"),
+        ("gamma: 4.0", "gamma: .inf", "gamma"),
+        ("q: 1.0", "q: .inf", "mpc: q"),
+        ("horizon: 5", "horizon: .inf", "mpc.horizon"),
+        ("max_steps: 300", "max_steps: .inf", "max_steps"),
+        ("seed: 2024", "seed: .nan", "seed"),
     ],
 )
 def test_check_rejects_non_finite_numbers(tmp_path, capsys, old, new, named):
-    # both once passed check: the first then aborted run on a NaN depth, the second never converged
+    # each of these once passed check (run then aborted, never converged, held every step or wrote NaN
+    # clearances), raised a traceback in check, or failed it with a RuntimeWarning and no field name
     text = Path(REF_NOISE).read_text()
-    assert old in text
+    assert text.count(old) == 1
     bad = tmp_path / "nan.yaml"
     bad.write_text(text.replace(old, new))
-    assert main(["check", "--scenario", str(bad)]) == EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", "--scenario", str(bad)]) == EXIT_CONFIG
     assert named in capsys.readouterr().out
 
 
@@ -158,7 +170,10 @@ def test_sweep_summary_is_strict_json_when_a_location_has_no_step(tmp_path, smal
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["sweep", "--scenario", small_scenario, "--locations", str(locs), "--trials", "2", "--out", str(out)])
     assert code == EXIT_ABORT
-    rows = json.loads((out / "sweep_summary.json").read_text(), parse_constant=_reject)["rows"]
+    summary = json.loads((out / "sweep_summary.json").read_text(), parse_constant=_reject)
+    # the two behind-camera trials never measured a clearance, so only the first location's two count
+    assert summary["trials_dis_positive"] == 2 and summary["aborted_trials"] == 2
+    rows = summary["rows"]
     assert rows[0]["mean_dis"] > 0.0 and rows[0]["var_dis"] >= 0.0 and rows[0]["aborted"] == 0
     assert rows[1]["mean_dis"] is None and rows[1]["var_dis"] is None and rows[1]["aborted"] == 2
     with open(out / "aggregate.csv", newline="") as fh:

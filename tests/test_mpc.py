@@ -14,6 +14,34 @@ def random_stack(rng, m=4):
     return feature_interaction(pts, depths).reshape(-1, 6)
 
 
+def scalar_config(m=4, horizon=5, q=1.0, r=0.05, f=2.0, v_max=0.5, dt=0.05):
+    """Planner config with weights q I, r I and f I for m feature points."""
+    return mpc.MpcConfig(horizon=horizon, q=q * np.eye(2 * m), r=r * np.eye(6), f=f * np.eye(2 * m), v_max=v_max, dt=dt)
+
+
+def predict_errors(e0, L, controls, dt):
+    """Reference rollout of the frozen-interaction error model; returns N+1 rows incl. e0."""
+    e0 = np.asarray(e0, dtype=float).reshape(-1)
+    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    if L.shape[0] != e0.shape[0] or L.shape[1] != controls.shape[1]:
+        raise DimensionMismatch(f"L {L.shape} vs e0 {e0.shape} and controls {controls.shape}")
+    errors = np.empty((controls.shape[0] + 1, e0.shape[0]))
+    errors[0] = e0
+    for k in range(controls.shape[0]):
+        errors[k + 1] = errors[k] + dt * (L @ controls[k])
+    return errors
+
+
+def rollout_cost(e0, L, controls, cfg):
+    """Exact cost of a control sequence under the prediction model."""
+    errors = predict_errors(e0, L, controls, cfg.dt)
+    cost = 0.0
+    for k in range(controls.shape[0]):
+        cost += float(errors[k] @ cfg.q @ errors[k]) + float(controls[k] @ cfg.r @ controls[k])
+    cost += float(errors[-1] @ cfg.f @ errors[-1])
+    return cost
+
+
 def spd(rng, n, floor):
     a = rng.normal(size=(n, n))
     return a @ a.T / n + floor * np.eye(n)
@@ -39,7 +67,7 @@ def projected_stationarity(h_mat, g, u_flat, v_max):
 
 def test_config_validation():
     with pytest.raises(ValueError, match="horizon"):
-        mpc.MpcConfig.from_weights(4, horizon=0)
+        scalar_config(horizon=0)
     with pytest.raises(ValueError, match="positive definite"):
         mpc.MpcConfig(horizon=3, q=np.eye(8), r=np.zeros((6, 6)), f=np.eye(8), v_max=0.5, dt=0.05)
     with pytest.raises(ValueError, match="PSD"):
@@ -54,7 +82,7 @@ def test_predict_errors_zero_controls():
     rng = np.random.default_rng(0)
     L = random_stack(rng)
     e0 = rng.normal(size=8)
-    errors = mpc.predict_errors(e0, L, np.zeros((5, 6)), 0.05)
+    errors = predict_errors(e0, L, np.zeros((5, 6)), 0.05)
     assert errors.shape == (6, 8)
     assert np.allclose(errors, e0)
 
@@ -64,7 +92,7 @@ def test_predict_errors_single_step():
     L = random_stack(rng)
     e0 = rng.normal(size=8)
     v = rng.normal(size=(1, 6))
-    errors = mpc.predict_errors(e0, L, v, 0.05)
+    errors = predict_errors(e0, L, v, 0.05)
     assert np.allclose(errors[1], e0 + 0.05 * L @ v[0])
 
 
@@ -73,7 +101,7 @@ def test_predict_errors_matches_manual_recursion():
     L = random_stack(rng)
     e0 = rng.normal(size=8)
     controls = rng.normal(size=(7, 6))
-    errors = mpc.predict_errors(e0, L, controls, 0.1)
+    errors = predict_errors(e0, L, controls, 0.1)
     e = e0.copy()
     for k in range(7):
         e = e + 0.1 * L @ controls[k]
@@ -82,7 +110,7 @@ def test_predict_errors_matches_manual_recursion():
 
 def test_predict_errors_dimension_check():
     with pytest.raises(DimensionMismatch):
-        mpc.predict_errors(np.zeros(8), np.zeros((6, 6)), np.zeros((2, 6)), 0.05)
+        predict_errors(np.zeros(8), np.zeros((6, 6)), np.zeros((2, 6)), 0.05)
 
 
 def condense_loop(e0, L, cfg):
@@ -109,7 +137,7 @@ def test_condense_matches_block_loop_bit_for_bit():
         e0 = rng.normal(size=2 * m)
         horizon = int(rng.integers(1, 8))
         if trial % 2:
-            cfg = mpc.MpcConfig.from_weights(m, horizon=horizon, q=rng.uniform(0.1, 3.0), r=rng.uniform(0.01, 1.0))
+            cfg = scalar_config(m, horizon=horizon, q=rng.uniform(0.1, 3.0), r=rng.uniform(0.01, 1.0))
         else:
             cfg = mpc.MpcConfig(
                 horizon=horizon, q=spd(rng, 2 * m, 0.0), r=spd(rng, 6, 0.1), f=spd(rng, 2 * m, 0.0), v_max=0.5, dt=0.05
@@ -161,9 +189,7 @@ def test_plan_matches_dense_newton_reference(horizon):
         elif trial % 4 == 2:
             L = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 6))  # rank 2
         q = 0.0 if trial % 4 == 3 else rng.uniform(0.1, 3.0)
-        cfg = mpc.MpcConfig.from_weights(
-            4, horizon=horizon, q=q, r=rng.uniform(0.005, 0.5), f=rng.uniform(0.5, 3.0), v_max=0.3
-        )
+        cfg = scalar_config(horizon=horizon, q=q, r=rng.uniform(0.005, 0.5), f=rng.uniform(0.5, 3.0), v_max=0.3)
         assert cfg.coupling_eig is not None  # the six N x N systems
         e0 = rng.normal(size=8) * (0.05 if trial % 2 else 2.0)
         ref = dense_plan(e0, L, cfg)
@@ -205,7 +231,7 @@ def test_plan_full_input_weight_takes_matrix_route(monkeypatch):
 def test_plan_zero_error_gives_zero_controls():
     rng = np.random.default_rng(3)
     L = random_stack(rng)
-    cfg = mpc.MpcConfig.from_weights(4)
+    cfg = scalar_config()
     controls = mpc.plan(np.zeros(8), L, cfg)
     assert controls.shape == (5, 6)
     assert np.abs(controls).max() < 1e-9
@@ -224,25 +250,25 @@ def test_plan_matches_least_squares_with_tiny_input_weight():
 
 def test_plan_beats_zero_and_clipped_gradient_rollout():
     rng = np.random.default_rng(5)
-    cfg = mpc.MpcConfig.from_weights(4)
+    cfg = scalar_config()
     for _ in range(20):
         L = random_stack(rng)
         e0 = rng.normal(size=8) * 0.5
         controls = mpc.plan(e0, L, cfg)
-        cost = mpc.rollout_cost(e0, L, controls, cfg)
-        assert cost <= mpc.rollout_cost(e0, L, np.zeros((cfg.horizon, 6)), cfg) + 1e-9
+        cost = rollout_cost(e0, L, controls, cfg)
+        assert cost <= rollout_cost(e0, L, np.zeros((cfg.horizon, 6)), cfg) + 1e-9
 
         grad_seq = np.zeros((cfg.horizon, 6))
         e = e0.copy()
         for k in range(cfg.horizon):
             grad_seq[k] = clip_twist(gradient_controller(e, L, 0.5), cfg.v_max)
             e = e + cfg.dt * L @ grad_seq[k]
-        assert cost <= mpc.rollout_cost(e0, L, grad_seq, cfg) + 1e-9
+        assert cost <= rollout_cost(e0, L, grad_seq, cfg) + 1e-9
 
 
 def test_plan_respects_speed_bound():
     rng = np.random.default_rng(6)
-    cfg = mpc.MpcConfig.from_weights(4, v_max=0.3)
+    cfg = scalar_config(v_max=0.3)
     for _ in range(20):
         L = random_stack(rng)
         e0 = rng.normal(size=8)  # large error saturates the bound
@@ -252,7 +278,7 @@ def test_plan_respects_speed_bound():
 
 def test_plan_kkt_stationarity():
     rng = np.random.default_rng(7)
-    cfg = mpc.MpcConfig.from_weights(4)
+    cfg = scalar_config()
     for _ in range(20):
         L = random_stack(rng)
         e0 = rng.normal(size=8) * rng.choice([0.05, 2.0])  # interior and saturated cases
@@ -265,24 +291,24 @@ def test_plan_kkt_stationarity():
 
 def test_receding_horizon_consistency():
     rng = np.random.default_rng(8)
-    cfg = mpc.MpcConfig.from_weights(4)
+    cfg = scalar_config()
     for _ in range(10):
         L = random_stack(rng)
         e0 = rng.normal(size=8) * 0.4
         controls = mpc.plan(e0, L, cfg)
-        errors = mpc.predict_errors(e0, L, controls, cfg.dt)
+        errors = predict_errors(e0, L, controls, cfg.dt)
         # cost of the old plan's tail, from the predicted next state
         tail = controls[1:]
         cfg_tail = mpc.MpcConfig(
             horizon=cfg.horizon - 1, q=cfg.q, r=cfg.r, f=cfg.f, v_max=cfg.v_max, dt=cfg.dt
         )
-        tail_cost = mpc.rollout_cost(errors[1], L, tail, cfg_tail)
+        tail_cost = rollout_cost(errors[1], L, tail, cfg_tail)
         replanned = mpc.plan(errors[1], L, cfg_tail)
-        assert mpc.rollout_cost(errors[1], L, replanned, cfg_tail) <= tail_cost + 1e-6
+        assert rollout_cost(errors[1], L, replanned, cfg_tail) <= tail_cost + 1e-6
 
 
 def test_plan_dimension_check():
-    cfg = mpc.MpcConfig.from_weights(4)
+    cfg = scalar_config()
     with pytest.raises(DimensionMismatch):
         mpc.plan(np.zeros(6), np.zeros((6, 6)), cfg)
 
@@ -323,7 +349,7 @@ def test_plan_matches_slsqp_reference():
                     q, r, f = spd(rng, 8, 0.0), spd(rng, 6, 0.01), spd(rng, 8, 0.0)
                     cfg = mpc.MpcConfig(horizon=horizon, q=q, r=r, f=f, v_max=0.3, dt=0.05)
                 else:
-                    cfg = mpc.MpcConfig.from_weights(4, horizon=horizon, v_max=0.3)
+                    cfg = scalar_config(horizon=horizon, v_max=0.3)
                 h_mat, g = mpc.condense(e0, L, cfg)
                 u = mpc.plan(e0, L, cfg).reshape(-1)
                 ref = slsqp_plan(h_mat, g, cfg.v_max)
@@ -338,7 +364,7 @@ def test_plan_every_block_saturated():
     rng = np.random.default_rng(10)
     L = random_stack(rng)
     e0 = rng.normal(size=8) * 50.0
-    cfg = mpc.MpcConfig.from_weights(4, v_max=0.1)
+    cfg = scalar_config(v_max=0.1)
     controls = mpc.plan(e0, L, cfg)
     assert np.allclose(np.linalg.norm(controls, axis=1), cfg.v_max, rtol=1e-9, atol=0.0)
     h_mat, g = mpc.condense(e0, L, cfg)
@@ -349,7 +375,7 @@ def test_plan_every_block_saturated():
 def test_plan_scales_onto_bound_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(mpc, "NEWTON_MAX_ITER", 1)
     rng = np.random.default_rng(13)
-    cfg = mpc.MpcConfig.from_weights(4, v_max=0.1)
+    cfg = scalar_config(v_max=0.1)
     for _ in range(10):
         controls = mpc.plan(rng.normal(size=8) * 5.0, random_stack(rng), cfg)
         assert np.linalg.norm(controls, axis=1).max() <= cfg.v_max * (1.0 + 1e-15)
@@ -359,7 +385,7 @@ def test_plan_no_block_saturated_is_unconstrained_optimum():
     rng = np.random.default_rng(11)
     L = random_stack(rng)
     e0 = rng.normal(size=8) * 0.01
-    cfg = mpc.MpcConfig.from_weights(4)
+    cfg = scalar_config()
     controls = mpc.plan(e0, L, cfg)
     h_mat, g = mpc.condense(e0, L, cfg)
     assert np.linalg.norm(controls, axis=1).max() < cfg.v_max

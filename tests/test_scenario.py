@@ -5,7 +5,9 @@ import yaml
 from safe_ibvs import scenario as sm
 from safe_ibvs.errors import ScenarioError
 
-REPO_SCENARIO = "scenarios/reference_cbc.yaml"
+from conftest import SCENARIOS, shipped
+
+REPO_SCENARIO = SCENARIOS / "reference_cbc.yaml"
 
 
 def base_config():
@@ -25,15 +27,6 @@ def test_load_reference_file():
     sc = sm.load(REPO_SCENARIO)
     assert sc.m == 4 and sc.mode == "cbc"
     assert sm.validate_scenario(sc) == []
-
-
-def test_yaml_matches_builder():
-    sc_yaml = sm.load(REPO_SCENARIO)
-    sc_ref = sm.reference_scenario(mode="cbc")
-    assert np.allclose(sc_yaml.target_features, sc_ref.target_features, atol=1e-14)
-    assert np.allclose(sc_yaml.obstacle.points, sc_ref.obstacle.points, atol=1e-12)
-    assert sc_yaml.gamma == sc_ref.gamma
-    assert sc_yaml.mpc.dt == sc_ref.mpc.dt
 
 
 def test_unknown_key_rejected():
@@ -166,10 +159,23 @@ def test_radius_term_switch_parsed():
 
 
 def test_digest_stable_and_sensitive():
-    sc1 = sm.reference_scenario()
-    sc2 = sm.reference_scenario()
+    sc1 = shipped("reference_cbc")
+    sc2 = shipped("reference_cbc")
     assert sc1.digest() == sc2.digest()
     assert sc1.with_seed(999).digest() != sc1.digest()
+
+
+def test_with_sigma_rebuilds_the_noise_model():
+    sc = shipped("reference_noise")
+    moved = sc.with_sigma(0.9)
+    assert moved.noise.sigma == 0.9 and sc.noise.sigma == 0.8
+    assert np.array_equal(moved.noise.feature_cov, sc.noise.feature_cov)
+    assert np.array_equal(moved.noise.obstacle_cov, sc.noise.obstacle_cov)
+    assert moved.digest() != sc.digest() and moved.with_sigma(0.8).digest() == sc.digest()
+    with pytest.raises(ScenarioError, match="sigma"):
+        sc.with_sigma(1.0)
+    with pytest.raises(ScenarioError, match="noise model"):
+        shipped("reference_cbc").with_sigma(0.9)
 
 
 def test_round_trip_through_yaml(tmp_path):

@@ -1,7 +1,6 @@
 import csv
 import io
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +11,13 @@ from safe_ibvs.barrier import barrier_value
 from safe_ibvs.errors import CertificationFailed
 from safe_ibvs.geometry import CameraPose, Obstacle3, obstacle_image_state, pixel_from_normalized, project_point
 from safe_ibvs.jacobians import feature_interaction
-from safe_ibvs.scenario import reference_scenario
-
-from conftest import downward_pose
+from conftest import SCENARIOS, downward_pose, shipped
 
 
 @pytest.fixture(scope="module")
 def quiet_scenario():
     """Reference scene with the obstacle parked far below the workspace."""
-    sc = reference_scenario(mode="unfiltered")
+    sc = shipped("reference_cbc", mode="unfiltered")
     return replace(sc, obstacle=Obstacle3.static([0.0, 0.0, -5.0], 0.05))
 
 
@@ -40,7 +37,7 @@ def test_observe_without_noise_is_truth(quiet_scenario):
 
 
 def test_observe_noise_statistics():
-    sc = reference_scenario(mode="prcbc", noisy=True)
+    sc = shipped("reference_noise")
     state = sim.SimState(pose=sc.initial_pose)
     scene = true_scene(sc, state)
     truth = sim.observe(sc, *scene, None)
@@ -66,7 +63,7 @@ def test_observe_noise_statistics():
 
 def test_observe_noise_equals_per_point_draws():
     # reference: one 2-vector draw per feature, in feature order, then one for the obstacle
-    data = yaml.safe_load((Path(__file__).parents[1] / "scenarios" / "reference_noise.yaml").read_text())
+    data = yaml.safe_load((SCENARIOS / "reference_noise.yaml").read_text())
     data["noise"] = {"feature_cov": [[10.0, 4.0], [4.0, 7.0]], "obstacle_cov": [[3.0, -1.0], [-1.0, 9.0]]}
     sc = scenario.from_dict(data)
     state = sim.SimState(pose=sc.initial_pose, t=0.35)
@@ -96,7 +93,7 @@ def test_run_projects_each_pose_once(monkeypatch):
         monkeypatch.setattr(sim, name, counted)
     for mode in scenario.MODES:
         counts.update(dict.fromkeys(counts, 0))
-        log = sim.run(replace(reference_scenario(mode=mode, noisy=mode != "cbc"), max_steps=12))
+        log = sim.run(replace(shipped("reference_cbc" if mode == "cbc" else "reference_noise", mode=mode), max_steps=12))
         steps = log.summary.steps
         assert steps == 12
         # one batched feature projection per pose (the last pose only gets its convergence check)
@@ -125,7 +122,7 @@ def test_batched_pixel_clearance_equals_per_point_calls():
 def test_pixel_clearance_sign_matches_margin():
     # exact projection: the pixel metric and the normalized margin agree in sign
     rng = np.random.default_rng(12)
-    sc = reference_scenario()
+    sc = shipped("reference_cbc")
     k = sc.intrinsics
     for _ in range(200):
         s_i = rng.uniform(-0.5, 0.5, 2)
@@ -176,7 +173,7 @@ def test_run_converges_without_obstacle(quiet_scenario):
     ],
 )
 def test_checked_covariance_runs_in_every_mode(cov, sigma, max_steps):
-    data = yaml.safe_load((Path(__file__).parents[1] / "scenarios" / "reference_noise.yaml").read_text())
+    data = yaml.safe_load((SCENARIOS / "reference_noise.yaml").read_text())
     data["noise"] = {"feature_cov": cov, "obstacle_cov": cov, "sigma": sigma}
     data["max_steps"] = max_steps
     sc = scenario.from_dict(data)
@@ -187,7 +184,7 @@ def test_checked_covariance_runs_in_every_mode(cov, sigma, max_steps):
 
 
 def test_sweep_computes_the_halfwidth_once(monkeypatch):
-    data = yaml.safe_load((Path(__file__).parents[1] / "scenarios" / "reference_noise.yaml").read_text())
+    data = yaml.safe_load((SCENARIOS / "reference_noise.yaml").read_text())
     cov = [[1e-6, 9e-4], [9e-4, 1.0]]  # correlated: the half-width takes a bisection over box_probability
     data["noise"] = {"feature_cov": cov, "obstacle_cov": cov, "sigma": 0.99}
     data["max_steps"] = 5
@@ -235,7 +232,7 @@ def _fail_certification(solution, problem):
 )
 def test_hold_logs_its_reason_token(monkeypatch, mode, patch, token):
     monkeypatch.setattr(*patch)
-    log = sim.run(replace(reference_scenario(mode=mode, noisy=mode == "prcbc"), max_steps=3))
+    log = sim.run(replace(shipped("reference_noise" if mode == "prcbc" else "reference_cbc"), max_steps=3))
     assert log.summary.fallback_steps == log.summary.steps == 3 and not log.summary.aborted
     assert set(log.status) == {f"fallback_hold:{token}"}
 
@@ -245,21 +242,21 @@ def test_run_aborts_on_linalg_error(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(mpc, "plan", singular)
-    log = sim.run(reference_scenario(mode="cbc"))
+    log = sim.run(shipped("reference_cbc"))
     assert log.summary.aborted and not log.summary.converged
     assert log.summary.abort_reason == "LinAlgError: Singular matrix"
 
 
 def test_low_obstacle_start_runs_without_holds():
     # a low obstacle start (z <= 0.093) on which a filter factorization once failed and held 15 steps
-    sc = scenario.load(Path(__file__).parents[1] / "scenarios" / "reference_cbc.yaml")
+    sc = shipped("reference_cbc")
     log = sim.run(sc.with_obstacle_start([0.414546781, 0.205472717, 0.093445709]))
     assert log.summary.fallback_steps == 0
     assert log.summary.min_h >= -1e-6
 
 
 def test_run_abort_records_reason():
-    sc = reference_scenario(mode="unfiltered")
+    sc = shipped("reference_cbc", mode="unfiltered")
     looking_away = CameraPose.from_rpy([0.0, 0.0, 0.0], [0.0, 0.0, 1.1])  # features behind
     sc_bad = replace(sc, initial_pose=looking_away)
     log = sim.run(sc_bad)
@@ -269,14 +266,14 @@ def test_run_abort_records_reason():
 
 
 def test_run_determinism_bit_identical():
-    sc = reference_scenario(mode="prcbc", noisy=True, seed=77)
+    sc = shipped("reference_noise", seed=77)
     a, b = sim.run(sc), sim.run(sc)
     assert a.csv_text() == b.csv_text()
     assert a.summary_dict() == b.summary_dict()
 
 
 def test_csv_layout_and_precision(tmp_path):
-    sc = reference_scenario(mode="cbc")
+    sc = shipped("reference_cbc")
     sc = replace(sc, max_steps=4, convergence_tol=0.0)
     log = sim.run(sc)
     log.write(tmp_path, stem="traj")
@@ -306,7 +303,7 @@ def test_csv_layout_and_precision(tmp_path):
     ],
 )
 def test_log_without_steps_has_the_full_header(change):
-    sc = replace(reference_scenario(mode="cbc"), **change)
+    sc = replace(shipped("reference_cbc"), **change)
     log = sim.run(sc)
     assert log.summary.steps == 0
     header = ["step", "t", "e_norm", "h_1", "h_2", "h_3", "h_4", "min_dist", "dis_px"]
@@ -326,7 +323,7 @@ def test_csv_and_summary_are_read_off_the_table(monkeypatch, mode):
         return out
 
     monkeypatch.setattr(sim, "step", recorded)
-    sc = reference_scenario(mode=mode, noisy=mode == "prcbc")
+    sc = shipped("reference_noise" if mode == "prcbc" else "reference_cbc")
     log = sim.run(sc)
     header, *body = csv.reader(io.StringIO(log.csv_text()))
     assert header == sim.columns(sc.m) + ["filter_status"]
@@ -347,7 +344,7 @@ def test_csv_and_summary_are_read_off_the_table(monkeypatch, mode):
 
 
 def test_sweep_single_trial_zero_variance():
-    sc = reference_scenario(mode="cbc")  # noiseless: deterministic outcome
+    sc = shipped("reference_cbc")  # noiseless: deterministic outcome
     res = sim.sweep(sc, np.array([[0.43, 0.23, 0.10]]), trials_per_location=1, jobs=1)
     rows = res.aggregate_rows()
     assert rows[0]["var_dis"] == 0.0
@@ -355,7 +352,7 @@ def test_sweep_single_trial_zero_variance():
 
 
 def test_sweep_aggregate_identity():
-    sc = reference_scenario(mode="prcbc", noisy=True, seed=300)
+    sc = shipped("reference_noise", seed=300)
     sc = replace(sc, max_steps=60)
     locs = np.array([[0.43, 0.23, 0.10], [0.40, 0.20, 0.08]])
     res = sim.sweep(sc, locs, trials_per_location=3, jobs=1)
@@ -366,7 +363,7 @@ def test_sweep_aggregate_identity():
 
 
 def test_sweep_schedule_independence():
-    sc = reference_scenario(mode="prcbc", noisy=True, seed=511)
+    sc = shipped("reference_noise", seed=511)
     sc = replace(sc, max_steps=50)
     locs = np.array([[0.43, 0.23, 0.10], [0.40, 0.20, 0.08]])
     seq = sim.sweep(sc, locs, trials_per_location=2, jobs=1)
@@ -378,14 +375,14 @@ def test_sweep_schedule_independence():
 
 
 def test_sweep_trial_seeds_are_offsets():
-    sc = reference_scenario(mode="prcbc", noisy=True, seed=1000)
+    sc = shipped("reference_noise", seed=1000)
     sc = replace(sc, max_steps=5)
     res = sim.sweep(sc, np.array([[0.43, 0.23, 0.10], [0.40, 0.20, 0.08]]), trials_per_location=2)
     assert res.seeds.tolist() == [[1000, 1001], [1002, 1003]]
 
 
 def test_sweep_rejects_bad_arguments():
-    sc = reference_scenario()
+    sc = shipped("reference_cbc")
     with pytest.raises(ValueError):
         sim.sweep(sc, np.zeros((2, 3)), trials_per_location=0)
     with pytest.raises(ValueError):
@@ -393,7 +390,7 @@ def test_sweep_rejects_bad_arguments():
 
 
 def test_with_obstacle_start_translates_schedule():
-    sc = reference_scenario()
+    sc = shipped("reference_cbc")
     moved = sc.with_obstacle_start([1.0, 2.0, 3.0])
     shift = np.array([1.0, 2.0, 3.0]) - sc.obstacle.points[0]
     assert np.allclose(moved.obstacle.points, sc.obstacle.points + shift)
