@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedCovariance
+from .errors import DegenerateConstraint, UnsupportedCovariance
 from .observation import FeatureObservation
 
 # Winitzki's constant in the closed-form first guess for erfinv (relative error below 2e-3)
@@ -137,7 +137,7 @@ def cbc_halfspaces(obs: FeatureObservation, gamma: float) -> tuple[np.ndarray, n
     rows = barrier_rate_row(obs.features, center, obs.l_features, obs.l_obstacle, obs.l_radius, rn)
     degenerate = np.flatnonzero(~(np.abs(rows).max(axis=1) > 0.0))
     if degenerate.size:
-        raise ValueError(f"degenerate barrier row for feature {degenerate[0]}")
+        raise DegenerateConstraint(f"degenerate barrier row for feature {degenerate[0]}")
     h = barrier_value(obs.features, center, rn)
     return np.zeros((obs.m, 0, 6)), -rows, -gamma * h
 

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import scenario as scenario_mod, sim
 from .errors import ScenarioError
@@ -33,8 +32,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _default_out() -> str:
-    return os.environ.get("SAFE_IBVS_OUT", "out")
+def _out_dir(out: str | None) -> Path:
+    """``--out``, else ``SAFE_IBVS_OUT``, else ``./out``; made now, so that an unusable one fails before any trial."""
+    out_dir = Path(out or os.environ.get("SAFE_IBVS_OUT", "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,11 +82,11 @@ def _cmd_run(args) -> int:
         if args.seed is not None:
             sc = sc.with_seed(args.seed)
         sc = _validated(sc)
-    except ScenarioError as exc:
+        out_dir = _out_dir(args.out)
+    except (ScenarioError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     log = sim.run(sc)
-    out_dir = Path(args.out or _default_out())
     log.write(out_dir, stem="trajectory")
     s = log.summary
     print(
@@ -114,18 +116,16 @@ def _cmd_sweep(args) -> int:
         if args.sigma is not None:
             sc = sc.with_sigma(args.sigma)
         sc = _validated(sc)
-        with open(args.locations) as fh:
-            loc_data = yaml.safe_load(fh)
-        locations = np.asarray(loc_data, dtype=float)
-        if locations.ndim != 2 or locations.shape[1] != 3:
-            raise ScenarioError(f"locations file must hold a list of [x, y, z], got shape {locations.shape}")
-    except (ScenarioError, OSError, yaml.YAMLError, ValueError) as exc:
+        locations = scenario_mod.load_locations(args.locations)
+        last_seed = sc.seed + len(locations) * args.trials - 1
+        if last_seed >= scenario_mod.SEED_LIMIT:
+            raise ScenarioError(f"seed: the last trial seed, {last_seed}, is not below 2**64")
+        out_dir = _out_dir(args.out)
+    except (ScenarioError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     result = sim.sweep(sc, locations, trials_per_location=args.trials, jobs=args.jobs)
-    out_dir = Path(args.out or _default_out())
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "aggregate.csv").write_text(result.aggregate_csv())
     summary = {
         "locations": locations.tolist(),

@@ -17,6 +17,10 @@ class DimensionMismatch(SafeIbvsError, ValueError):
     """Operands have inconsistent shapes."""
 
 
+class DegenerateConstraint(SafeIbvsError, ValueError):
+    """A barrier constraint row is zero or not finite, so it constrains nothing."""
+
+
 class UnsupportedCovariance(SafeIbvsError):
     """Covariance shape not handled by the closed-form inversion."""
 

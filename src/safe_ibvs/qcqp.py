@@ -141,7 +141,7 @@ def solve(
                     # rank-deficient, or rows whose scales differ beyond lstsq's cutoff: solve again with the
                     # rows scaled to a unit diagonal (Jacobi). On what stays null the dual is linear with
                     # slope `drift`: follow it until the first multiplier it lowers reaches zero.
-                    scale = np.sqrt(np.diag(hess))
+                    scale = np.sqrt(np.maximum(np.diag(hess), 0.0))  # a diagonal that rounds below 0 is 0
                     scale[scale == 0.0] = 1.0
                     scaled = hess / np.outer(scale, scale)
                     step, _, rank, _ = np.linalg.lstsq(scaled, g[free] / scale, rcond=None)

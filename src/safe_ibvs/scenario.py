@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +25,7 @@ MODE_CBC = "cbc"
 MODE_PRCBC = "prcbc"
 MODE_UNFILTERED = "unfiltered"
 MODES = (MODE_CBC, MODE_PRCBC, MODE_UNFILTERED)
+SEED_LIMIT = 2**64  # a seed keys the trial's Philox generator, so it lies in [0, 2**64)
 
 
 @dataclass(eq=False)
@@ -59,10 +61,8 @@ class Scenario:
         """Rebuild the noise model at confidence level ``sigma``."""
         if self.noise is None:
             raise ScenarioError("sigma needs a scenario with a noise model")
-        try:
+        with _reading("noise"):
             noise = NoiseModel(self.noise.feature_cov, self.noise.obstacle_cov, float(sigma))
-        except ValueError as exc:
-            raise ScenarioError(f"noise: {exc}") from exc
         return replace(self, noise=noise)
 
     def with_obstacle_start(self, start: np.ndarray) -> "Scenario":
@@ -115,7 +115,9 @@ class Scenario:
         return hashlib.sha256(payload).hexdigest()
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _require_keys(section, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{where}: expected a mapping, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
@@ -124,16 +126,30 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
         raise ScenarioError(f"{where}: missing required keys {sorted(missing)}")
 
 
-def _pose_from_dict(section: dict, where: str) -> CameraPose:
+@contextmanager
+def _reading(where: str):
+    """The one place a value that does not convert (``float([])``, ``int(inf)``, a short list) becomes a
+    ScenarioError, named ``where``."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
+        raise ScenarioError(f"{where}: {'missing ' if isinstance(exc, KeyError) else ''}{exc}") from exc
+
+
+def _field(section: dict, key: str, cast, default=None, where: str = ""):
+    """``cast`` of ``section[key]``, or of ``default`` when it is absent; errors name ``where`` (else ``key``)."""
+    with _reading(where or key):
+        return cast(section.get(key, default))
+
+
+def _pose_from_dict(section, where: str) -> CameraPose:
     _require_keys(section, {"rpy", "rotation", "xyz"}, {"xyz"}, where)
     if ("rpy" in section) == ("rotation" in section):
         raise ScenarioError(f"{where}: give exactly one of 'rpy' or 'rotation'")
-    try:
+    with _reading(where):
         if "rpy" in section:
             return CameraPose.from_rpy(np.asarray(section["rpy"], dtype=float), section["xyz"])
         return CameraPose(np.asarray(section["rotation"], dtype=float), section["xyz"])
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _weight_matrix(value, size: int, where: str) -> np.ndarray:
@@ -145,41 +161,24 @@ def _weight_matrix(value, size: int, where: str) -> np.ndarray:
     return arr
 
 
-def _integer(value, where: str) -> int:
-    """``int(value)``; a value it cannot convert, such as inf or nan, is a ScenarioError that names its field."""
-    try:
-        return int(value)
-    except (ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def _noise_from_dict(section, where: str) -> NoiseModel | None:
+def _noise_from_dict(section) -> NoiseModel | None:
     if section is None:
         return None
-    _require_keys(
-        section, {"pixel_variance", "feature_cov", "obstacle_cov", "sigma"}, set(), where
-    )
+    _require_keys(section, {"pixel_variance", "feature_cov", "obstacle_cov", "sigma"}, set(), "noise")
     sigma = float(section.get("sigma", 0.8))
-    try:
-        if "pixel_variance" in section:
-            if "feature_cov" in section or "obstacle_cov" in section:
-                raise ScenarioError(f"{where}: give pixel_variance or explicit covariances, not both")
-            return NoiseModel.isotropic(float(section["pixel_variance"]), sigma)
-        return NoiseModel(
-            np.asarray(section["feature_cov"], dtype=float),
-            np.asarray(section["obstacle_cov"], dtype=float),
-            sigma,
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"{where}: missing {exc}") from exc
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    if "pixel_variance" in section:
+        if "feature_cov" in section or "obstacle_cov" in section:
+            raise ScenarioError("noise: give pixel_variance or explicit covariances, not both")
+        return NoiseModel.isotropic(float(section["pixel_variance"]), sigma)
+    return NoiseModel(
+        np.asarray(section["feature_cov"], dtype=float),
+        np.asarray(section["obstacle_cov"], dtype=float),
+        sigma,
+    )
 
 
 def from_dict(data: dict) -> Scenario:
     """Build and structurally validate a scenario from plain data."""
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario document must be a mapping, got {type(data).__name__}")
     allowed = {
         "name", "camera", "initial_pose", "target_pose", "target_features",
         "features_world", "obstacle", "mode", "noise", "gamma",
@@ -190,13 +189,11 @@ def from_dict(data: dict) -> Scenario:
 
     cam = data["camera"]
     _require_keys(cam, {"f", "px", "py"}, {"f", "px", "py"}, "camera")
-    try:
+    with _reading("camera"):
         intrinsics = CameraIntrinsics(float(cam["f"]), float(cam["px"]), float(cam["py"]))
-    except ValueError as exc:
-        raise ScenarioError(f"camera: {exc}") from exc
 
     initial_pose = _pose_from_dict(data["initial_pose"], "initial_pose")
-    features_world = np.asarray(data["features_world"], dtype=float)
+    features_world = _field(data, "features_world", lambda v: np.asarray(v, dtype=float))
     if features_world.ndim != 2 or features_world.shape[1] != 3:
         raise ScenarioError(f"features_world: expected (m, 3) array, got shape {features_world.shape}")
     m = features_world.shape[0]
@@ -210,13 +207,13 @@ def from_dict(data: dict) -> Scenario:
         except Exception as exc:
             raise ScenarioError(f"target_pose: features not all in front of the camera ({exc})") from exc
     else:
-        target_features = np.asarray(data["target_features"], dtype=float)
+        target_features = _field(data, "target_features", lambda v: np.asarray(v, dtype=float))
         if target_features.shape != (m, 2):
             raise ScenarioError(f"target_features: expected ({m}, 2), got {target_features.shape}")
 
     obs = data["obstacle"]
     _require_keys(obs, {"radius", "waypoints", "center", "velocity"}, {"radius"}, "obstacle")
-    try:
+    with _reading("obstacle"):
         if "waypoints" in obs:
             if "center" in obs or "velocity" in obs:
                 raise ScenarioError("obstacle: give waypoints or center/velocity, not both")
@@ -232,8 +229,6 @@ def from_dict(data: dict) -> Scenario:
             )
         else:
             obstacle = Obstacle3.static(obs["center"], float(obs["radius"]))
-    except ValueError as exc:
-        raise ScenarioError(f"obstacle: {exc}") from exc
 
     mode = data["mode"]
     if mode not in MODES:
@@ -241,19 +236,16 @@ def from_dict(data: dict) -> Scenario:
 
     mpc_data = data["mpc"]
     _require_keys(mpc_data, {"horizon", "q", "r", "f", "v_max", "dt"}, {"horizon"}, "mpc")
-    try:
+    with _reading("mpc"):
         mpc_cfg = MpcConfig(
-            horizon=_integer(mpc_data["horizon"], "mpc.horizon"),
+            horizon=_field(mpc_data, "horizon", int, where="mpc.horizon"),
             q=_weight_matrix(mpc_data.get("q", 1.0), 2 * m, "mpc.q"),
             r=_weight_matrix(mpc_data.get("r", 0.05), 6, "mpc.r"),
             f=_weight_matrix(mpc_data.get("f", 2.0), 2 * m, "mpc.f"),
             v_max=float(mpc_data.get("v_max", 0.5)),
             dt=float(mpc_data.get("dt", 0.05)),
         )
-    except ValueError as exc:
-        raise ScenarioError(f"mpc: {exc}") from exc
 
-    noise = _noise_from_dict(data.get("noise"), "noise")
     return Scenario(
         name=str(data.get("name", "scenario")),
         intrinsics=intrinsics,
@@ -263,25 +255,38 @@ def from_dict(data: dict) -> Scenario:
         obstacle=obstacle,
         mode=mode,
         mpc=mpc_cfg,
-        noise=noise,
-        gamma=float(data.get("gamma", 2.0)),
-        max_steps=_integer(data.get("max_steps", 400), "max_steps"),
-        seed=_integer(data.get("seed", 0), "seed"),
-        convergence_tol=float(data.get("convergence_tol", 1e-3)),
+        noise=_field(data, "noise", _noise_from_dict),
+        gamma=_field(data, "gamma", float, 2.0),
+        max_steps=_field(data, "max_steps", int, 400),
+        seed=_field(data, "seed", int, 0),
+        convergence_tol=_field(data, "convergence_tol", float, 1e-3),
         prcbc_radius_term=bool(data.get("prcbc_radius_term", True)),
     )
 
 
-def load(path) -> Scenario:
-    """Load and validate a scenario YAML file."""
+def _read_yaml(path):
+    """The YAML document in ``path``; a file that cannot be read or parsed is a ScenarioError."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except FileNotFoundError as exc:
-        raise ScenarioError(f"scenario file not found: {path}") from exc
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
-    return from_dict(data)
+        raise ScenarioError(f"file not found: {path}") from exc
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # a directory, no permission, not UTF-8, not YAML
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def load(path) -> Scenario:
+    """Load and validate a scenario YAML file."""
+    return from_dict(_read_yaml(path))
+
+
+def load_locations(path) -> np.ndarray:
+    """Obstacle starts from a YAML list of ``[x, y, z]``: finite ``(n, 3)`` rows, else a ScenarioError."""
+    with _reading(f"locations file {path}"):
+        locations = np.asarray(_read_yaml(path), dtype=float)
+    if locations.ndim != 2 or locations.shape[1] != 3 or not np.isfinite(locations).all():
+        raise ScenarioError(f"locations file {path}: need a list of finite [x, y, z], got {locations.tolist()!r:.50}")
+    return locations
 
 
 def validate_scenario(sc: Scenario) -> list[str]:
@@ -304,6 +309,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append(f"need at least 3 feature points for a stable servo, got {sc.m}")
     if not (np.isfinite(sc.gamma) and sc.gamma > 0.0):
         problems.append(f"gamma must be finite and positive, got {sc.gamma}")
+    if not 0 <= sc.seed < SEED_LIMIT:
+        problems.append(f"seed must lie in [0, 2**64), got {sc.seed}")
     if sc.max_steps < 1:
         problems.append(f"max_steps must be >= 1, got {sc.max_steps}")
     if sc.mpc.q.shape != (2 * sc.m, 2 * sc.m):

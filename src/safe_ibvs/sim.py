@@ -253,8 +253,9 @@ def run(sc: Scenario) -> TrajectoryLog:
 
     Each pose's features are projected once: for the convergence check,
     and then by the step that starts from that pose. A package error
-    (:class:`SafeIbvsError`) or a ``LinAlgError`` ends the trial early,
-    marked aborted with the error's type and message. The rows are
+    (:class:`SafeIbvsError`), a ``LinAlgError`` or an ``ArithmeticError``
+    (a float overflow such as ``f**2`` at ``f = 1e308``) ends the trial
+    early, marked aborted with the error's type and message. The rows are
     stacked into the table once, at the end: ``max_steps`` has no upper
     bound, so no table is preallocated for it.
     """
@@ -275,7 +276,7 @@ def run(sc: Scenario) -> TrajectoryLog:
             rows.append(row)
             statuses.append(status)
             summary.min_row_inf = min(summary.min_row_inf, row_inf)
-    except (SafeIbvsError, np.linalg.LinAlgError) as exc:
+    except (SafeIbvsError, np.linalg.LinAlgError, ArithmeticError) as exc:
         summary.aborted = True
         summary.abort_reason = f"{type(exc).__name__}: {exc}"
 
@@ -299,7 +300,7 @@ class SweepResult:
     dis: np.ndarray  # (n_loc, n_trials) per-trial min pixel clearance
     violations: np.ndarray  # (n_loc, n_trials) bool, any true margin < 0
     aborted: np.ndarray  # (n_loc, n_trials) bool
-    seeds: np.ndarray  # (n_loc, n_trials)
+    seeds: np.ndarray  # (n_loc, n_trials) uint64, the range of a Philox key
     logs: list  # flat, ordered by (location, trial)
 
     def aggregate_rows(self) -> list[dict]:
@@ -353,7 +354,7 @@ def sweep(
         base_seed = template.seed
 
     scenarios = []
-    seeds = np.empty((locations.shape[0], trials_per_location), dtype=np.int64)
+    seeds = np.empty((locations.shape[0], trials_per_location), dtype=np.uint64)
     for i, loc in enumerate(locations):
         moved = template.with_obstacle_start(loc)
         for j in range(trials_per_location):

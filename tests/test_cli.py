@@ -261,3 +261,80 @@ def test_check_and_run_without_scipy(tmp_path):
         [sys.executable, "-c", SCIPY_BLOCKED_RUN, *paths], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text", ["{a: 1}", "[[null, 0.2, 0.1]]", "[null, 0.2, 0.1]", "[[.nan, 0.2, 0.1]]", "[[0.43, .inf, 0.1]]", "[]", ""]
+)
+def test_sweep_rejects_malformed_locations(tmp_path, capsys, text):
+    # the mapping once raised a traceback; the non-finite rows ran every trial to a NonPositiveDepth abort, exited
+    # 2 and wrote NaN into sweep_summary.json
+    locs = tmp_path / "locs.yaml"
+    locs.write_text(text)
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", REF_NOISE, "--locations", str(locs), "--trials", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "locations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
+def test_check_rejects_a_seed_outside_the_philox_key_range(tmp_path, capsys, seed):
+    bad = tmp_path / "seed.yaml"
+    bad.write_text(Path(REF_CBC).read_text().replace("seed: 2024", f"seed: {seed}"))
+    assert main(["check", "--scenario", str(bad)]) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().out
+
+
+def test_seed_overrides_outside_the_key_range_are_configuration_errors(tmp_path, capsys, small_scenario):
+    out = tmp_path / "o"
+    one = tmp_path / "one.yaml"
+    one.write_text("[[0.43, 0.23, 0.10]]")
+
+    def sweep(locations, seed):
+        args = ["--locations", str(locations), "--trials", "1", "--seed", str(seed), "--out", str(out)]
+        return main(["sweep", "--scenario", small_scenario, *args])
+
+    assert main(["run", "--scenario", small_scenario, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert sweep(LOCATIONS, -3) == EXIT_CONFIG
+    # five locations: the last trial seed would be 2**64 + 3
+    assert sweep(LOCATIONS, 2**64 - 1) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err and not out.exists()
+    # the largest key still sweeps
+    assert sweep(one, 2**64 - 1) == EXIT_OK
+
+
+def test_unusable_out_fails_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    from safe_ibvs import sim
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "run", no_trial)
+    monkeypatch.setattr(sim, "sweep", no_trial)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert main(["run", "--scenario", REF_CBC, "--out", out]) == EXIT_CONFIG
+    assert main(["sweep", "--scenario", REF_NOISE, "--locations", LOCATIONS, "--out", out]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, old, new, reason",
+    [
+        ("reference_noise", "f: 500.0", "f: 1.0e308", "OverflowError"),
+        ("reference_noise", "v_max: 0.5", "v_max: 1.0e308", "OverflowError"),
+        ("reference_cbc", "center: [0.43, 0.23, 0.10]", "center: [1.0e308, 0.23, 0.10]", "DegenerateConstraint"),
+    ],
+)
+def test_checked_scene_that_overflows_runs_to_a_typed_abort(tmp_path, capsys, name, old, new, reason):
+    text = (REPO / "scenarios" / f"{name}.yaml").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "huge.yaml"
+    path.write_text(text.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # float overflow on the way to the abort
+        assert main(["check", "--scenario", str(path)]) == EXIT_OK
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_ABORT
+    assert f"trial aborted: {reason}" in capsys.readouterr().err

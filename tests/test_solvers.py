@@ -7,6 +7,7 @@ from safe_ibvs import qcqp, solvers
 from safe_ibvs.errors import CertificationFailed
 from safe_ibvs.oracles import (
     enumerate_projection_qp,
+    min_max_value,
     multistart_qcqp,
     random_qcqp_problem,
     random_qp_problem,
@@ -494,3 +495,21 @@ def test_certify_is_independent_of_row_scale():
     report = solvers.certify(sol, prob)
     assert report.stationarity_residual == 0.0
     assert report.duals[0] * s == pytest.approx(0.8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_jacobi_rescale_of_an_indefinite_rounded_hessian(capfd):
+    # a Newton system whose dual Hessian rounds to a negative diagonal entry: its Jacobi scale once took
+    # sqrt of it, warned, and handed NaN to LAPACK, which printed DLASCL errors
+    rng = np.random.default_rng(446)
+    s = 10 ** rng.uniform(1, np.log10(3e3))
+    f = rng.normal(size=(5, 1, 6)) * s
+    b = rng.normal(size=(5, 6)) * s * rng.choice([1e-3, 1.0, s])
+    c = rng.uniform(-1, 1, 5) * rng.choice([1.0, 10.0, s, s * s])
+    prob = solvers.FilterProblem(rng.normal(size=6) * rng.uniform(0, 5), rng.uniform(0.01, 2.0), f, b, c)
+    sol = solvers.solve_filter_qcqp(prob)
+    printed = capfd.readouterr()
+    assert "DLASCL" not in printed.out + printed.err
+    # the admissible set is empty, so the hold is right
+    assert sol.status in HOLDS and not sol.twist.any()
+    assert min_max_value(prob, make_rng(0)) > 0.0
