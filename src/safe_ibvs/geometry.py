@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +25,17 @@ from .errors import NonPositiveDepth
 
 ORTHONORMAL_TOL = 1e-9
 MIN_DEPTH = 1e-9
+_EYE3 = np.eye(3)  # read only: every use below makes a new array
 
 
 def skew(w: np.ndarray) -> np.ndarray:
     """Cross-product matrix of a 3-vector."""
+    x, y, z = np.asarray(w, dtype=float).tolist()
     return np.array(
         [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
+            [0.0, -z, y],
+            [z, 0.0, -x],
+            [-y, x, 0.0],
         ]
     )
 
@@ -45,17 +48,17 @@ def se3_exp(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     v = np.asarray(xi[:3], dtype=float)
     w = np.asarray(xi[3:], dtype=float)
-    theta = float(np.linalg.norm(w))
+    theta = math.sqrt(w @ w)  # what np.linalg.norm computes for a vector
     wx = skew(w)
     wx2 = wx @ wx
     if theta < 1e-12:
         # series truncation error is below machine precision here
-        rot = np.eye(3) + wx + 0.5 * wx2
-        jac = np.eye(3) + 0.5 * wx + wx2 / 6.0
+        rot = _EYE3 + wx + 0.5 * wx2
+        jac = _EYE3 + 0.5 * wx + wx2 / 6.0
     else:
         s, c = np.sin(theta), np.cos(theta)
-        rot = np.eye(3) + (s / theta) * wx + ((1.0 - c) / theta**2) * wx2
-        jac = np.eye(3) + ((1.0 - c) / theta**2) * wx + ((theta - s) / theta**3) * wx2
+        rot = _EYE3 + (s / theta) * wx + ((1.0 - c) / theta**2) * wx2
+        jac = _EYE3 + ((1.0 - c) / theta**2) * wx + ((theta - s) / theta**3) * wx2
     return rot, jac @ v
 
 
@@ -89,10 +92,11 @@ class CameraPose:
         object.__setattr__(self, "translation", trans)
         if rot.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
+        err = np.abs(rot.T @ rot - _EYE3).max()
         if err > ORTHONORMAL_TOL:
             raise ValueError(f"rotation not orthonormal (max deviation {err:.3e})")
-        det = np.linalg.det(rot)
+        (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)  # scalar triple product
         if abs(det - 1.0) > ORTHONORMAL_TOL:
             raise ValueError(f"rotation determinant {det:.12f} != +1")
 
@@ -133,9 +137,9 @@ def project_point(pose: CameraPose, k: CameraIntrinsics, p_world: np.ndarray) ->
     """
     p_cam = world_to_camera(pose, p_world)
     z = p_cam[..., 2]
-    behind = np.flatnonzero(z <= MIN_DEPTH)
-    if behind.size:
-        raise NonPositiveDepth(f"point depth {np.ravel(z)[behind[0]]:.3e} <= {MIN_DEPTH:.0e}")
+    behind = z <= MIN_DEPTH
+    if behind.any():
+        raise NonPositiveDepth(f"point depth {z[behind][0]:.3e} <= {MIN_DEPTH:.0e}")
     return p_cam[..., :2] / z[..., None], z if z.ndim else float(z)
 
 

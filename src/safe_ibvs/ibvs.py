@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
@@ -12,9 +14,9 @@ RANK_EIG_TOL = 1e-10
 
 def feature_error(points: np.ndarray, target_points: np.ndarray) -> np.ndarray:
     """Stacked feature error ``s - s*`` as a flat 2m-vector."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    target_points = np.atleast_2d(np.asarray(target_points, dtype=float))
-    if points.shape != target_points.shape:
+    points = np.asarray(points, dtype=float)
+    target_points = np.asarray(target_points, dtype=float)
+    if points.shape != target_points.shape and np.atleast_2d(points).shape != np.atleast_2d(target_points).shape:
         raise DimensionMismatch(f"feature sets {points.shape} vs {target_points.shape}")
     return (points - target_points).reshape(-1)
 
@@ -45,7 +47,7 @@ def gradient_controller(error: np.ndarray, L: np.ndarray, gain: float) -> np.nda
 def clip_twist(twist: np.ndarray, v_max: float) -> np.ndarray:
     """Scale a twist down to the Euclidean ball of radius ``v_max``."""
     twist = np.asarray(twist, dtype=float)
-    norm = float(np.linalg.norm(twist))
+    norm = math.sqrt(twist @ twist)  # what np.linalg.norm computes for a vector
     if norm <= v_max or norm == 0.0:
         return twist.copy()
     return twist * (v_max / norm)

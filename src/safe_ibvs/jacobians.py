@@ -21,20 +21,19 @@ def feature_interaction(p: np.ndarray, z: float | np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     z = np.asarray(z, dtype=float)
-    bad = np.flatnonzero(~(z > 0.0))
-    if bad.size:
-        raise NonPositiveDepth(f"feature depth {np.ravel(z)[bad[0]]} <= 0")
+    positive = z > 0.0
+    if not positive.all():
+        raise NonPositiveDepth(f"feature depth {z[~positive][0]} <= 0")
     a, b = p[..., 0], p[..., 1]
     out = np.zeros(p.shape[:-1] + (2, 6))
-    out[..., 0, 0] = -1.0 / z
+    out[..., 0, 0] = out[..., 1, 1] = -1.0 / z
     out[..., 0, 2] = a / z
-    out[..., 0, 3] = a * b
+    out[..., 0, 3] = ab = a * b
     out[..., 0, 4] = -(1.0 + a * a)
     out[..., 0, 5] = b
-    out[..., 1, 1] = -1.0 / z
     out[..., 1, 2] = b / z
     out[..., 1, 3] = 1.0 + b * b
-    out[..., 1, 4] = -a * b
+    out[..., 1, 4] = -ab  # rounding is sign-symmetric, so this is exactly -a * b
     out[..., 1, 5] = -a
     return out
 

@@ -127,8 +127,8 @@ def _dual_newton(basis: np.ndarray, eigvals: np.ndarray, rhs: np.ndarray, v_max:
     systems together.
     """
     shape = rhs.shape
-    rhs = rhs.reshape(shape[0], -1)
-    a = (basis * eigvals[:, None, :]) @ basis.T
+    size = shape[1] * shape[2]
+    rhs = rhs.reshape(shape[0], size)
     inverse = (basis / eigvals[:, None, :]) @ basis.T  # of the lambda = 0 systems
     lam = np.zeros(shape[1])
     for it in range(NEWTON_MAX_ITER + 1):
@@ -136,12 +136,17 @@ def _dual_newton(basis: np.ndarray, eigvals: np.ndarray, rhs: np.ndarray, v_max:
         norms = np.sqrt(np.einsum("bki,bki->k", z, z))
         free = (lam > 0.0) | (norms > v_max)
         if it == NEWTON_MAX_ITER or (np.abs(norms[free] - v_max) <= NEWTON_TOL * v_max).all():
-            return z
+            return z  # an unsaturated plan returns here, at it = 0
         # d(1/||u_k||)/d lam_l = 2 sum_b z[b, k]' (K_b^-1)[k, l] z[b, l] / ||u_k||^3, (K_b^-1)[k, l] a g x g block
         curv = np.einsum("bki,bkilj,blj->kl", z, inverse.reshape(shape + shape[1:]), z)
         jac = 2.0 * curv[free][:, free] / norms[free, None] ** 3
         lam[free] = np.maximum(lam[free] - np.linalg.solve(jac, 1.0 / norms[free] - 1.0 / v_max), 0.0)
-        inverse = np.linalg.inv(a + np.diag(np.repeat(2.0 * lam, shape[2])))
+        if it == 0:  # K_b = A_b + 2 diag(lam) (x) I_g: A_b is built once, and each iterate rewrites its diagonal
+            k_mat = (basis * eigvals[:, None, :]) @ basis.T
+            diagonal = k_mat.reshape(shape[0], -1)[:, :: size + 1]
+            a_diagonal = diagonal.copy()
+        diagonal[...] = a_diagonal + (2.0 * lam).repeat(shape[2])
+        inverse = np.linalg.inv(k_mat)
 
 
 def plan(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> np.ndarray:

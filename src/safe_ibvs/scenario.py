@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -142,6 +143,20 @@ def _field(section: dict, key: str, cast, default=None, where: str = ""):
         return cast(section.get(key, default))
 
 
+def _integer(value) -> int:
+    """``value`` as an int when it is a whole number (``300`` or ``300.0``); a bool, a string or ``2.9`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != int(value):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """``value`` when it is a YAML boolean; a string such as ``"false"`` or a number is refused."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _pose_from_dict(section, where: str) -> CameraPose:
     _require_keys(section, {"rpy", "rotation", "xyz"}, {"xyz"}, where)
     if ("rpy" in section) == ("rotation" in section):
@@ -238,7 +253,7 @@ def from_dict(data: dict) -> Scenario:
     _require_keys(mpc_data, {"horizon", "q", "r", "f", "v_max", "dt"}, {"horizon"}, "mpc")
     with _reading("mpc"):
         mpc_cfg = MpcConfig(
-            horizon=_field(mpc_data, "horizon", int, where="mpc.horizon"),
+            horizon=_field(mpc_data, "horizon", _integer, where="mpc.horizon"),
             q=_weight_matrix(mpc_data.get("q", 1.0), 2 * m, "mpc.q"),
             r=_weight_matrix(mpc_data.get("r", 0.05), 6, "mpc.r"),
             f=_weight_matrix(mpc_data.get("f", 2.0), 2 * m, "mpc.f"),
@@ -257,10 +272,10 @@ def from_dict(data: dict) -> Scenario:
         mpc=mpc_cfg,
         noise=_field(data, "noise", _noise_from_dict),
         gamma=_field(data, "gamma", float, 2.0),
-        max_steps=_field(data, "max_steps", int, 400),
-        seed=_field(data, "seed", int, 0),
+        max_steps=_field(data, "max_steps", _integer, 400),
+        seed=_field(data, "seed", _integer, 0),
         convergence_tol=_field(data, "convergence_tol", float, 1e-3),
-        prcbc_radius_term=bool(data.get("prcbc_radius_term", True)),
+        prcbc_radius_term=_field(data, "prcbc_radius_term", _boolean, True),
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,6 +49,7 @@ from .scenario import MODE_CBC, MODE_PRCBC, MODE_UNFILTERED, Scenario
 from .solvers import STATUS_FALLBACK, FilterProblem, solve_filter_qp, solve_filter_qcqp
 
 CSV_FLOAT_FMT = "{:.17g}"
+MAX_PIXEL_DISTANCE = 1e154  # the pixel clearance squares distances, and sqrt of the largest float is 1.34e154
 
 
 def columns(m: int) -> list[str]:
@@ -161,9 +162,12 @@ def observe(
         z = rng.standard_normal((sc.m + 1, 2))
         # one 2x2 @ 2x1 product per row; z @ S.T would round differently for a non-diagonal S
         features = features + (sc.noise.feature_sqrt @ z[:-1, :, None])[..., 0] / f
-        obstacle = dc_replace(obstacle, center=obstacle.center + (sc.noise.obstacle_sqrt @ z[-1]) / f)
+        center = obstacle.center + (sc.noise.obstacle_sqrt @ z[-1]) / f
+        obstacle = ObstacleImageState(center, obstacle.rn, obstacle.depth, obstacle.radius_px)
     # the projected obstacle center moves like one more point feature, at its own depth
-    l_points = feature_interaction(np.vstack([features, obstacle.center]), np.append(depths, obstacle.depth))
+    l_points = feature_interaction(
+        np.concatenate((features, obstacle.center[None])), np.concatenate((depths, [obstacle.depth]))
+    )
     return FeatureObservation(
         features=features,
         depths=depths,
@@ -234,14 +238,18 @@ def step(
         v_star, status = solution.twist, solution.status
 
     h = barrier_value(features, obstacle.center, obstacle.rn)
-    dists = np.linalg.norm(features - obstacle.center, axis=1)
+    offsets = features - obstacle.center
+    dists = np.sqrt((offsets * offsets).sum(axis=1))  # what np.linalg.norm(axis=1) computes
+    reach_px = sc.intrinsics.f * float(dists.max())  # a Python float product overflows to inf without a warning
+    if reach_px > MAX_PIXEL_DISTANCE:
+        raise OverflowError(f"feature-obstacle distance {reach_px:.3e} px > {MAX_PIXEL_DISTANCE:.0e}, too large to square")
     clearance = pixel_clearance(
         pixel_from_normalized(features, sc.intrinsics),
         pixel_from_normalized(obstacle.center, sc.intrinsics),
         obstacle.radius_px,
     )
     row = np.concatenate(  # in columns(m) order
-        ([state.step_index, state.t, np.linalg.norm(e_true)], h, [dists.min(), clearance.min()], v_star, v_mpc)
+        ([state.step_index, state.t, math.sqrt(e_true @ e_true)], h, [dists.min(), clearance.min()], v_star, v_mpc)
     )
     new_pose = integrate_twist(state.pose, v_star, sc.mpc.dt)
     new_state = SimState(pose=new_pose, t=state.t + sc.mpc.dt, step_index=state.step_index + 1)
@@ -268,7 +276,8 @@ def run(sc: Scenario) -> TrajectoryLog:
     try:
         for k in range(sc.max_steps + 1):
             truth = project_point(state.pose, sc.intrinsics, sc.features_world)
-            final_e = float(np.linalg.norm(feature_error(truth[0], sc.target_features)))
+            e_true = feature_error(truth[0], sc.target_features)
+            final_e = math.sqrt(e_true @ e_true)
             summary.converged = final_e < sc.convergence_tol
             if summary.converged or k == sc.max_steps:
                 break

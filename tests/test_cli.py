@@ -338,3 +338,19 @@ def test_checked_scene_that_overflows_runs_to_a_typed_abort(tmp_path, capsys, na
         assert main(["check", "--scenario", str(path)]) == EXIT_OK
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_ABORT
     assert f"trial aborted: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f", ["1.0e308", "1.0e154"])
+def test_focal_length_that_overflows_the_clearance_is_a_typed_abort(tmp_path, capsys, f):
+    # check passed these scenes, and run converged with min_dis_px=inf after an overflow warning in the clearance
+    text = Path(REF_CBC).read_text()
+    assert text.count("f: 500.0") == 1
+    path = tmp_path / "huge_f.yaml"
+    path.write_text(text.replace("f: 500.0", f"f: {f}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", "--scenario", str(path)]) == EXIT_OK
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_ABORT
+    assert "trial aborted: OverflowError: feature-obstacle distance" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "o" / "trajectory_summary.json").read_text())
+    assert summary["aborted"] and not summary["converged"]

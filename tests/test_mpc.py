@@ -390,3 +390,28 @@ def test_plan_no_block_saturated_is_unconstrained_optimum():
     h_mat, g = mpc.condense(e0, L, cfg)
     assert np.linalg.norm(controls, axis=1).max() < cfg.v_max
     assert np.abs(controls.reshape(-1) - np.linalg.solve(h_mat, -g)).max() < 1e-12
+
+
+def test_unsaturated_plan_is_the_lambda_zero_solve(monkeypatch):
+    calls = []
+    for name in ("inv", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    rng = np.random.default_rng(16)
+    cfg = scalar_config()
+    nu, basis = cfg.coupling_eig
+    for _ in range(5):
+        L = random_stack(rng)
+        e0 = rng.normal(size=8) * 0.01
+        controls = mpc.plan(e0, L, cfg)
+        # lambda = 0 written out: the inverse of each N x N system, its product with the rhs, then the rotation back
+        mu, rotation = np.linalg.eigh(L.T @ L)
+        eigvals = np.multiply.outer((2.0 * cfg.dt * cfg.dt) * mu, nu) + 2.0 * cfg.r[0, 0]
+        rhs = np.multiply.outer((-2.0 * cfg.dt) * (e0 @ L @ rotation), cfg.grad_weights)
+        inverse = (basis / eigvals[:, None, :]) @ basis.T
+        reference = np.einsum("bij,bj->bi", inverse, rhs).T @ rotation.T
+        assert np.linalg.norm(reference, axis=1).max() < cfg.v_max
+        assert np.array_equal(controls, reference)
+    assert calls == []
+    mpc.plan(rng.normal(size=8) * 50.0, random_stack(rng), cfg)  # a saturated plan does reach Newton
+    assert "inv" in calls and "solve" in calls

@@ -158,6 +158,37 @@ def test_radius_term_switch_parsed():
     assert sm.from_dict(cfg).prcbc_radius_term is False
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "prcbc_radius_term", "false"),
+        (None, "prcbc_radius_term", 1),
+        (None, "max_steps", 2.9),
+        (None, "max_steps", True),
+        (None, "max_steps", "300"),
+        (None, "seed", 1.5),
+        (None, "seed", False),
+        ("mpc", "horizon", 5.5),
+        ("mpc", "horizon", True),
+    ],
+)
+def test_wrong_typed_switch_and_integers_are_named(section, key, value):
+    # each of these once loaded silently: "false" as True, 2.9 as 2, true as 1
+    cfg = base_config()
+    (cfg if section is None else cfg[section])[key] = value
+    with pytest.raises(ScenarioError, match=key if section is None else f"{section}.{key}"):
+        sm.from_dict(cfg)
+
+
+def test_integral_floats_load_as_integers():
+    cfg = base_config()
+    cfg.update(max_steps=300.0, seed=7.0)
+    cfg["mpc"]["horizon"] = 4.0
+    sc = sm.from_dict(cfg)
+    assert (sc.max_steps, sc.seed, sc.mpc.horizon) == (300, 7, 4)
+    assert all(type(v) is int for v in (sc.max_steps, sc.seed, sc.mpc.horizon))
+
+
 def test_digest_stable_and_sensitive():
     sc1 = shipped("reference_cbc")
     sc2 = shipped("reference_cbc")
