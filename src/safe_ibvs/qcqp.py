@@ -13,14 +13,20 @@ multipliers lambda >= 0 the Lagrangian's minimiser solves
     (I + sum_i lambda_i A_i) V = v_ref - 0.5 sum_i lambda_i b_i.
 
 That matrix M is at least I, so it needs no regularisation. lambda = 0
-gives V = v_ref, which is returned as is when it is already admissible.
-Otherwise projected Newton ascends the concave dual
+gives V = v_ref: the solve evaluates g(v_ref) first and returns a copy
+of v_ref when every g_i <= 0, before it sets up anything else (the
+lambda = 0 optimality test accepts exactly that point, as the size of
+g_i's terms is never negative; a NaN falls through to it). Otherwise
+projected Newton ascends the concave dual
 d(lambda) = L(V(lambda), lambda), whose gradient is g(V) and whose
 Hessian is -0.5 G M^-1 G' for the stacked constraint gradients G, over
 the multipliers that are positive or whose constraint is violated (the
 dual approach of Goldfarb & Idnani, Math. Prog. 27, 1983). One inverse
-of M per trial point gives V(lambda) and the next Hessian; a system of
-one multiplier is solved as g/h. When the Hessian is rank-deficient to
+of M per trial point gives V(lambda) and the next Hessian, unless every
+positive multiplier sits on a half-space (the CBC filter's case): then
+sum_i lambda_i A_i is zero, M = I, V = v_ref - 0.5 sum_i lambda_i b_i
+and the Hessian is -0.5 G G', with no inverse. A system of one
+multiplier is solved as g/h. When the Hessian is rank-deficient to
 ``lstsq``, the step is solved again on its Jacobi-scaled form, and the
 dual, linear along what stays null, is followed there until a multiplier
 reaches zero (two opposed half-spaces that both carry a multiplier need
@@ -41,6 +47,8 @@ each reason starting with its own first word:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -98,19 +106,28 @@ def solve(
     otherwise it says why the solve holds, starting with
     :data:`INFEASIBLE` or :data:`NO_CONVERGENCE`, and V is zero.
     """
+    g, grads = evaluate(a, b, c, v_ref)
+    if (g <= 0.0).all():
+        return v_ref.copy(), ""  # admissible: what the lambda = 0 test below accepts, since sizes >= 0
     k, n = a.shape[0], v_ref.shape[0]
     a_rows, eye = a.reshape(k, n * n), np.eye(n)
     abs_a, abs_b, abs_c = np.abs(a), np.abs(b), np.abs(c)
-    bound = (float(np.linalg.norm(v_ref)) + v_max) ** 2
+    bound = (math.sqrt(v_ref @ v_ref) + v_max) ** 2  # what np.linalg.norm computes
 
-    def minimiser(lam):
-        """M^-1, the Lagrangian's minimiser V, g(V), g's gradients, the size of each g_i's terms, d(lambda), d's size."""
-        if lam.any():
-            m_inv = np.linalg.inv(eye + (lam @ a_rows).reshape(n, n))
-            x = m_inv @ (v_ref - 0.5 * (lam @ b))
+    def minimiser(lam, g=None, grads=None):
+        """M^-1 (None when M = I), the Lagrangian's minimiser V, g(V), g's gradients, the size of each g_i's terms,
+        d(lambda) and d's size. At lambda = 0, V is v_ref, whose ``g`` and ``grads`` the caller passes in."""
+        m_inv = None
+        if not lam.any():
+            x = v_ref.copy()
         else:
-            m_inv, x = None, v_ref.copy()
-        g, grads = evaluate(a, b, c, x)
+            x = v_ref - 0.5 * (lam @ b)
+            m_sum = lam @ a_rows
+            if m_sum.any():  # else every multiplier is on a half-space: M = I, and M^-1 y is y
+                m_inv = np.linalg.inv(eye + m_sum.reshape(n, n))
+                x = m_inv @ x
+        if g is None:
+            g, grads = evaluate(a, b, c, x)
         ax = np.abs(x)
         sizes = (abs_a @ ax) @ ax + abs_b @ ax + abs_c
         d = x - v_ref
@@ -118,7 +135,7 @@ def solve(
         return m_inv, x, g, grads, sizes, dist + float(lam @ g), dist + float(lam @ sizes)
 
     lam = np.zeros(k)
-    m_inv, x, g, grads, sizes, dual, dual_size = minimiser(lam)
+    m_inv, x, g, grads, sizes, dual, dual_size = minimiser(lam, g, grads)
     stalls = 0
     try:
         for it in range(MAX_ITER + 1):

@@ -20,11 +20,20 @@ nonnegative least-squares fit, :func:`nnls`), or the hold-in-place twist
 three hold statuses and its reason in ``FilterSolution.message``: the
 dual value proves the admissible set empty, the multipliers do not
 converge (a set without interior), or the certification rejects the
-answer.
+answer. The solution's active set, the rows with slack at most
+``ACTIVE_SLACK_TOL``, is read off the constraint values that the
+certification computed (``CertificationReport.values``), so a certified
+answer costs one evaluation of the constraints besides the solve's own.
+A pass-through answer (V = v_ref) has nothing to fit: its multipliers
+are zero, as NNLS would return them, and the fit is skipped. Every
+active set on the shipped scenarios has one row, and NNLS solves a
+passive set of one column a in closed form, ``(a'b) / (a'a)``, while
+``a'a`` is a normal float, and with ``lstsq`` otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +53,9 @@ ACTIVE_SLACK_TOL = 1e-6
 CERT_FEAS_TOL = qcqp.FEAS_ATOL  # the solve's own bound on g, so no answer fails on violation alone
 CERT_STAT_TOL = 1e-6
 CERT_COMP_TOL = 1e-6
+
+_EYE = np.eye(6)  # the speed ball's A, copied into every problem
+_TINY = np.finfo(float).tiny  # the smallest positive normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +84,20 @@ class FilterProblem:
         f = np.asarray(self.f, dtype=float)
         if f.ndim != 3 or f.shape[2] != 6:
             raise ValueError(f"f must have shape (k, r, 6), got {f.shape}")
+        b_in = np.asarray(self.b, dtype=float).reshape(-1, 6)
+        c_in = np.asarray(self.c, dtype=float).reshape(-1)
+        k = f.shape[0]
+        if b_in.shape[0] != k or c_in.shape[0] != k:
+            raise ValueError(f"f, b and c must have k rows each, got shapes {f.shape}, {b_in.shape} and {c_in.shape}")
+        a = np.empty((k + 1, 6, 6))
+        np.matmul(f.transpose(0, 2, 1), f, out=a[:-1])
+        a[-1] = _EYE
+        b = np.zeros((k + 1, 6))
+        b[:-1] = b_in
+        c = np.empty(k + 1)
+        c[:-1] = c_in
+        c[-1] = -self.v_max**2
         object.__setattr__(self, "f", f)
-        a = np.concatenate([f.transpose(0, 2, 1) @ f, np.eye(6)[None]])
-        b = np.concatenate([np.asarray(self.b, dtype=float).reshape(-1, 6), np.zeros((1, 6))])
-        c = np.append(np.asarray(self.c, dtype=float).reshape(-1), -self.v_max**2)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -95,6 +117,7 @@ class CertificationReport:
     stationarity_residual: float
     max_complementarity: float
     duals: np.ndarray
+    values: np.ndarray  # g_i at the certified twist, one per constraint row
 
 
 def _solve(problem: FilterProblem) -> FilterSolution:
@@ -102,14 +125,12 @@ def _solve(problem: FilterProblem) -> FilterSolution:
     if reason:
         status = HOLD_INFEASIBLE if reason.startswith(qcqp.INFEASIBLE) else HOLD_NO_CONVERGENCE
         return FilterSolution(twist=np.zeros(6), status=status, message=reason)
-    values, _ = qcqp.evaluate(problem.a, problem.b, problem.c, v)
-    active = tuple(int(i) for i in np.flatnonzero(-values <= ACTIVE_SLACK_TOL))
-    solution = FilterSolution(twist=v, status=STATUS_OPTIMAL, active_set=active)
     try:
-        certify(solution, problem)
+        report = certify(FilterSolution(twist=v, status=STATUS_OPTIMAL), problem)
     except CertificationFailed as exc:
         return FilterSolution(twist=np.zeros(6), status=HOLD_CERTIFICATION, message=str(exc))
-    return solution
+    active = tuple(int(i) for i in np.flatnonzero(-report.values <= ACTIVE_SLACK_TOL))
+    return FilterSolution(twist=v, status=STATUS_OPTIMAL, active_set=active)
 
 
 def solve_filter_qp(problem: FilterProblem) -> FilterSolution:
@@ -132,12 +153,14 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     ``a'(b - a x)`` is largest into the passive set, solve least squares
     on the passive columns, and step back along the segment to the first
     coefficient that would turn negative, dropping it, until no zero
-    coefficient's correlation is positive.
+    coefficient's correlation is positive. The cutoff on that correlation
+    scales with the columns, so scaling every column by a positive factor
+    scales x by its inverse.
     """
     n = a.shape[1]
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    tol = 10.0 * np.finfo(float).eps * max(a.shape) * float(np.abs(a).sum(axis=0).max(initial=1.0))
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * float(np.abs(a).sum(axis=0).max(initial=0.0))
     for _ in range(3 * n):
         w = a.T @ (b - a @ x)
         w[passive] = -np.inf
@@ -147,7 +170,7 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         passive[j] = True
         for _ in range(n):
             z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            z[passive] = _least_squares(a[:, passive], b)
             if np.all(z[passive] > 0.0):
                 x = z
                 break
@@ -160,12 +183,24 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(np.linalg.norm(a @ x - b))
 
 
+def _least_squares(cols: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``argmin ||cols z - b||``; one column a is ``(a'b) / (a'a)`` in closed form while ``a'a`` is a normal float."""
+    if cols.shape[1] == 1:
+        col = cols[:, 0]
+        norm = math.hypot(*col)  # a'a as norm * norm, which leaves the normal range without numpy's overflow warning
+        sq = norm * norm
+        if _TINY <= sq < math.inf:
+            return np.array([float(col @ b) / sq])
+    return np.linalg.lstsq(cols, b, rcond=None)[0]
+
+
 def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationReport:
     """Independently re-check a filter solution against its problem.
 
     Recomputes constraint slacks, finds best nonnegative multipliers by
     least squares (:func:`nnls` on the unit-norm constraint gradients,
-    independent of the solver's duals), and checks stationarity and
+    independent of the solver's duals; zero without a fit when V = v_ref,
+    as then there is nothing to fit), and checks stationarity and
     complementary slackness.
     Raises :class:`CertificationFailed` when any tolerance is exceeded
     or any checked number is not finite; hold-static solutions are
@@ -174,24 +209,29 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("only optimal solutions can be certified")
     v = solution.twist
+    if not np.isfinite(v).all():
+        raise CertificationFailed(f"twist is not finite: {v}")
     values, grads = qcqp.evaluate(problem.a, problem.b, problem.c, v)
 
     # every gate is written "not value <= tol", so that NaN fails it
     violation = float(values.max())
     if not violation <= CERT_FEAS_TOL:
         raise CertificationFailed(f"constraint violation {violation:.3e} > {CERT_FEAS_TOL:.0e}")
-    speed = float(np.linalg.norm(v))
+    speed = math.sqrt(v @ v)  # what np.linalg.norm computes
     if not speed <= problem.v_max + 1e-9:
         raise CertificationFailed(f"speed {speed} exceeds bound {problem.v_max}")
 
     grad_obj = 2.0 * (v - problem.v_ref)
-    # fit on unit columns, so no row's scale keeps it out of NNLS (x >= 0 is invariant under positive
-    # column scaling); a zero gradient stays zero, so its dual stays 0
-    norms = np.hypot.reduce(grads, axis=1)  # no underflow to 0 for tiny rows
-    norms[norms == 0.0] = 1.0
-    duals, residual = nnls(grads.T / norms, -grad_obj)
-    duals /= norms
-    scale = 1.0 + float(np.linalg.norm(grad_obj))
+    if grad_obj.any():
+        # fit on unit columns, so no row's scale keeps it out of NNLS (x >= 0 is invariant under positive
+        # column scaling); a zero gradient stays zero, so its dual stays 0
+        norms = np.hypot.reduce(grads, axis=1)  # no underflow to 0 for tiny rows
+        norms[norms == 0.0] = 1.0
+        duals, residual = nnls(grads.T / norms, -grad_obj)
+        duals /= norms
+    else:
+        duals, residual = np.zeros(values.shape[0]), 0.0  # what NNLS returns with nothing to fit
+    scale = 1.0 + math.sqrt(grad_obj @ grad_obj)
     if not residual <= CERT_STAT_TOL * scale:
         raise CertificationFailed(f"stationarity residual {residual:.3e} > {CERT_STAT_TOL:.0e} * {scale:.3e}")
 
@@ -203,4 +243,5 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
         stationarity_residual=float(residual),
         max_complementarity=comp,
         duals=duals,
+        values=values,
     )

@@ -34,11 +34,16 @@ HOLDS = {solvers.HOLD_INFEASIBLE, solvers.HOLD_NO_CONVERGENCE, solvers.HOLD_CERT
 
 
 def test_feasible_reference_returned_exactly():
-    prob = solvers.FilterProblem(np.array([0.1, -0.05, 0.02, 0.0, 0.01, -0.02]), 0.5, *halfspaces((E[0], -1.0)))
-    sol = solvers.solve_filter_qp(prob)
-    assert sol.status == solvers.STATUS_OPTIMAL
-    assert np.array_equal(sol.twist, prob.v_ref)
-    assert sol.active_set == ()
+    v_ref = np.array([0.1, -0.05, 0.02, 0.0, 0.01, -0.02])
+    qp = solvers.FilterProblem(v_ref, 0.5, *halfspaces((E[0], -1.0)))
+    qcqp_prob = solvers.FilterProblem(v_ref, 0.5, *quadratics(_disk(0.1 * E[0], 0.3)))
+    for prob, solve in [(qp, solvers.solve_filter_qp), (qcqp_prob, solvers.solve_filter_qcqp)]:
+        sol = solve(prob)
+        assert sol.status == solvers.STATUS_OPTIMAL
+        assert np.array_equal(sol.twist, prob.v_ref) and sol.twist is not prob.v_ref
+        assert sol.active_set == ()
+        report = solvers.certify(sol, prob)
+        assert np.array_equal(report.duals, np.zeros(2)) and report.stationarity_residual == 0.0
 
 
 def test_single_halfspace_projection():
@@ -188,6 +193,19 @@ def test_problem_derives_the_gram_matrices_from_the_factors():
         solvers.FilterProblem(np.zeros(6), 1.0, np.zeros((3, 6, 5)), np.zeros((3, 6)), -np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "b, c",
+    [
+        pytest.param(np.zeros((3, 6)), np.zeros(3), id="b_and_c_have_extra_rows"),
+        pytest.param(np.zeros((2, 6)), np.zeros(3), id="c_has_an_extra_row"),
+        pytest.param(np.zeros((1, 6)), np.zeros(2), id="b_is_short"),
+    ],
+)
+def test_problem_rejects_row_counts_that_disagree(b, c):
+    with pytest.raises(ValueError, match=r"\(2, 0, 6\).*\(\d, 6\).*\(\d,\)"):
+        solvers.FilterProblem(np.zeros(6), 1.0, np.zeros((2, 0, 6)), b, c)
+
+
 def test_certify_accepts_solver_output():
     rng = make_rng(29)
     checked = 0
@@ -219,6 +237,7 @@ def test_certify_rejects_fallback_input():
         solvers.certify(held, prob)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_certify_rejects_a_non_finite_twist(bad):
     prob = solvers.FilterProblem(np.zeros(6), 1.0, *halfspaces((E[0], -1.0)))
@@ -330,6 +349,9 @@ def test_nnls_matches_scipy_residual():
     from scipy.optimize import nnls as scipy_nnls
 
     rng = np.random.default_rng(3)
+    # one column scale per problem, from 1e-170 to 1e170: a column's a_j'a_j underflows below 1e-154 and
+    # overflows above 1e154, where the one-column step must leave its closed form
+    scales = 10.0 ** np.random.default_rng(4).uniform(-170.0, 170.0, 10_000)
     for i in range(10_000):
         k = int(rng.integers(1, 7))
         a = rng.normal(size=(6, k))
@@ -345,10 +367,11 @@ def test_nnls_matches_scipy_residual():
             a[:, 0] = 0.0
             a[:, -1] = a[:, k // 2]
             b = rng.normal(size=6)
-        x, residual = solvers.nnls(a, b)
-        assert np.all(x >= 0.0)
-        assert residual == pytest.approx(float(np.linalg.norm(a @ x - b)), abs=1e-15)
-        assert abs(residual - scipy_nnls(a, b)[1]) <= 1e-12
+        for scaled in (a, scales[i] * a):
+            x, residual = solvers.nnls(scaled, b)
+            assert np.all(x >= 0.0)
+            assert residual == pytest.approx(float(np.linalg.norm(scaled @ x - b)), abs=1e-15)
+            assert abs(residual - scipy_nnls(scaled, b)[1]) <= 1e-12
 
 
 def reference_solve(v_ref, a, b, c, v_max):
@@ -482,6 +505,38 @@ def test_one_factorisation_per_trial_point(monkeypatch):
     assert reason == "" and np.hypot(v[0] - 0.6, v[1]) == pytest.approx(0.1, abs=1e-9)
     assert counts["points"] > 2
     assert counts["factorisations"] == counts["points"] - 1  # the start, lambda = 0, needs none
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        pytest.param(solvers.FilterProblem(-0.3 * E[0] + 0.1 * E[1], 1.0, *halfspaces((E[0], 0.1))), id="cbc"),
+        pytest.param(
+            # a quadratic row that v_ref and the projection satisfy: its multiplier stays 0, so M stays I
+            solvers.FilterProblem(
+                -0.3 * E[0] + 0.1 * E[1],
+                1.0,
+                np.concatenate([np.zeros((1, 6, 6)), E[None]]),
+                np.stack([-E[0], np.zeros(6)]),
+                np.array([0.1, -0.9]),
+            ),
+            id="idle_quadratic",
+        ),
+    ],
+)
+def test_halfspace_multipliers_need_no_linear_algebra(prob, monkeypatch):
+    # every multiplier on a half-space leaves M = I: V is v_ref - 0.5 sum lambda_i b_i and the Hessian
+    # 0.5 G G', with no call into np.linalg
+    args = (prob.v_ref, prob.a, prob.b, prob.c, prob.v_max)
+    ref, ref_reason, _ = reference_solve(*args)
+    calls = []
+    for name in ("inv", "solve", "lstsq", "cholesky", "qr", "svd", "eig", "eigh", "pinv", "det", "norm"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*args, **kw))
+    v, reason = qcqp.solve(*args)
+    assert calls == []
+    assert reason == ref_reason == ""
+    assert np.abs(v - ref).max() <= 1e-15 and np.abs(v - 0.1 * (E[0] + E[1])).max() <= 1e-15
 
 
 def test_certify_is_independent_of_row_scale():
