@@ -190,34 +190,21 @@ def _bisect(f, hi: float) -> float:
 def noise_box_halfwidth(sigma: float, cov: np.ndarray) -> float:
     """Half-width e of the square [-e, e]^2 holding probability ``sigma``.
 
-    ``cov`` is the PSD covariance of the zero-mean planar noise. An
-    off-diagonal entry of exactly zero takes the closed forms: isotropic
-    covariances ``nu * sqrt(2) * erfinv(sqrt(sigma))``, unequal diagonals
-    a bisection on the product-of-erf equation. Correlated and singular
-    covariances bisect on :func:`box_probability`.
+    ``cov`` is the finite PSD covariance of the zero-mean planar noise.
+    An exactly isotropic covariance ``nu^2 I`` (the two axes independent,
+    so each holds probability ``sqrt(sigma)``) and one without variance
+    take the closed form ``nu * sqrt(2) * erfinv(sqrt(sigma))``; every
+    other covariance bisects on :func:`box_probability`.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
     cov = np.asarray(cov, dtype=float).reshape(2, 2)
-    if cov[0, 1] != 0.0:
-        if np.linalg.eigvalsh(cov)[0] < -1e-12:
-            raise UnsupportedCovariance("covariance must be PSD")
-        if cov.max() == 0.0:
-            return 0.0
-        return _bisect(lambda e: box_probability(e, cov) - sigma, 2.0 * math.sqrt(max(cov[0, 0], cov[1, 1])))
-    v1, v2 = math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0))
-    if v1 == 0.0 and v2 == 0.0:
-        return 0.0
-    if v1 == 0.0 or v2 == 0.0:
-        nu = max(v1, v2)
-        return nu * math.sqrt(2.0) * _erfinv(sigma)
-    if abs(v1 - v2) <= 1e-14 * max(v1, v2):
-        return v1 * math.sqrt(2.0) * _erfinv(math.sqrt(sigma))
-
-    def box_prob_minus_sigma(e):
-        return math.erf(e / (math.sqrt(2.0) * v1)) * math.erf(e / (math.sqrt(2.0) * v2)) - sigma
-
-    return _bisect(box_prob_minus_sigma, 2.0 * max(v1, v2))
+    if not np.linalg.eigvalsh(cov)[0] >= -1e-12:  # an infinite entry gives NaN eigenvalues
+        raise UnsupportedCovariance("covariance must be finite and PSD")
+    widest = max(cov[0, 0], cov[1, 1], 0.0)
+    if widest == 0.0 or (cov[0, 1] == 0.0 and cov[0, 0] == cov[1, 1]):
+        return math.sqrt(widest) * math.sqrt(2.0) * _erfinv(math.sqrt(sigma))
+    return _bisect(lambda e: box_probability(e, cov) - sigma, 2.0 * math.sqrt(widest))
 
 
 def box_probability(e: float, cov: np.ndarray) -> float:
@@ -274,7 +261,6 @@ def prcbc_quadratics(
     obs: FeatureObservation,
     gamma: float,
     halfwidth: float,
-    include_radius_term: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One convex quadratic per feature for the noisy-measurement case, as stacked ``(f, b, c)``.
 
@@ -284,9 +270,8 @@ def prcbc_quadratics(
         ||f V||^2 + b V + (2 Rn^2 + 4 e^2 - ||ds||^2) <= 0
         f = dl / gamma,   b = (-2 ds'dl + 8 Rn L_r) / gamma
 
-    where the radius-rate term ``8 Rn L_r`` can be dropped via
-    ``include_radius_term=False`` for comparison runs. The quadratic part
-    is passed as its ``(m, 2, 6)`` factor ``f``; its Gram matrix
+    with ``L_r`` the radius's interaction row. The quadratic part is
+    passed as its ``(m, 2, 6)`` factor ``f``; its Gram matrix
     ``f'f = dl'dl / gamma^2`` is PSD of rank <= 2 by construction.
     """
     if not gamma > 0.0:
@@ -297,8 +282,6 @@ def prcbc_quadratics(
     ds = obs.features - obs.obstacle.center
     dl = obs.l_features - obs.l_obstacle
     f = dl / gamma
-    b = -2.0 * (ds[:, None, :] @ dl)[:, 0] / gamma
-    if include_radius_term:
-        b = b + 8.0 * rn * obs.l_radius / gamma
+    b = -2.0 * (ds[:, None, :] @ dl)[:, 0] / gamma + 8.0 * rn * obs.l_radius / gamma
     c = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - (ds[:, None, :] @ ds[:, :, None])[:, 0, 0]
     return f, b, c

@@ -34,8 +34,11 @@ Sci. Stat. Comput. 4, 1983).
 
 The solve cannot fail. Every system is positive definite because R is
 (MpcConfig checks it), and U = 0 is feasible, so the dual optimum
-exists. After NEWTON_MAX_ITER steps any block still over the bound is
-scaled onto it, so the result is always feasible.
+exists. MpcConfig also keeps v_max at or above V_MAX_MIN, so that
+||U_k||^3 near the bound stays a normal float: below v_max = 1e-107 it
+underflows to 0, and the Jacobian to inf. After NEWTON_MAX_ITER steps
+any block still over the bound is scaled onto it, so the result is
+always feasible.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .errors import DimensionMismatch
 
 NEWTON_MAX_ITER = 30
 NEWTON_TOL = 1e-10  # relative gap of ||U_k|| to v_max at which a bound counts as met
+V_MAX_MIN = 1e-100  # smallest speed bound; its cube, 1e-300, is a normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +74,8 @@ class MpcConfig:
         object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not (np.isfinite(self.v_max) and self.v_max > 0.0):
-            raise ValueError(f"v_max must be finite and positive, got {self.v_max}")
+        if not (np.isfinite(self.v_max) and self.v_max >= V_MAX_MIN):
+            raise ValueError(f"v_max must be finite and at least {V_MAX_MIN:g}, got {self.v_max}")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         for name, mat, strict in (("q", self.q, False), ("r", self.r, True), ("f", self.f, False)):

@@ -101,23 +101,6 @@ def jacobian_suite(seed: int = 0, n_states: int = 100) -> SuiteReport:
     return SuiteReport(name="jacobians", passed=passed, lines=lines)
 
 
-def _vectorized_feature_rows(a: np.ndarray, b: np.ndarray, z: float) -> np.ndarray:
-    """Feature interaction matrices for draw vectors, shape (n, 2, 6)."""
-    n = a.shape[0]
-    out = np.zeros((n, 2, 6))
-    out[:, 0, 0] = -1.0 / z
-    out[:, 0, 2] = a / z
-    out[:, 0, 3] = a * b
-    out[:, 0, 4] = -(1.0 + a * a)
-    out[:, 0, 5] = b
-    out[:, 1, 1] = -1.0 / z
-    out[:, 1, 2] = b / z
-    out[:, 1, 3] = 1.0 + b * b
-    out[:, 1, 4] = -a * b
-    out[:, 1, 5] = -a
-    return out
-
-
 def chance_suite(
     sigma_levels=(0.8, 0.9),
     n_states: int = 50,
@@ -127,7 +110,6 @@ def chance_suite(
     focal: float = 500.0,
     gamma: float = 2.0,
     v_max: float = 0.5,
-    include_radius_term: bool = True,
     slack: float = 0.02,
 ) -> SuiteReport:
     """Noisy-case quadratics imply the exact-case condition often enough.
@@ -171,16 +153,12 @@ def chance_suite(
             si_hat = s_i + nu * rng.standard_normal((n_draws, 2))
             so_hat = s_o + nu * rng.standard_normal((n_draws, 2))
             ds = si_hat - so_hat
-            dl = _vectorized_feature_rows(si_hat[:, 0], si_hat[:, 1], z_i) - _vectorized_feature_rows(
-                so_hat[:, 0], so_hat[:, 1], z_o
-            )
+            dl = feature_interaction(si_hat, z_i) - feature_interaction(so_hat, z_o)
             l_r = np.zeros((n_draws, 6))
             l_r[:, 2] = radius / z_o**2
             l_r[:, 3] = radius * so_hat[:, 1] / z_o
             l_r[:, 4] = -radius * so_hat[:, 0] / z_o
-            b_lin = -2.0 * np.einsum("ni,nij->nj", ds, dl) / gamma
-            if include_radius_term:
-                b_lin = b_lin + 8.0 * rn * l_r / gamma
+            b_lin = -2.0 * np.einsum("ni,nij->nj", ds, dl) / gamma + 8.0 * rn * l_r / gamma
             c = 2.0 * rn * rn + 4.0 * halfwidth**2 - np.einsum("ni,ni->n", ds, ds)
 
             d = rng.standard_normal((n_draws, 6))

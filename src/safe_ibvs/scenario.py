@@ -44,7 +44,6 @@ class Scenario:
     max_steps: int = 400
     seed: int = 0
     convergence_tol: float = 1e-3
-    prcbc_radius_term: bool = True
 
     @property
     def m(self) -> int:
@@ -108,7 +107,6 @@ class Scenario:
             "max_steps": self.max_steps,
             "seed": self.seed,
             "convergence_tol": self.convergence_tol,
-            "prcbc_radius_term": self.prcbc_radius_term,
         }
 
     def digest(self) -> str:
@@ -148,13 +146,6 @@ def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != int(value):
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
-
-
-def _boolean(value) -> bool:
-    """``value`` when it is a YAML boolean; a string such as ``"false"`` or a number is refused."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
 
 
 def _pose_from_dict(section, where: str) -> CameraPose:
@@ -197,7 +188,7 @@ def from_dict(data: dict) -> Scenario:
     allowed = {
         "name", "camera", "initial_pose", "target_pose", "target_features",
         "features_world", "obstacle", "mode", "noise", "gamma",
-        "mpc", "max_steps", "seed", "convergence_tol", "prcbc_radius_term",
+        "mpc", "max_steps", "seed", "convergence_tol",
     }
     required = {"camera", "initial_pose", "features_world", "obstacle", "mode", "mpc"}
     _require_keys(data, allowed, required, "scenario")
@@ -275,7 +266,6 @@ def from_dict(data: dict) -> Scenario:
         max_steps=_field(data, "max_steps", _integer, 400),
         seed=_field(data, "seed", _integer, 0),
         convergence_tol=_field(data, "convergence_tol", float, 1e-3),
-        prcbc_radius_term=_field(data, "prcbc_radius_term", _boolean, True),
     )
 
 

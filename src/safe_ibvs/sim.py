@@ -1,18 +1,18 @@
 """Closed-loop scenario engine: observe, plan, filter, integrate, log.
 
-Each pose's true feature projection is computed once, as ``(m, 2)``
-points and ``(m,)`` depths, by ``run``'s convergence check, and handed
-to the step. One step runs the full pipeline on arrays: project the
-obstacle, draw the (optional) pixel noise for all features at once,
-build the ``(m, 2, 6)`` interaction matrices, plan the nominal twist
-over the horizon, build the mode-appropriate occlusion constraints as
-stacked factor arrays, execute the filter's certified projection of the
-nominal twist or its typed hold (``V = 0``), log the true margins and
-clearances as one row of the trial's float table (:func:`columns`), then
-advance the camera pose and obstacle clock. The CSV and the summary are
-read off that table. Everything is driven by a counter-based generator
-keyed on the scenario seed, so a (scenario, seed) pair reproduces
-bit-identical logs.
+Each pose's true feature projection, as ``(m, 2)`` points and ``(m,)``
+depths, and its feature-error norm are computed once, by ``run``'s
+convergence check, and handed to the step. One step runs the full
+pipeline on arrays: project the obstacle, draw the (optional) pixel
+noise for all features at once, build the ``(m, 2, 6)`` interaction
+matrices, plan the nominal twist over the horizon, build the
+mode-appropriate occlusion constraints as stacked factor arrays, execute
+the filter's certified projection of the nominal twist or its typed hold
+(``V = 0``), log the true margins and clearances as one row of the
+trial's float table (:func:`columns`), then advance the camera pose and
+obstacle clock. The CSV and the summary are read off that table.
+Everything is driven by a counter-based generator keyed on the scenario
+seed, so a (scenario, seed) pair reproduces bit-identical logs.
 """
 
 from __future__ import annotations
@@ -178,12 +178,6 @@ def observe(
     )
 
 
-def _noise_halfwidth(sc: Scenario) -> float:
-    if sc.noise is None:
-        return 0.0
-    return _halfwidth(sc.noise.sigma, sc.noise.relative_cov_normalized(sc.intrinsics.f).tobytes())
-
-
 @lru_cache(maxsize=64)
 def _halfwidth(sigma: float, cov_bytes: bytes) -> float:
     """Half-width per noise model, once per process: every trial of a sweep shares it."""
@@ -194,22 +188,22 @@ def step(
     sc: Scenario,
     state: SimState,
     rng: np.random.Generator,
-    truth: tuple[np.ndarray, np.ndarray],
+    truth: tuple[np.ndarray, np.ndarray, float],
 ) -> tuple[SimState, np.ndarray, str, float]:
     """Run one closed-loop step.
 
     ``truth`` is the exact feature projection ``(features, depths)`` at
     ``state.pose``, as :func:`geometry.project_point` returns it for the
-    scenario's ``(m, 3)`` feature points. Returns the advanced state, the
-    step's ``(17 + m,)`` table row, its filter status, and the smallest
-    infinity norm of its barrier rate rows (``inf`` when unfiltered).
+    scenario's ``(m, 3)`` feature points, followed by the norm of its
+    feature error. Returns the advanced state, the step's ``(17 + m,)``
+    table row, its filter status, and the smallest infinity norm of its
+    barrier rate rows (``inf`` when unfiltered).
     """
-    features, depths = truth
+    features, depths, e_norm = truth
     obstacle = obstacle_image_state(sc.obstacle, state.pose, sc.intrinsics, state.t)
     obs = observe(sc, features, depths, obstacle, rng)
 
     e_obs = feature_error(obs.features, sc.target_features)
-    e_true = feature_error(features, sc.target_features)
     L = obs.stacked_interaction()
 
     v_mpc = mpc.plan(e_obs, L, sc.mpc)[0]
@@ -226,7 +220,8 @@ def step(
         elif sc.mode == MODE_PRCBC:
             if sc.noise is None:
                 raise ScenarioError("prcbc mode needs a noise model")
-            quadratics = prcbc_quadratics(obs, sc.gamma, _noise_halfwidth(sc), sc.prcbc_radius_term)
+            halfwidth = _halfwidth(sc.noise.sigma, sc.noise.relative_cov_normalized(sc.intrinsics.f).tobytes())
+            quadratics = prcbc_quadratics(obs, sc.gamma, halfwidth)
             problem = FilterProblem(v_mpc, sc.mpc.v_max, *quadratics)
             rows = barrier_rate_row(
                 obs.features, obs.obstacle.center, obs.l_features, obs.l_obstacle, obs.l_radius, obs.obstacle.rn
@@ -249,7 +244,7 @@ def step(
         obstacle.radius_px,
     )
     row = np.concatenate(  # in columns(m) order
-        ([state.step_index, state.t, math.sqrt(e_true @ e_true)], h, [dists.min(), clearance.min()], v_star, v_mpc)
+        ([state.step_index, state.t, e_norm], h, [dists.min(), clearance.min()], v_star, v_mpc)
     )
     new_pose = integrate_twist(state.pose, v_star, sc.mpc.dt)
     new_state = SimState(pose=new_pose, t=state.t + sc.mpc.dt, step_index=state.step_index + 1)
@@ -259,13 +254,14 @@ def step(
 def run(sc: Scenario) -> TrajectoryLog:
     """Iterate steps until the feature error converges or steps run out.
 
-    Each pose's features are projected once: for the convergence check,
-    and then by the step that starts from that pose. A package error
-    (:class:`SafeIbvsError`), a ``LinAlgError`` or an ``ArithmeticError``
-    (a float overflow such as ``f**2`` at ``f = 1e308``) ends the trial
-    early, marked aborted with the error's type and message. The rows are
-    stacked into the table once, at the end: ``max_steps`` has no upper
-    bound, so no table is preallocated for it.
+    Each pose's features are projected, and their error taken, once: for
+    the convergence check, and then by the step that starts from that
+    pose. A package error (:class:`SafeIbvsError`), a ``LinAlgError`` or
+    an ``ArithmeticError`` (a float overflow such as ``f**2`` at
+    ``f = 1e308``) ends the trial early, marked aborted with the error's
+    type and message. The rows are stacked into the table once, at the
+    end: ``max_steps`` has no upper bound, so no table is preallocated
+    for it.
     """
     rng = make_rng(sc.seed)
     state = SimState(pose=sc.initial_pose)
@@ -275,13 +271,13 @@ def run(sc: Scenario) -> TrajectoryLog:
     final_e = np.inf
     try:
         for k in range(sc.max_steps + 1):
-            truth = project_point(state.pose, sc.intrinsics, sc.features_world)
-            e_true = feature_error(truth[0], sc.target_features)
+            features, depths = project_point(state.pose, sc.intrinsics, sc.features_world)
+            e_true = feature_error(features, sc.target_features)
             final_e = math.sqrt(e_true @ e_true)
             summary.converged = final_e < sc.convergence_tol
             if summary.converged or k == sc.max_steps:
                 break
-            state, row, status, row_inf = step(sc, state, rng, truth)
+            state, row, status, row_inf = step(sc, state, rng, (features, depths, final_e))
             rows.append(row)
             statuses.append(status)
             summary.min_row_inf = min(summary.min_row_inf, row_inf)

@@ -146,7 +146,7 @@ def cbc_loop(obs, gamma):
     return f, b, c
 
 
-def prcbc_loop(obs, gamma, halfwidth, include_radius_term=True):
+def prcbc_loop(obs, gamma, halfwidth):
     """Per-feature reference for prcbc_quadratics."""
     m, rn = obs.m, obs.obstacle.rn
     f, b, c = np.zeros((m, 2, 6)), np.zeros((m, 6)), np.zeros(m)
@@ -154,9 +154,7 @@ def prcbc_loop(obs, gamma, halfwidth, include_radius_term=True):
         ds = obs.features[i] - obs.obstacle.center
         dl = obs.l_features[i] - obs.l_obstacle
         f[i] = dl / gamma
-        b[i] = -2.0 * (ds @ dl) / gamma
-        if include_radius_term:
-            b[i] = b[i] + 8.0 * rn * obs.l_radius / gamma
+        b[i] = -2.0 * (ds @ dl) / gamma + 8.0 * rn * obs.l_radius / gamma
         c[i] = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - float(ds @ ds)
     return f, b, c
 
@@ -189,9 +187,8 @@ def test_constraint_arrays_equal_per_feature_reference_loops():
     for obs in random_observations(22):
         for got, ref in zip(barrier.cbc_halfspaces(obs, 2.5), cbc_loop(obs, 2.5)):
             assert np.array_equal(got, ref)
-        for term in (True, False):
-            for got, ref in zip(barrier.prcbc_quadratics(obs, 4.0, 0.013, term), prcbc_loop(obs, 4.0, 0.013, term)):
-                assert np.array_equal(got, ref)
+        for got, ref in zip(barrier.prcbc_quadratics(obs, 4.0, 0.013), prcbc_loop(obs, 4.0, 0.013)):
+            assert np.array_equal(got, ref)
 
 
 def box_probability_quadrature(e, cov):
@@ -228,11 +225,21 @@ def test_halfwidth_monotone_in_sigma_and_scale():
 def test_halfwidth_vanishing_noise():
     assert barrier.noise_box_halfwidth(0.8, np.zeros((2, 2))) == 0.0
     assert barrier.noise_box_halfwidth(0.8, 1e-20 * np.eye(2)) < 1e-9
+    # PSD within round-off but no positive variance: nothing for a bisection to bracket
+    for cov in ([[0.0, 0.0], [0.0, -1e-13]], [[0.0, 1e-13], [1e-13, 0.0]]):
+        assert barrier.noise_box_halfwidth(0.8, np.array(cov)) == 0.0
 
 
 def test_halfwidth_rejects_indefinite_covariance():
-    with pytest.raises(UnsupportedCovariance):
-        barrier.noise_box_halfwidth(0.8, np.array([[1.0, 1.5], [1.5, 1.0]]))
+    # the diagonal ones once took a closed form that read only the diagonal's magnitudes: diag(-1, 1) gave 1.2816
+    for cov in (
+        [[1.0, 1.5], [1.5, 1.0]],
+        [[-1.0, 0.0], [0.0, 1.0]],
+        [[-1.0, 1e-300], [1e-300, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+    ):
+        with pytest.raises(UnsupportedCovariance):
+            barrier.noise_box_halfwidth(0.8, np.array(cov))
 
 
 def test_halfwidth_numeric_handles_correlation():
@@ -241,16 +248,34 @@ def test_halfwidth_numeric_handles_correlation():
     assert abs(box_probability_quadrature(e, cov) - 0.8) < 1e-6
 
 
+def _product_of_erf_root(sigma, v1, v2):
+    """Half-width for diag(v1^2, v2^2): the axes are independent, so erf(e / (v1 sqrt 2)) erf(e / (v2 sqrt 2)) = sigma."""
+    from scipy.optimize import brentq
+    from scipy.special import erf
+
+    def excess(e):
+        return erf(e / (np.sqrt(2.0) * v1)) * erf(e / (np.sqrt(2.0) * v2)) - sigma
+
+    return brentq(excess, 0.0, 20.0 * max(v1, v2), xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
 def test_halfwidth_numeric_agrees_with_closed_form(monkeypatch):
-    # any nonzero off-diagonal takes the bisection on box_probability; exactly zero takes the closed form
+    # only an exactly isotropic covariance, or one without variance, skips the bisection on box_probability
     calls = []
     box_probability = barrier.box_probability
     monkeypatch.setattr(barrier, "box_probability", lambda e, cov: calls.append(e) or box_probability(e, cov))
-    closed = barrier.noise_box_halfwidth(0.85, np.diag([1.3, 0.4]))
-    assert not calls
-    numeric = barrier.noise_box_halfwidth(0.85, np.array([[1.3, 1e-300], [1e-300, 0.4]]))
-    assert calls
-    assert abs(closed - numeric) < 1e-8
+    for cov, isotropic in [
+        (np.diag([1.3, 0.4]), False),
+        (np.array([[1.3, 1e-300], [1e-300, 0.4]]), False),
+        (np.diag([1.0, 1.0 + 1e-15]), False),
+        (np.diag([1.3, 1.3]), True),
+        (np.zeros((2, 2)), True),
+    ]:
+        calls.clear()
+        e = barrier.noise_box_halfwidth(0.85, cov)
+        assert bool(calls) is not isotropic
+        reference = _product_of_erf_root(0.85, *np.sqrt(cov.diagonal())) if cov.any() else 0.0
+        assert e == pytest.approx(reference, rel=1e-12)
 
 
 def test_halfwidth_subnormal_off_diagonal_matches_diagonal():
@@ -298,15 +323,6 @@ def test_prcbc_quadratic_structure():
     assert np.array_equal(f, dl / 2.0)
     for f_i in f:
         assert np.linalg.matrix_rank(f_i.T @ f_i, tol=1e-12) <= 2
-
-
-def test_prcbc_radius_term_switch():
-    obs = make_observation([[0.3, 0.1]], [1.0], [0.05, 0.0], 0.8, 0.06)
-    gamma = 2.0
-    f_on, b_on, c_on = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=True)
-    f_off, b_off, c_off = barrier.prcbc_quadratics(obs, gamma, 0.01, include_radius_term=False)
-    assert np.allclose(b_on - b_off, 8.0 * obs.obstacle.rn * obs.l_radius / gamma)
-    assert np.array_equal(f_on, f_off) and np.array_equal(c_on, c_off)
 
 
 def test_chance_suite_small():

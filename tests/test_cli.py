@@ -46,6 +46,14 @@ def test_check_rejects_unknown_key(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().out
 
 
+def test_check_rejects_the_retired_radius_term_switch(tmp_path, capsys):
+    # the PrCBC radius-rate term is always on, so the key that could turn it off is gone
+    path = tmp_path / "switch.yaml"
+    path.write_text(Path(REF_NOISE).read_text() + "prcbc_radius_term: true\n")
+    assert main(["check", "--scenario", str(path)]) == EXIT_CONFIG
+    assert "unknown keys ['prcbc_radius_term']" in capsys.readouterr().out
+
+
 def test_check_rejects_initial_occlusion(tmp_path, capsys):
     with open(REF_CBC) as fh:
         data = yaml.safe_load(fh)
@@ -354,3 +362,23 @@ def test_focal_length_that_overflows_the_clearance_is_a_typed_abort(tmp_path, ca
     assert "trial aborted: OverflowError: feature-obstacle distance" in capsys.readouterr().err
     summary = json.loads((tmp_path / "o" / "trajectory_summary.json").read_text())
     assert summary["aborted"] and not summary["converged"]
+
+
+@pytest.mark.parametrize("v_max", ["1.0e-108", "1.0e-300"])
+@pytest.mark.parametrize("mode", ["cbc", "prcbc", "unfiltered"])
+def test_tiny_speed_bound_is_refused_or_plans_finite(tmp_path, capsys, mode, v_max):
+    # check once passed these; the planner's ||U_k||^3 underflowed to 0, and run logged NaN twists (cbc,
+    # prcbc) or aborted on a NaN depth (unfiltered)
+    text = Path(REF_NOISE).read_text()
+    assert text.count("v_max: 0.5") == text.count("mode: prcbc") == 1
+    path = tmp_path / "slow.yaml"
+    path.write_text(text.replace("v_max: 0.5", f"v_max: {v_max}").replace("mode: prcbc", f"mode: {mode}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if main(["check", "--scenario", str(path)]) == EXIT_CONFIG:
+            assert "v_max" in capsys.readouterr().out
+            return
+        main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    with open(tmp_path / "o" / "trajectory.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows and np.isfinite([[float(x) for x in row[:-1]] for row in rows]).all()

@@ -276,6 +276,20 @@ def test_plan_respects_speed_bound():
         assert np.linalg.norm(controls, axis=1).max() <= cfg.v_max + 1e-9
 
 
+def test_smallest_speed_bound_plans_finite_and_a_smaller_one_is_refused():
+    # below v_max = 1e-107 the Newton Jacobian's ||U_k||^3 underflowed to 0 and every plan came out NaN
+    rng = np.random.default_rng(8)
+    cfg = scalar_config(v_max=mpc.V_MAX_MIN)
+    for _ in range(10):
+        with np.errstate(all="raise"):
+            controls = mpc.plan(rng.normal(size=8), random_stack(rng), cfg)
+        norms = np.linalg.norm(controls, axis=1)
+        assert np.isfinite(controls).all() and np.all(norms <= cfg.v_max * (1.0 + 1e-9)) and norms.max() > 0.0
+    for v_max in (mpc.V_MAX_MIN / 2.0, 1e-108, 1e-300, 0.0):
+        with pytest.raises(ValueError, match="v_max"):
+            scalar_config(v_max=v_max)
+
+
 def test_plan_kkt_stationarity():
     rng = np.random.default_rng(7)
     cfg = scalar_config()

@@ -151,18 +151,9 @@ def test_constant_velocity_obstacle():
     assert np.allclose(sc.obstacle.center_at(1.0), [0.4, 0.5, 0.1])
 
 
-def test_radius_term_switch_parsed():
-    cfg = base_config()
-    assert sm.from_dict(cfg).prcbc_radius_term is True
-    cfg["prcbc_radius_term"] = False
-    assert sm.from_dict(cfg).prcbc_radius_term is False
-
-
 @pytest.mark.parametrize(
     "section, key, value",
     [
-        (None, "prcbc_radius_term", "false"),
-        (None, "prcbc_radius_term", 1),
         (None, "max_steps", 2.9),
         (None, "max_steps", True),
         (None, "max_steps", "300"),
@@ -173,7 +164,7 @@ def test_radius_term_switch_parsed():
     ],
 )
 def test_wrong_typed_switch_and_integers_are_named(section, key, value):
-    # each of these once loaded silently: "false" as True, 2.9 as 2, true as 1
+    # each of these once loaded silently: 2.9 as 2, true as 1
     cfg = base_config()
     (cfg if section is None else cfg[section])[key] = value
     with pytest.raises(ScenarioError, match=key if section is None else f"{section}.{key}"):

@@ -145,11 +145,22 @@ def column(m, name, width=1):
 def test_step_unfiltered_keeps_nominal_twist(quiet_scenario):
     state = sim.SimState(pose=quiet_scenario.initial_pose)
     rng = sim.make_rng(0)
-    truth = project_point(state.pose, quiet_scenario.intrinsics, quiet_scenario.features_world)
-    _, row, status, row_inf = sim.step(quiet_scenario, state, rng, truth)
+    features, depths = project_point(state.pose, quiet_scenario.intrinsics, quiet_scenario.features_world)
+    e_norm = float(np.linalg.norm(features - quiet_scenario.target_features))
+    _, row, status, row_inf = sim.step(quiet_scenario, state, rng, (features, depths, e_norm))
     m = quiet_scenario.m
     assert row.shape == (17 + m,) and status == "unfiltered" and row_inf == np.inf
+    assert row[column(m, "e_norm")] == e_norm  # the true error is taken from truth, not recomputed
     assert np.allclose(row[column(m, "vstar_1", 6)], row[column(m, "vmpc_1", 6)])  # bound inactive here
+
+
+def test_true_feature_error_is_taken_once_per_pose(monkeypatch):
+    # run's convergence check takes it and hands it to the step, which takes only the observed error
+    calls = []
+    feature_error = sim.feature_error
+    monkeypatch.setattr(sim, "feature_error", lambda *args: calls.append(1) or feature_error(*args))
+    log = sim.run(replace(shipped("reference_noise", mode="unfiltered"), max_steps=20))
+    assert log.summary.steps == 20 and len(calls) == 2 * 20 + 1
 
 
 def test_run_converges_without_obstacle(quiet_scenario):
@@ -222,7 +233,7 @@ def _fail_certification(solution, problem):
         # disks of radius 0.2 centred at +-0.2 e_x (factor I) meet only at V = 0: no interior, so the multipliers diverge
         pytest.param(
             "prcbc",
-            (sim, "prcbc_quadratics", lambda obs, gamma, hw, term: (np.stack([E, E]), np.stack([-0.4 * E[0], 0.4 * E[0]]), np.zeros(2))),
+            (sim, "prcbc_quadratics", lambda obs, gamma, hw: (np.stack([E, E]), np.stack([-0.4 * E[0], 0.4 * E[0]]), np.zeros(2))),
             "no_convergence",
             id="no_convergence",
         ),
