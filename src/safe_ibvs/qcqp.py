@@ -14,10 +14,10 @@ multipliers lambda >= 0 the Lagrangian's minimiser solves
 
 That matrix M is at least I, so it needs no regularisation. lambda = 0
 gives V = v_ref: the solve evaluates g(v_ref) first and returns a copy
-of v_ref when every g_i <= 0, before it sets up anything else (the
-lambda = 0 optimality test accepts exactly that point, as the size of
-g_i's terms is never negative; a NaN falls through to it). Otherwise
-projected Newton ascends the concave dual
+of v_ref with zero multipliers when every g_i <= 0, before it sets up
+anything else (the lambda = 0 optimality test accepts exactly that
+point, as the size of g_i's terms is never negative; a NaN falls through
+to it). Otherwise projected Newton ascends the concave dual
 d(lambda) = L(V(lambda), lambda), whose gradient is g(V) and whose
 Hessian is -0.5 G M^-1 G' for the stacked constraint gradients G, over
 the multipliers that are positive or whose constraint is violated (the
@@ -32,7 +32,9 @@ dual, linear along what stays null, is followed there until a multiplier
 reaches zero (two opposed half-spaces that both carry a multiplier need
 this). Each step is cut back until the dual value rises (Armijo). At the
 dual optimum V is the exact projection. Every call starts from
-lambda = 0 and keeps no state between calls.
+lambda = 0 and keeps no state between calls. It returns lambda with V:
+V minimises the Lagrangian at lambda, so these are the KKT multipliers
+that the filter's certification checks.
 
 The solve holds, returning a reason instead of a twist, in two cases,
 each reason starting with its own first word:
@@ -99,16 +101,18 @@ def _settled(x, g, grads, sizes, residual) -> bool:
 
 def solve(
     v_ref: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, v_max: float
-) -> tuple[np.ndarray, str]:
+) -> tuple[np.ndarray, np.ndarray | None, str]:
     """Project ``v_ref`` onto ``{V : V'a_i V + b_i'V + c_i <= 0}``; the constraints include the ``v_max`` ball.
 
-    Returns ``(V, reason)``. ``reason`` is "" for the exact projection;
-    otherwise it says why the solve holds, starting with
-    :data:`INFEASIBLE` or :data:`NO_CONVERGENCE`, and V is zero.
+    Returns ``(V, lambda, reason)``. ``reason`` is "" for the exact
+    projection, and lambda, shape (k,), holds the multipliers whose
+    Lagrangian minimiser V is (zeros when v_ref is admissible). Otherwise
+    ``reason`` says why the solve holds, starting with :data:`INFEASIBLE`
+    or :data:`NO_CONVERGENCE`, V is zero and lambda is None.
     """
     g, grads = evaluate(a, b, c, v_ref)
     if (g <= 0.0).all():
-        return v_ref.copy(), ""  # admissible: what the lambda = 0 test below accepts, since sizes >= 0
+        return v_ref.copy(), np.zeros(c.shape[0]), ""  # admissible: the lambda = 0 test below accepts it, as sizes >= 0
     k, n = a.shape[0], v_ref.shape[0]
     a_rows, eye = a.reshape(k, n * n), np.eye(n)
     abs_a, abs_b, abs_c = np.abs(a), np.abs(b), np.abs(c)
@@ -141,9 +145,9 @@ def solve(
         for it in range(MAX_ITER + 1):
             residual = np.where(lam > 0.0, np.abs(g), g)
             if (residual <= FEAS_RTOL * sizes).all() and (g <= FEAS_ATOL).all():
-                return x, ""
+                return x, lam, ""
             if stalls >= 2 and _settled(x, g, grads, sizes, residual):
-                return x, ""
+                return x, lam, ""
             if it == MAX_ITER:
                 break
             free = ((lam > 0.0) | (g > 0.0)).nonzero()[0]
@@ -184,10 +188,10 @@ def solve(
             m_inv, x, g, grads, sizes, dual, dual_size = point
             reason = phase_one(dual, bound)
             if reason:
-                return np.zeros_like(x), reason
+                return np.zeros_like(x), None, reason
     except np.linalg.LinAlgError as exc:
         # multipliers so large that I + sum_i lambda_i A_i rounds to a singular matrix
-        return np.zeros_like(x), f"{NO_CONVERGENCE}: the multipliers diverged ({exc})"
+        return np.zeros_like(x), None, f"{NO_CONVERGENCE}: the multipliers diverged ({exc})"
     if _settled(x, g, grads, sizes, residual):
-        return x, ""
-    return np.zeros_like(x), f"{NO_CONVERGENCE} after {it} dual Newton steps (residual {residual.max():.3e})"
+        return x, lam, ""
+    return np.zeros_like(x), None, f"{NO_CONVERGENCE} after {it} dual Newton steps (residual {residual.max():.3e})"

@@ -14,8 +14,8 @@ so it cannot hold a non-convex problem. One exact dual solve
 (:func:`qcqp.solve`) serves both filters.
 
 Each filter owns what its step executes. It returns either an optimum
-that :func:`certify` has re-checked with its own multipliers (a
-nonnegative least-squares fit, :func:`nnls`), or the hold-in-place twist
+that :func:`certify` has re-checked with the multipliers the solve
+returned (``FilterSolution.duals``), or the hold-in-place twist
 ``V = 0``, so the platform waits until the obstacle clears, with one of
 three hold statuses and its reason in ``FilterSolution.message``: the
 dual value proves the admissible set empty, the multipliers do not
@@ -24,11 +24,6 @@ answer. The solution's active set, the rows with slack at most
 ``ACTIVE_SLACK_TOL``, is read off the constraint values that the
 certification computed (``CertificationReport.values``), so a certified
 answer costs one evaluation of the constraints besides the solve's own.
-A pass-through answer (V = v_ref) has nothing to fit: its multipliers
-are zero, as NNLS would return them, and the fit is skipped. Every
-active set on the shipped scenarios has one row, and NNLS solves a
-passive set of one column a in closed form, ``(a'b) / (a'a)``, while
-``a'a`` is a normal float, and with ``lstsq`` otherwise.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ CERT_STAT_TOL = 1e-6
 CERT_COMP_TOL = 1e-6
 
 _EYE = np.eye(6)  # the speed ball's A, copied into every problem
-_TINY = np.finfo(float).tiny  # the smallest positive normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +103,7 @@ class FilterSolution:
     status: str  # STATUS_OPTIMAL or one of the HOLD_* statuses
     active_set: tuple[int, ...] = ()  # constraint indices; ball is the last index
     message: str = ""
+    duals: np.ndarray | None = None  # the solve's multipliers, one per constraint row; None on a hold
 
 
 @dataclass(frozen=True)
@@ -116,21 +111,20 @@ class CertificationReport:
     max_violation: float
     stationarity_residual: float
     max_complementarity: float
-    duals: np.ndarray
     values: np.ndarray  # g_i at the certified twist, one per constraint row
 
 
 def _solve(problem: FilterProblem) -> FilterSolution:
-    v, reason = qcqp.solve(problem.v_ref, problem.a, problem.b, problem.c, problem.v_max)
+    v, duals, reason = qcqp.solve(problem.v_ref, problem.a, problem.b, problem.c, problem.v_max)
     if reason:
         status = HOLD_INFEASIBLE if reason.startswith(qcqp.INFEASIBLE) else HOLD_NO_CONVERGENCE
         return FilterSolution(twist=np.zeros(6), status=status, message=reason)
     try:
-        report = certify(FilterSolution(twist=v, status=STATUS_OPTIMAL), problem)
+        report = certify(FilterSolution(twist=v, status=STATUS_OPTIMAL, duals=duals), problem)
     except CertificationFailed as exc:
         return FilterSolution(twist=np.zeros(6), status=HOLD_CERTIFICATION, message=str(exc))
     active = tuple(int(i) for i in np.flatnonzero(-report.values <= ACTIVE_SLACK_TOL))
-    return FilterSolution(twist=v, status=STATUS_OPTIMAL, active_set=active)
+    return FilterSolution(twist=v, status=STATUS_OPTIMAL, active_set=active, duals=duals)
 
 
 def solve_filter_qp(problem: FilterProblem) -> FilterSolution:
@@ -145,75 +139,36 @@ def solve_filter_qcqp(problem: FilterProblem) -> FilterSolution:
     return _solve(problem)
 
 
-def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """``argmin ||a x - b||`` over ``x >= 0``, and that least residual norm.
-
-    The active-set method of Lawson & Hanson (*Solving Least Squares
-    Problems*, 1974, ch. 23): move the column whose residual correlation
-    ``a'(b - a x)`` is largest into the passive set, solve least squares
-    on the passive columns, and step back along the segment to the first
-    coefficient that would turn negative, dropping it, until no zero
-    coefficient's correlation is positive. The cutoff on that correlation
-    scales with the columns, so scaling every column by a positive factor
-    scales x by its inverse.
-    """
-    n = a.shape[1]
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    tol = 10.0 * np.finfo(float).eps * max(a.shape) * float(np.abs(a).sum(axis=0).max(initial=0.0))
-    for _ in range(3 * n):
-        w = a.T @ (b - a @ x)
-        w[passive] = -np.inf
-        j = int(np.argmax(w))
-        if not w[j] > tol:
-            break
-        passive[j] = True
-        for _ in range(n):
-            z = np.zeros(n)
-            z[passive] = _least_squares(a[:, passive], b)
-            if np.all(z[passive] > 0.0):
-                x = z
-                break
-            blocking = np.flatnonzero(passive & (z <= 0.0))
-            ratios = x[blocking] / (x[blocking] - z[blocking])
-            x = x + ratios.min() * (z - x)
-            x[blocking[np.argmin(ratios)]] = 0.0
-            passive &= x > 0.0
-            x[~passive] = 0.0
-    return x, float(np.linalg.norm(a @ x - b))
-
-
-def _least_squares(cols: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``argmin ||cols z - b||``; one column a is ``(a'b) / (a'a)`` in closed form while ``a'a`` is a normal float."""
-    if cols.shape[1] == 1:
-        col = cols[:, 0]
-        norm = math.hypot(*col)  # a'a as norm * norm, which leaves the normal range without numpy's overflow warning
-        sq = norm * norm
-        if _TINY <= sq < math.inf:
-            return np.array([float(col @ b) / sq])
-    return np.linalg.lstsq(cols, b, rcond=None)[0]
-
-
 def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationReport:
-    """Independently re-check a filter solution against its problem.
+    """Re-check a filter solution's KKT conditions against its problem.
 
-    Recomputes constraint slacks, finds best nonnegative multipliers by
-    least squares (:func:`nnls` on the unit-norm constraint gradients,
-    independent of the solver's duals; zero without a fit when V = v_ref,
-    as then there is nothing to fit), and checks stationarity and
-    complementary slackness.
-    Raises :class:`CertificationFailed` when any tolerance is exceeded
-    or any checked number is not finite; hold-static solutions are
-    rejected outright (nothing to certify).
+    Recomputes the constraint values g and gradients at V and, with the
+    solution's multipliers (``solution.duals``; None means zero, so only
+    V = v_ref can pass), checks in turn that they are finite and
+    nonnegative, that V is feasible and within the speed bound,
+    stationarity ``||2 (V - v_ref) + sum_i lambda_i grad g_i|| <=
+    CERT_STAT_TOL (1 + ||2 (V - v_ref)||)``, and complementary slackness. For this convex problem these conditions
+    prove V the projection (Boyd & Vandenberghe, *Convex Optimization*,
+    sec. 5.5.3), whichever multipliers come with it.
+    Raises :class:`CertificationFailed` when any tolerance is exceeded,
+    any checked number is not finite or the multipliers do not have one
+    entry per constraint row; hold-static solutions are rejected outright
+    (nothing to certify).
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("only optimal solutions can be certified")
     v = solution.twist
     if not np.isfinite(v).all():
         raise CertificationFailed(f"twist is not finite: {v}")
+    rows = problem.c.shape
+    duals = np.zeros(rows) if solution.duals is None else np.asarray(solution.duals, dtype=float)
+    if duals.shape != rows:
+        raise CertificationFailed(f"multipliers of shape {duals.shape} for constraint rows of shape {rows}")
+    # every gate is written "not value <= tol" or its like, so that NaN fails it
+    if not ((duals >= 0.0) & (duals < math.inf)).all():
+        raise CertificationFailed(f"multipliers are not finite and nonnegative: {duals}")
     values, grads = qcqp.evaluate(problem.a, problem.b, problem.c, v)
 
-    # every gate is written "not value <= tol", so that NaN fails it
     violation = float(values.max())
     if not violation <= CERT_FEAS_TOL:
         raise CertificationFailed(f"constraint violation {violation:.3e} > {CERT_FEAS_TOL:.0e}")
@@ -222,15 +177,8 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
         raise CertificationFailed(f"speed {speed} exceeds bound {problem.v_max}")
 
     grad_obj = 2.0 * (v - problem.v_ref)
-    if grad_obj.any():
-        # fit on unit columns, so no row's scale keeps it out of NNLS (x >= 0 is invariant under positive
-        # column scaling); a zero gradient stays zero, so its dual stays 0
-        norms = np.hypot.reduce(grads, axis=1)  # no underflow to 0 for tiny rows
-        norms[norms == 0.0] = 1.0
-        duals, residual = nnls(grads.T / norms, -grad_obj)
-        duals /= norms
-    else:
-        duals, residual = np.zeros(values.shape[0]), 0.0  # what NNLS returns with nothing to fit
+    stationarity = grad_obj + duals @ grads
+    residual = math.sqrt(stationarity @ stationarity)
     scale = 1.0 + math.sqrt(grad_obj @ grad_obj)
     if not residual <= CERT_STAT_TOL * scale:
         raise CertificationFailed(f"stationarity residual {residual:.3e} > {CERT_STAT_TOL:.0e} * {scale:.3e}")
@@ -240,8 +188,7 @@ def certify(solution: FilterSolution, problem: FilterProblem) -> CertificationRe
         raise CertificationFailed(f"complementarity {comp:.3e} > {CERT_COMP_TOL:.0e}")
     return CertificationReport(
         max_violation=violation,
-        stationarity_residual=float(residual),
+        stationarity_residual=residual,
         max_complementarity=comp,
-        duals=duals,
         values=values,
     )

@@ -41,9 +41,8 @@ def test_feasible_reference_returned_exactly():
         sol = solve(prob)
         assert sol.status == solvers.STATUS_OPTIMAL
         assert np.array_equal(sol.twist, prob.v_ref) and sol.twist is not prob.v_ref
-        assert sol.active_set == ()
-        report = solvers.certify(sol, prob)
-        assert np.array_equal(report.duals, np.zeros(2)) and report.stationarity_residual == 0.0
+        assert sol.active_set == () and np.array_equal(sol.duals, np.zeros(2))
+        assert solvers.certify(sol, prob).stationarity_residual == 0.0
 
 
 def test_single_halfspace_projection():
@@ -238,11 +237,59 @@ def test_certify_rejects_fallback_input():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_certify_rejects_a_non_finite_twist(bad):
+@pytest.mark.parametrize(
+    "twist, duals",
+    [
+        pytest.param(np.full(6, np.nan), None, id="nan"),
+        pytest.param(np.full(6, np.inf), None, id="inf"),
+        # the pass-through V = 0 with a non-finite multiplier on its inactive half-space
+        pytest.param(np.zeros(6), np.array([np.nan, 0.0]), id="nan_duals"),
+        pytest.param(np.zeros(6), np.array([np.inf, 0.0]), id="inf_duals"),
+    ],
+)
+def test_certify_rejects_a_non_finite_twist(twist, duals):
     prob = solvers.FilterProblem(np.zeros(6), 1.0, *halfspaces((E[0], -1.0)))
     with pytest.raises(CertificationFailed):
-        solvers.certify(solvers.FilterSolution(twist=np.full(6, bad), status=solvers.STATUS_OPTIMAL), prob)
+        solvers.certify(solvers.FilterSolution(twist=twist, status=solvers.STATUS_OPTIMAL, duals=duals), prob)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_multipliers_of_the_wrong_length_are_a_certification_hold(length, monkeypatch):
+    prob = solvers.FilterProblem(-E[0], 10.0, *halfspaces((E[0], 0.0)))
+    sol = solvers.solve_filter_qp(prob)
+    wrong = solvers.FilterSolution(twist=sol.twist, status=solvers.STATUS_OPTIMAL, duals=np.ones(length))
+    with pytest.raises(CertificationFailed, match=rf"\({length},\).*\(2,\)"):
+        solvers.certify(wrong, prob)
+    # a solve that returned them holds with the reason instead of raising
+    solve = qcqp.solve
+    monkeypatch.setattr(qcqp, "solve", lambda *args: (solve(*args)[0], np.ones(length), ""))
+    held = solvers.solve_filter_qp(prob)
+    assert held.status == solvers.HOLD_CERTIFICATION and not held.twist.any()
+    assert f"({length},)" in held.message and "(2,)" in held.message
+
+
+@pytest.mark.parametrize("tamper", ["moved", "negative", "doubled"])
+def test_certify_rejects_tampered_certificates(tamper):
+    # certified answers with an active row, then V moved 1e-4 off the projection, the largest multiplier
+    # negated, or that multiplier doubled; a moved V leaves stationarity residual 2 ||M dV|| >= 2e-4
+    rng = make_rng(43)
+    checked = 0
+    while checked < 200:
+        prob = random_qcqp_problem(rng)
+        sol = solvers.solve_filter_qcqp(prob)
+        if sol.status != solvers.STATUS_OPTIMAL or not sol.active_set:
+            continue
+        j = int(np.argmax(sol.duals))
+        assert j in sol.active_set and sol.duals[j] > 0.0
+        twist, duals = sol.twist, sol.duals.copy()
+        if tamper == "moved":
+            direction = np.random.default_rng(checked).normal(size=6)
+            twist = twist + 1e-4 * direction / np.linalg.norm(direction)
+        else:
+            duals[j] *= -1.0 if tamper == "negative" else 2.0
+        with pytest.raises(CertificationFailed):
+            solvers.certify(solvers.FilterSolution(twist=twist, status=solvers.STATUS_OPTIMAL, duals=duals), prob)
+        checked += 1
 
 
 def test_filter_holds_with_the_certification_text(monkeypatch):
@@ -345,35 +392,6 @@ def test_minimal_deviation_against_sampled_feasible_points():
             assert best <= np.linalg.norm(w - prob.v_ref) + 1e-9
 
 
-def test_nnls_matches_scipy_residual():
-    from scipy.optimize import nnls as scipy_nnls
-
-    rng = np.random.default_rng(3)
-    # one column scale per problem, from 1e-170 to 1e170: a column's a_j'a_j underflows below 1e-154 and
-    # overflows above 1e154, where the one-column step must leave its closed form
-    scales = 10.0 ** np.random.default_rng(4).uniform(-170.0, 170.0, 10_000)
-    for i in range(10_000):
-        k = int(rng.integers(1, 7))
-        a = rng.normal(size=(6, k))
-        kind = i % 4
-        if kind == 0:
-            b = rng.normal(size=6)
-        elif kind == 1:  # a pass-through step: nothing to fit, every multiplier is exactly zero
-            b = np.zeros(6)
-        elif kind == 2:  # an exact fit whose zero coefficients carry exactly zero correlation
-            x_true = np.abs(rng.normal(size=k)) * (rng.random(k) < 0.5)
-            b = a @ x_true
-        else:  # a vanishing gradient column next to a repeated one
-            a[:, 0] = 0.0
-            a[:, -1] = a[:, k // 2]
-            b = rng.normal(size=6)
-        for scaled in (a, scales[i] * a):
-            x, residual = solvers.nnls(scaled, b)
-            assert np.all(x >= 0.0)
-            assert residual == pytest.approx(float(np.linalg.norm(scaled @ x - b)), abs=1e-15)
-            assert abs(residual - scipy_nnls(scaled, b)[1]) <= 1e-12
-
-
 def reference_solve(v_ref, a, b, c, v_max):
     """The dual Newton loop of ``qcqp.solve`` in its plain form, the reference that solve must match.
 
@@ -448,7 +466,7 @@ def reference_solve(v_ref, a, b, c, v_max):
 
 def assert_matches_reference(prob):
     args = (prob.v_ref, prob.a, prob.b, prob.c, prob.v_max)
-    v, reason = qcqp.solve(*args)
+    v, _, reason = qcqp.solve(*args)
     ref, ref_reason, m_mat = reference_solve(*args)
     # which hold a divergent solve reports (the bound, or M singular at multipliers near 1e60) is rounding
     assert bool(reason) == bool(ref_reason)
@@ -501,7 +519,7 @@ def test_one_factorisation_per_trial_point(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), "factorisations"))
     monkeypatch.setattr(qcqp, "evaluate", counted(qcqp.evaluate, "points"))
     prob = cylinder(40.0, 0.6 * E[0], 0.1, np.array([0.1, 0.3, -0.2, 0.05, 0.1, 0.0]))
-    v, reason = qcqp.solve(prob.v_ref, prob.a, prob.b, prob.c, prob.v_max)
+    v, _, reason = qcqp.solve(prob.v_ref, prob.a, prob.b, prob.c, prob.v_max)
     assert reason == "" and np.hypot(v[0] - 0.6, v[1]) == pytest.approx(0.1, abs=1e-9)
     assert counts["points"] > 2
     assert counts["factorisations"] == counts["points"] - 1  # the start, lambda = 0, needs none
@@ -533,15 +551,16 @@ def test_halfspace_multipliers_need_no_linear_algebra(prob, monkeypatch):
     for name in ("inv", "solve", "lstsq", "cholesky", "qr", "svd", "eig", "eigh", "pinv", "det", "norm"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *args, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*args, **kw))
-    v, reason = qcqp.solve(*args)
+    v, _, reason = qcqp.solve(*args)
     assert calls == []
     assert reason == ref_reason == ""
     assert np.abs(v - ref).max() <= 1e-15 and np.abs(v - 0.1 * (E[0] + E[1])).max() <= 1e-15
 
 
 def test_certify_is_independent_of_row_scale():
-    # V_x <= 0.1 scaled by 2.4e-38: fitted on the raw gradients, the row's NNLS correlation is below the
-    # cutoff, and the exact projection would fail certification with stationarity residual 0.57
+    # V_x <= 0.1 scaled by 2.4e-38: the solve's multiplier, 0.8 / s = 3.3e37, is the exact one for this
+    # row, as V = v_ref - 0.5 lambda b is its Lagrangian minimiser, so lambda b cancels 2 (V - v_ref)
+    # whatever the row's scale
     s = 2.4e-38
     prob = solvers.FilterProblem(np.array([0.5, 0.1, 0, 0, 0, 0]), 1.0, np.zeros((1, 0, 6)), (s * E[0])[None], [-0.1 * s])
     sol = solvers.solve_filter_qcqp(prob)
@@ -549,7 +568,7 @@ def test_certify_is_independent_of_row_scale():
     assert np.abs(sol.twist - np.array([0.1, 0.1, 0, 0, 0, 0])).max() < 1e-12
     report = solvers.certify(sol, prob)
     assert report.stationarity_residual == 0.0
-    assert report.duals[0] * s == pytest.approx(0.8)
+    assert sol.duals[0] * s == pytest.approx(0.8)
 
 
 @pytest.mark.filterwarnings("error")
