@@ -98,9 +98,9 @@ class Scenario:
             "gamma": self.gamma,
             "mpc": {
                 "horizon": self.mpc.horizon,
-                "q": self.mpc.q.tolist(),
-                "r": self.mpc.r.tolist(),
-                "f": self.mpc.f.tolist(),
+                "q": self.mpc.q,
+                "r": self.mpc.r,
+                "f": self.mpc.f,
                 "v_max": self.mpc.v_max,
                 "dt": self.mpc.dt,
             },
@@ -156,15 +156,6 @@ def _pose_from_dict(section, where: str) -> CameraPose:
         if "rpy" in section:
             return CameraPose.from_rpy(np.asarray(section["rpy"], dtype=float), section["xyz"])
         return CameraPose(np.asarray(section["rotation"], dtype=float), section["xyz"])
-
-
-def _weight_matrix(value, size: int, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.diag(np.full(size, float(arr)))  # not float(arr) * I, whose inf * 0 would warn
-    if arr.shape != (size, size):
-        raise ScenarioError(f"{where}: expected a scalar or {size}x{size} matrix, got shape {arr.shape}")
-    return arr
 
 
 def _noise_from_dict(section) -> NoiseModel | None:
@@ -245,9 +236,9 @@ def from_dict(data: dict) -> Scenario:
     with _reading("mpc"):
         mpc_cfg = MpcConfig(
             horizon=_field(mpc_data, "horizon", _integer, where="mpc.horizon"),
-            q=_weight_matrix(mpc_data.get("q", 1.0), 2 * m, "mpc.q"),
-            r=_weight_matrix(mpc_data.get("r", 0.05), 6, "mpc.r"),
-            f=_weight_matrix(mpc_data.get("f", 2.0), 2 * m, "mpc.f"),
+            q=_field(mpc_data, "q", float, 1.0, "mpc.q"),
+            r=_field(mpc_data, "r", float, 0.05, "mpc.r"),
+            f=_field(mpc_data, "f", float, 2.0, "mpc.f"),
             v_max=float(mpc_data.get("v_max", 0.5)),
             dt=float(mpc_data.get("dt", 0.05)),
         )
@@ -318,8 +309,6 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append(f"seed must lie in [0, 2**64), got {sc.seed}")
     if sc.max_steps < 1:
         problems.append(f"max_steps must be >= 1, got {sc.max_steps}")
-    if sc.mpc.q.shape != (2 * sc.m, 2 * sc.m):
-        problems.append(f"mpc.q shape {sc.mpc.q.shape} does not match 2m={2 * sc.m}")
     if sc.mode == MODE_PRCBC and sc.noise is None:
         problems.append("prcbc mode needs a noise model (it defines the confidence level)")
     try:

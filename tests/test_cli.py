@@ -74,6 +74,40 @@ def test_check_names_bad_weight(tmp_path, capsys):
     assert "q" in capsys.readouterr().out
 
 
+def _check_with_mpc(tmp_path, key, value) -> int:
+    data = yaml.safe_load(Path(REF_CBC).read_text())
+    data["mpc"][key] = value
+    bad = tmp_path / "weights.yaml"
+    bad.write_text(yaml.safe_dump(data))
+    return main(["check", "--scenario", str(bad)])
+
+
+@pytest.mark.parametrize("key, size", [("q", 8), ("r", 6), ("f", 8)])
+def test_check_rejects_a_matrix_weight(tmp_path, capsys, key, size):
+    # the planner weights are scalars; a full-size identity matrix once passed check
+    assert _check_with_mpc(tmp_path, key, np.eye(size).tolist()) == EXIT_CONFIG
+    assert f"mpc.{key}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["q", "f"])
+def test_check_rejects_a_weight_just_below_zero(tmp_path, capsys, key):
+    # a -1e-9 tolerance once let q = -1e-10 through; with f = 0 and r = 1e-300 a plan then cost more than U = 0
+    assert _check_with_mpc(tmp_path, key, -1.0e-10) == EXIT_CONFIG
+    assert f"mpc: {key} must be finite and >= 0, got -1e-10" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "key, named",
+    [("q", "q = 1e+308 and f = 2"), ("r", "r must be positive with 2 r finite, got 1e+308"), ("f", "q = 1 and f = 1e+308")],
+    ids=["q", "r", "f"],
+)
+def test_check_rejects_a_weight_that_overflows(tmp_path, capsys, key, named):
+    # q once overflowed in check itself; r = 1e308 passed check and overflowed in run, and f = 1e308 gave NaN plans
+    assert _check_with_mpc(tmp_path, key, 1.0e308) == EXIT_CONFIG
+    assert named in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "old, new, named",
     [

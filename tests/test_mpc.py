@@ -14,9 +14,9 @@ def random_stack(rng, m=4):
     return feature_interaction(pts, depths).reshape(-1, 6)
 
 
-def scalar_config(m=4, horizon=5, q=1.0, r=0.05, f=2.0, v_max=0.5, dt=0.05):
-    """Planner config with weights q I, r I and f I for m feature points."""
-    return mpc.MpcConfig(horizon=horizon, q=q * np.eye(2 * m), r=r * np.eye(6), f=f * np.eye(2 * m), v_max=v_max, dt=dt)
+def scalar_config(horizon=5, q=1.0, r=0.05, f=2.0, v_max=0.5, dt=0.05):
+    """Planner config with stage weight q, input weight r and terminal weight f."""
+    return mpc.MpcConfig(horizon=horizon, q=q, r=r, f=f, v_max=v_max, dt=dt)
 
 
 def predict_errors(e0, L, controls, dt):
@@ -37,14 +37,9 @@ def rollout_cost(e0, L, controls, cfg):
     errors = predict_errors(e0, L, controls, cfg.dt)
     cost = 0.0
     for k in range(controls.shape[0]):
-        cost += float(errors[k] @ cfg.q @ errors[k]) + float(controls[k] @ cfg.r @ controls[k])
-    cost += float(errors[-1] @ cfg.f @ errors[-1])
+        cost += cfg.q * float(errors[k] @ errors[k]) + cfg.r * float(controls[k] @ controls[k])
+    cost += cfg.f * float(errors[-1] @ errors[-1])
     return cost
-
-
-def spd(rng, n, floor):
-    a = rng.normal(size=(n, n))
-    return a @ a.T / n + floor * np.eye(n)
 
 
 def projected_stationarity(h_mat, g, u_flat, v_max):
@@ -68,14 +63,11 @@ def projected_stationarity(h_mat, g, u_flat, v_max):
 def test_config_validation():
     with pytest.raises(ValueError, match="horizon"):
         scalar_config(horizon=0)
-    with pytest.raises(ValueError, match="positive definite"):
-        mpc.MpcConfig(horizon=3, q=np.eye(8), r=np.zeros((6, 6)), f=np.eye(8), v_max=0.5, dt=0.05)
-    with pytest.raises(ValueError, match="PSD"):
-        mpc.MpcConfig(horizon=3, q=-np.eye(8), r=np.eye(6), f=np.eye(8), v_max=0.5, dt=0.05)
-    with pytest.raises(ValueError, match="symmetric"):
-        q = np.eye(8)
-        q[0, 1] = 0.5
-        mpc.MpcConfig(horizon=3, q=q, r=np.eye(6), f=np.eye(8), v_max=0.5, dt=0.05)
+    with pytest.raises(ValueError, match="r must be positive"):
+        scalar_config(r=0.0)
+    for name in ("q", "f"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            scalar_config(**{name: -1.0})
 
 
 def test_predict_errors_zero_controls():
@@ -114,10 +106,10 @@ def test_predict_errors_dimension_check():
 
 
 def condense_loop(e0, L, cfg):
-    """Block-by-block reference for the Kronecker form of ``mpc.condense``."""
+    """Hessian H and gradient g of the planner's QP, 0.5 U'HU + g'U plus a constant, built block by block."""
     n, dt = cfg.horizon, cfg.dt
-    s_q, s_f = L.T @ cfg.q @ L, L.T @ cfg.f @ L
-    lq_e, lf_e = L.T @ (cfg.q @ e0), L.T @ (cfg.f @ e0)
+    s_q, s_f = cfg.q * (L.T @ L), cfg.f * (L.T @ L)
+    lq_e, lf_e = cfg.q * (L.T @ e0), cfg.f * (L.T @ e0)
     h_mat = np.zeros((6 * n, 6 * n))
     g = np.zeros(6 * n)
     for a in range(n):
@@ -125,25 +117,8 @@ def condense_loop(e0, L, cfg):
             count = max(n - 1 - max(a, b), 0)
             h_mat[6 * a : 6 * a + 6, 6 * b : 6 * b + 6] = 2.0 * (dt * dt * (count * s_q + s_f))
         g[6 * a : 6 * a + 6] = 2.0 * dt * ((n - 1 - a) * lq_e + lf_e)
-        h_mat[6 * a : 6 * a + 6, 6 * a : 6 * a + 6] += 2.0 * cfg.r
+        h_mat[6 * a : 6 * a + 6, 6 * a : 6 * a + 6] += 2.0 * cfg.r * np.eye(6)
     return h_mat, g
-
-
-def test_condense_matches_block_loop_bit_for_bit():
-    rng = np.random.default_rng(12)
-    for trial in range(100):
-        m = int(rng.integers(3, 6))
-        L = rng.normal(size=(2 * m, 6))
-        e0 = rng.normal(size=2 * m)
-        horizon = int(rng.integers(1, 8))
-        if trial % 2:
-            cfg = scalar_config(m, horizon=horizon, q=rng.uniform(0.1, 3.0), r=rng.uniform(0.01, 1.0))
-        else:
-            cfg = mpc.MpcConfig(
-                horizon=horizon, q=spd(rng, 2 * m, 0.0), r=spd(rng, 6, 0.1), f=spd(rng, 2 * m, 0.0), v_max=0.5, dt=0.05
-            )
-        for got, want in zip(mpc.condense(e0, L, cfg), condense_loop(e0, L, cfg)):
-            assert got.tobytes() == want.tobytes()
 
 
 def dense_plan(e0, L, cfg):
@@ -190,42 +165,11 @@ def test_plan_matches_dense_newton_reference(horizon):
             L = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 6))  # rank 2
         q = 0.0 if trial % 4 == 3 else rng.uniform(0.1, 3.0)
         cfg = scalar_config(horizon=horizon, q=q, r=rng.uniform(0.005, 0.5), f=rng.uniform(0.5, 3.0), v_max=0.3)
-        assert cfg.coupling_eig is not None  # the six N x N systems
         e0 = rng.normal(size=8) * (0.05 if trial % 2 else 2.0)
         ref = dense_plan(e0, L, cfg)
         assert np.abs(mpc.plan(e0, L, cfg) - ref).max() <= 1e-12
         hits += saturated(ref, cfg)
     assert 4 <= hits <= 12  # both interior and saturated cases are covered
-
-
-def test_plan_matrix_weights_match_dense_newton_reference():
-    rng = np.random.default_rng(14)
-    hits = 0
-    for trial in range(28):
-        L = random_stack(rng)
-        cfg = mpc.MpcConfig(
-            horizon=1 + trial % 7, q=spd(rng, 8, 0.0), r=spd(rng, 6, 0.01), f=spd(rng, 8, 0.0), v_max=0.3, dt=0.05
-        )
-        assert cfg.coupling_eig is None
-        e0 = rng.normal(size=8) * (0.05 if trial % 2 else 2.0)
-        ref = dense_plan(e0, L, cfg)
-        assert np.abs(mpc.plan(e0, L, cfg) - ref).max() <= 1e-12
-        hits += saturated(ref, cfg)
-    assert 7 <= hits <= 21
-
-
-def test_plan_full_input_weight_takes_matrix_route(monkeypatch):
-    rng = np.random.default_rng(15)
-    calls = []
-    condense = mpc.condense
-    monkeypatch.setattr(mpc, "condense", lambda *args: calls.append(1) or condense(*args))
-    for scale in (0.05, 2.0):
-        L = random_stack(rng)
-        e0 = rng.normal(size=8) * scale
-        cfg = mpc.MpcConfig(horizon=5, q=np.eye(8), r=spd(rng, 6, 0.01), f=2.0 * np.eye(8), v_max=0.3, dt=0.05)
-        assert cfg.coupling_eig is None
-        assert np.abs(mpc.plan(e0, L, cfg) - dense_plan(e0, L, cfg)).max() <= 1e-12
-    assert len(calls) == 2
 
 
 def test_plan_zero_error_gives_zero_controls():
@@ -242,7 +186,7 @@ def test_plan_matches_least_squares_with_tiny_input_weight():
     for _ in range(10):
         L = random_stack(rng)
         e0 = rng.normal(size=8) * 0.02
-        cfg = mpc.MpcConfig(horizon=1, q=np.eye(8), r=1e-10 * np.eye(6), f=np.eye(8), v_max=1e6, dt=0.05)
+        cfg = scalar_config(horizon=1, q=1.0, r=1e-10, f=1.0, v_max=1e6)
         v = mpc.plan(e0, L, cfg)[0]
         v_ls = -(1.0 / 0.05) * (pseudo_inverse(L) @ e0)
         assert np.abs(v - v_ls).max() < 1e-4
@@ -297,7 +241,7 @@ def test_plan_kkt_stationarity():
         L = random_stack(rng)
         e0 = rng.normal(size=8) * rng.choice([0.05, 2.0])  # interior and saturated cases
         controls = mpc.plan(e0, L, cfg)
-        h_mat, g = mpc.condense(e0, L, cfg)
+        h_mat, g = condense_loop(e0, L, cfg)
         res = projected_stationarity(h_mat, g, controls.reshape(-1), cfg.v_max)
         grad_norm = float(np.linalg.norm(h_mat @ controls.reshape(-1) + g))
         assert res <= 1e-6 * (1.0 + grad_norm)
@@ -324,7 +268,7 @@ def test_receding_horizon_consistency():
 def test_plan_dimension_check():
     cfg = scalar_config()
     with pytest.raises(DimensionMismatch):
-        mpc.plan(np.zeros(6), np.zeros((6, 6)), cfg)
+        mpc.plan(np.zeros(8), np.zeros((6, 6)), cfg)
 
 
 def slsqp_plan(h_mat, g, v_max):
@@ -355,23 +299,18 @@ def test_plan_matches_slsqp_reference():
     rng = np.random.default_rng(9)
     saturated = 0
     for horizon in range(1, 6):
-        for full_weights in (False, True):
-            for scale in (0.05, 2.0):
-                L = random_stack(rng)
-                e0 = rng.normal(size=8) * scale
-                if full_weights:
-                    q, r, f = spd(rng, 8, 0.0), spd(rng, 6, 0.01), spd(rng, 8, 0.0)
-                    cfg = mpc.MpcConfig(horizon=horizon, q=q, r=r, f=f, v_max=0.3, dt=0.05)
-                else:
-                    cfg = scalar_config(horizon=horizon, v_max=0.3)
-                h_mat, g = mpc.condense(e0, L, cfg)
-                u = mpc.plan(e0, L, cfg).reshape(-1)
-                ref = slsqp_plan(h_mat, g, cfg.v_max)
-                cost = lambda x: 0.5 * x @ h_mat @ x + g @ x
-                assert abs(cost(u) - cost(ref)) < 1e-6
-                at_bound = np.linalg.norm(u.reshape(-1, 6), axis=1) >= cfg.v_max * (1.0 - 1e-9)
-                saturated += bool(at_bound.any())
-    assert 5 <= saturated <= 15  # both interior and saturated cases are covered
+        for scale in (0.05, 2.0):
+            L = random_stack(rng)
+            e0 = rng.normal(size=8) * scale
+            cfg = scalar_config(horizon=horizon, v_max=0.3)
+            h_mat, g = condense_loop(e0, L, cfg)
+            u = mpc.plan(e0, L, cfg).reshape(-1)
+            ref = slsqp_plan(h_mat, g, cfg.v_max)
+            cost = lambda x: 0.5 * x @ h_mat @ x + g @ x
+            assert abs(cost(u) - cost(ref)) < 1e-6
+            at_bound = np.linalg.norm(u.reshape(-1, 6), axis=1) >= cfg.v_max * (1.0 - 1e-9)
+            saturated += bool(at_bound.any())
+    assert 5 <= saturated <= 9  # all five scale-2 errors saturate, and a scale-0.05 one stays interior (7 of 10)
 
 
 def test_plan_every_block_saturated():
@@ -381,7 +320,7 @@ def test_plan_every_block_saturated():
     cfg = scalar_config(v_max=0.1)
     controls = mpc.plan(e0, L, cfg)
     assert np.allclose(np.linalg.norm(controls, axis=1), cfg.v_max, rtol=1e-9, atol=0.0)
-    h_mat, g = mpc.condense(e0, L, cfg)
+    h_mat, g = condense_loop(e0, L, cfg)
     res = projected_stationarity(h_mat, g, controls.reshape(-1), cfg.v_max)
     assert res <= 1e-6 * (1.0 + float(np.linalg.norm(h_mat @ controls.reshape(-1) + g)))
 
@@ -401,7 +340,7 @@ def test_plan_no_block_saturated_is_unconstrained_optimum():
     e0 = rng.normal(size=8) * 0.01
     cfg = scalar_config()
     controls = mpc.plan(e0, L, cfg)
-    h_mat, g = mpc.condense(e0, L, cfg)
+    h_mat, g = condense_loop(e0, L, cfg)
     assert np.linalg.norm(controls, axis=1).max() < cfg.v_max
     assert np.abs(controls.reshape(-1) - np.linalg.solve(h_mat, -g)).max() < 1e-12
 
@@ -420,7 +359,7 @@ def test_unsaturated_plan_is_the_lambda_zero_solve(monkeypatch):
         controls = mpc.plan(e0, L, cfg)
         # lambda = 0 written out: the inverse of each N x N system, its product with the rhs, then the rotation back
         mu, rotation = np.linalg.eigh(L.T @ L)
-        eigvals = np.multiply.outer((2.0 * cfg.dt * cfg.dt) * mu, nu) + 2.0 * cfg.r[0, 0]
+        eigvals = np.multiply.outer((2.0 * cfg.dt * cfg.dt) * mu, nu) + 2.0 * cfg.r
         rhs = np.multiply.outer((-2.0 * cfg.dt) * (e0 @ L @ rotation), cfg.grad_weights)
         inverse = (basis / eigvals[:, None, :]) @ basis.T
         reference = np.einsum("bij,bj->bi", inverse, rhs).T @ rotation.T

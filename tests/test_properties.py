@@ -5,7 +5,7 @@ twist or a typed hold.
 Scenarios are drawn around the shipped noisy reference scene: camera
 pose offsets, obstacle starts, isotropic, diagonal, correlated, singular
 and near-singular covariances, confidence levels, horizons, and scalar
-or matrix weights, in every mode. Each one that loads and passes
+weights, in every mode. Each one that loads and passes
 ``validate_scenario`` must ``run`` to convergence, to its step cap, or
 to a typed abort, without raising, and log only the fixed step statuses.
 Filter problems stack up to five constraints whose factors have 0, 1, 2
@@ -61,18 +61,8 @@ def covariances(draw):
 
 
 @st.composite
-def weights(draw, size, floor):
-    """A scalar weight, or an SPD matrix with eigenvalues at least ``floor``."""
-    if draw(st.booleans()):
-        return draw(_floats(floor, 5.0))
-    g = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(size, size))
-    return (g @ g.T / size + floor * np.eye(size)).tolist()
-
-
-@st.composite
 def scenario_documents(draw):
     data = copy.deepcopy(BASE)
-    m = len(data["features_world"])
     pose = data["initial_pose"]
     pose["xyz"] = [x + draw(_floats(-0.3, 0.3)) for x in pose["xyz"]]
     pose["rpy"] = [a + draw(_floats(-0.3, 0.3)) for a in pose["rpy"]]
@@ -89,9 +79,9 @@ def scenario_documents(draw):
     data["gamma"] = draw(_floats(0.5, 8.0))
     data["mpc"] = {
         "horizon": draw(st.integers(1, 6)),
-        "q": draw(weights(2 * m, 0.0)),
-        "r": draw(weights(6, 1e-3)),
-        "f": draw(weights(2 * m, 0.0)),
+        "q": draw(_floats(0.0, 5.0)),
+        "r": draw(_floats(1e-3, 5.0)),
+        "f": draw(_floats(0.0, 5.0)),
         "v_max": 0.5,
         "dt": 0.05,
     }
