@@ -23,7 +23,6 @@ from .geometry import (
     ObstacleImageState,
     integrate_twist,
     obstacle_image_state,
-    pixel_from_normalized,
     project_point,
     world_to_camera,
 )
@@ -32,7 +31,7 @@ from .jacobians import feature_interaction, obstacle_radius_interaction
 from .mpc import MpcConfig, plan
 from .observation import FeatureObservation
 from .scenario import Scenario, load, validate_scenario
-from .sim import TrajectoryLog, observe, pixel_clearance, run, step, sweep
+from .sim import TrajectoryLog, observe, run, step, sweep
 from .solvers import (
     FilterProblem,
     FilterSolution,

@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     log = sim.run(sc)
-    log.write(out_dir, stem="trajectory")
+    log.write(out_dir)
     s = log.summary
     print(
         f"{sc.name}: steps={s.steps} converged={s.converged} final_e={s.final_e_norm:.6g} "
@@ -169,6 +169,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not 0 <= args.seed < scenario_mod.SEED_LIMIT:  # the seed keys a Philox generator; checked before scipy is needed
+        print(f"configuration error: --seed must lie in [0, 2**64), got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     from . import oracles  # imported here: only this command needs the oracles' dependencies
 
     if args.suite == "jacobians":

@@ -11,7 +11,10 @@ Conventions used throughout the package:
 * A twist is the 6-vector ``[vx, vy, vz, wx, wy, wz]`` (linear then
   angular velocity) expressed in the current camera frame.
 * Normalized image coordinates are pixel coordinates pushed through the
-  inverse intrinsics: ``a = (u - px) / f``, ``b = (v - py) / f``.
+  inverse intrinsics: ``a = (u - px) / f``, ``b = (v - py) / f``. Every
+  image quantity is computed in these coordinates; only the focal length
+  enters elsewhere (the pixel noise and the logged pixel clearance), and
+  the principal point cancels from every difference of two points.
 """
 
 from __future__ import annotations
@@ -101,10 +104,6 @@ class CameraPose:
             raise ValueError(f"rotation determinant {det:.12f} != +1")
 
     @staticmethod
-    def identity() -> "CameraPose":
-        return CameraPose(np.eye(3), np.zeros(3))
-
-    @staticmethod
     def from_rpy(rpy: np.ndarray, translation: np.ndarray) -> "CameraPose":
         """Pose from intrinsic roll-pitch-yaw angles (radians), R = Rz@Ry@Rx."""
         r, p, y = float(rpy[0]), float(rpy[1]), float(rpy[2])
@@ -122,12 +121,7 @@ def world_to_camera(pose: CameraPose, p: np.ndarray) -> np.ndarray:
     return (np.asarray(p, dtype=float) - pose.translation) @ pose.rotation
 
 
-def pixel_from_normalized(s: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Normalized image-plane coordinates back to pixels, for one ``(2,)`` point or ``(n, 2)`` points."""
-    return k.f * np.asarray(s, dtype=float) + np.array([k.px, k.py])
-
-
-def project_point(pose: CameraPose, k: CameraIntrinsics, p_world: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+def project_point(pose: CameraPose, p_world: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """World point(s) to normalized coordinates and depth in one go.
 
     A ``(3,)`` point gives ``((2,), depth)``; ``(n, 3)`` points give
@@ -184,14 +178,11 @@ class Obstacle3:
         return Obstacle3(radius, np.array([0.0]), np.asarray(center, dtype=float).reshape(1, 3))
 
     @staticmethod
-    def constant_velocity(center: np.ndarray, velocity: np.ndarray, radius: float, duration: float = 1e6) -> "Obstacle3":
+    def constant_velocity(center: np.ndarray, velocity: np.ndarray, radius: float) -> "Obstacle3":
+        """Straight-line motion for 1e6 s, far beyond any trial, then held at the last point."""
         center = np.asarray(center, dtype=float)
         velocity = np.asarray(velocity, dtype=float)
-        return Obstacle3(
-            radius,
-            np.array([0.0, duration]),
-            np.vstack([center, center + duration * velocity]),
-        )
+        return Obstacle3(radius, np.array([0.0, 1e6]), np.vstack([center, center + 1e6 * velocity]))
 
     def center_at(self, t: float) -> np.ndarray:
         if self.times.shape[0] == 1:
@@ -201,19 +192,14 @@ class Obstacle3:
 
 @dataclass(frozen=True, eq=False)
 class ObstacleImageState:
-    """Projected obstacle: normalized center, normalized and pixel radii."""
+    """Projected obstacle: normalized center, normalized radius and center depth."""
 
     center: np.ndarray
     rn: float
     depth: float
-    radius_px: float
 
 
-def obstacle_image_state(obs: Obstacle3, pose: CameraPose, k: CameraIntrinsics, t: float) -> ObstacleImageState:
-    """Project the obstacle center at time ``t`` into the image.
-
-    The normalized radius is the metric radius divided by the center
-    depth; the pixel radius additionally scales by the focal length.
-    """
-    center, z = project_point(pose, k, obs.center_at(t))
-    return ObstacleImageState(center=center, rn=obs.radius / z, depth=z, radius_px=k.f * obs.radius / z)
+def obstacle_image_state(obs: Obstacle3, pose: CameraPose, t: float) -> ObstacleImageState:
+    """Project the obstacle center at time ``t``; its normalized radius is the metric radius over the center depth."""
+    center, z = project_point(pose, obs.center_at(t))
+    return ObstacleImageState(center=center, rn=obs.radius / z, depth=z)

@@ -21,7 +21,6 @@ from scipy.optimize import minimize
 from . import solvers
 from .barrier import barrier_rate_row, noise_box_halfwidth
 from .geometry import (
-    CameraIntrinsics,
     CameraPose,
     Obstacle3,
     integrate_twist,
@@ -67,7 +66,6 @@ def _fd_columns(value_fn, pose: CameraPose, dt: float) -> np.ndarray:
 def jacobian_suite(seed: int = 0, n_states: int = 100) -> SuiteReport:
     """Interaction matrices vs central finite differences of the projection."""
     rng = make_rng(seed)
-    k = CameraIntrinsics(500.0, 320.0, 240.0)
     worst = {"feature": 0.0, "obstacle_center": 0.0, "obstacle_radius": 0.0}
     for _ in range(n_states):
         pose = _random_downward_pose(rng)
@@ -77,18 +75,18 @@ def jacobian_suite(seed: int = 0, n_states: int = 100) -> SuiteReport:
             rng.uniform(0.02, 0.12),
         )
 
-        s, z = project_point(pose, k, p_world)
-        fd = _fd_columns(lambda ps: project_point(ps, k, p_world)[0], pose, FD_DT)
+        s, z = project_point(pose, p_world)
+        fd = _fd_columns(lambda ps: project_point(ps, p_world)[0], pose, FD_DT)
         err = np.abs(fd - feature_interaction(s, z)) - FD_RTOL * np.abs(feature_interaction(s, z))
         worst["feature"] = max(worst["feature"], float(err.max()))
 
-        st = obstacle_image_state(obstacle, pose, k, 0.0)
-        fd_c = _fd_columns(lambda ps: obstacle_image_state(obstacle, ps, k, 0.0).center, pose, FD_DT)
+        st = obstacle_image_state(obstacle, pose, 0.0)
+        fd_c = _fd_columns(lambda ps: obstacle_image_state(obstacle, ps, 0.0).center, pose, FD_DT)
         l_o = feature_interaction(st.center, st.depth)
         err = np.abs(fd_c - l_o) - FD_RTOL * np.abs(l_o)
         worst["obstacle_center"] = max(worst["obstacle_center"], float(err.max()))
 
-        fd_r = _fd_columns(lambda ps: obstacle_image_state(obstacle, ps, k, 0.0).rn, pose, FD_DT)
+        fd_r = _fd_columns(lambda ps: obstacle_image_state(obstacle, ps, 0.0).rn, pose, FD_DT)
         l_r = obstacle_radius_interaction(st.center, st.depth, obstacle.radius)
         err = np.abs(fd_r.ravel() - l_r) - FD_RTOL * np.abs(l_r)
         worst["obstacle_radius"] = max(worst["obstacle_radius"], float(err.max()))
@@ -326,10 +324,10 @@ def random_qp_problem(rng: np.random.Generator) -> solvers.FilterProblem:
     return solvers.FilterProblem(v_ref, v_max, np.zeros((4, 0, 6)), -np.array(rows), np.array(rhs))
 
 
-def random_qcqp_problem(rng: np.random.Generator, n_con: int = 3) -> solvers.FilterProblem:
-    """``n_con`` random convex quadratics, each passed as a random ``(2, 6)`` factor (a rank-2 Gram matrix)."""
+def random_qcqp_problem(rng: np.random.Generator) -> solvers.FilterProblem:
+    """Three random convex quadratics, each passed as a random ``(2, 6)`` factor (a rank-2 Gram matrix)."""
     f, b, c = [], [], []
-    for _ in range(n_con):
+    for _ in range(3):
         f.append(rng.normal(size=(2, 6)))
         b.append(rng.normal(size=6) * 0.5)
         c.append(float(rng.uniform(-1.5, 0.3)))

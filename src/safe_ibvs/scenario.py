@@ -200,7 +200,7 @@ def from_dict(data: dict) -> Scenario:
     if "target_pose" in data:
         target_pose = _pose_from_dict(data["target_pose"], "target_pose")
         try:
-            target_features = project_point(target_pose, intrinsics, features_world)[0]
+            target_features = project_point(target_pose, features_world)[0]
         except Exception as exc:
             raise ScenarioError(f"target_pose: features not all in front of the camera ({exc})") from exc
     else:
@@ -314,8 +314,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
     try:
         from .geometry import obstacle_image_state
 
-        obs_state = obstacle_image_state(sc.obstacle, sc.initial_pose, sc.intrinsics, 0.0)
-        features, _ = project_point(sc.initial_pose, sc.intrinsics, sc.features_world)
+        obs_state = obstacle_image_state(sc.obstacle, sc.initial_pose, 0.0)
+        features, _ = project_point(sc.initial_pose, sc.features_world)
         for i, h in enumerate(barrier_value(features, obs_state.center, obs_state.rn)):
             if h <= 0.0:
                 problems.append(f"initial state not occlusion-free: feature {i} has margin {h:.3e}")

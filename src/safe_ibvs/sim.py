@@ -39,7 +39,6 @@ from .geometry import (
     ObstacleImageState,
     integrate_twist,
     obstacle_image_state,
-    pixel_from_normalized,
     project_point,
 )
 from .ibvs import clip_twist, feature_error
@@ -49,15 +48,14 @@ from .scenario import MODE_CBC, MODE_PRCBC, MODE_UNFILTERED, Scenario
 from .solvers import STATUS_FALLBACK, FilterProblem, solve_filter_qp, solve_filter_qcqp
 
 CSV_FLOAT_FMT = "{:.17g}"
-MAX_PIXEL_DISTANCE = 1e154  # the pixel clearance squares distances, and sqrt of the largest float is 1.34e154
 
 
 def columns(m: int) -> list[str]:
     """The ``17 + m`` float columns of a trial's table, in CSV order; the CSV appends ``filter_status``.
 
     ``h_i`` are the true occlusion margins, ``min_dist`` the smallest normalized feature-obstacle center
-    distance, ``dis_px`` the smallest pixel clearance to the obstacle edge, ``vstar``/``vmpc`` the executed
-    and the planned twist.
+    distance, ``dis_px = f * (min_dist - rn)`` the smallest pixel clearance to the obstacle edge,
+    ``vstar``/``vmpc`` the executed and the planned twist.
     """
     return (
         ["step", "t", "e_norm"]
@@ -121,23 +119,16 @@ class TrajectoryLog:
         out["scenario_digest"] = self.scenario_digest
         return out
 
-    def write(self, out_dir, stem: str = "trajectory") -> None:
+    def write(self, out_dir) -> None:
+        """Write ``trajectory.csv`` and ``trajectory_summary.json`` into ``out_dir``."""
         from pathlib import Path
 
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{stem}.csv").write_text(self.csv_text())
-        (out_dir / f"{stem}_summary.json").write_text(
+        (out_dir / "trajectory.csv").write_text(self.csv_text())
+        (out_dir / "trajectory_summary.json").write_text(
             json.dumps(self.summary_dict(), indent=2, sort_keys=True) + "\n"
         )
-
-
-def pixel_clearance(q_i: np.ndarray, q_o: np.ndarray, r_px: float) -> float | np.ndarray:
-    """Pixel distance from a ``(2,)`` feature point, or each row of ``(m, 2)`` points, to the obstacle's projected edge."""
-    if r_px < 0.0:
-        raise ValueError(f"pixel radius must be nonnegative, got {r_px}")
-    d = np.asarray(q_i, dtype=float) - np.asarray(q_o, dtype=float)
-    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0] - r_px
 
 
 def observe(
@@ -163,7 +154,7 @@ def observe(
         # one 2x2 @ 2x1 product per row; z @ S.T would round differently for a non-diagonal S
         features = features + (sc.noise.feature_sqrt @ z[:-1, :, None])[..., 0] / f
         center = obstacle.center + (sc.noise.obstacle_sqrt @ z[-1]) / f
-        obstacle = ObstacleImageState(center, obstacle.rn, obstacle.depth, obstacle.radius_px)
+        obstacle = ObstacleImageState(center, obstacle.rn, obstacle.depth)
     # the projected obstacle center moves like one more point feature, at its own depth
     l_points = feature_interaction(
         np.concatenate((features, obstacle.center[None])), np.concatenate((depths, [obstacle.depth]))
@@ -200,7 +191,7 @@ def step(
     barrier rate rows (``inf`` when unfiltered).
     """
     features, depths, e_norm = truth
-    obstacle = obstacle_image_state(sc.obstacle, state.pose, sc.intrinsics, state.t)
+    obstacle = obstacle_image_state(sc.obstacle, state.pose, state.t)
     obs = observe(sc, features, depths, obstacle, rng)
 
     e_obs = feature_error(obs.features, sc.target_features)
@@ -235,17 +226,10 @@ def step(
     h = barrier_value(features, obstacle.center, obstacle.rn)
     offsets = features - obstacle.center
     dists = np.sqrt((offsets * offsets).sum(axis=1))  # what np.linalg.norm(axis=1) computes
-    reach_px = sc.intrinsics.f * float(dists.max())  # a Python float product overflows to inf without a warning
-    if reach_px > MAX_PIXEL_DISTANCE:
-        raise OverflowError(f"feature-obstacle distance {reach_px:.3e} px > {MAX_PIXEL_DISTANCE:.0e}, too large to square")
-    clearance = pixel_clearance(
-        pixel_from_normalized(features, sc.intrinsics),
-        pixel_from_normalized(obstacle.center, sc.intrinsics),
-        obstacle.radius_px,
-    )
-    row = np.concatenate(  # in columns(m) order
-        ([state.step_index, state.t, e_norm], h, [dists.min(), clearance.min()], v_star, v_mpc)
-    )
+    min_dist = float(dists.min())
+    dis_px = sc.intrinsics.f * (min_dist - obstacle.rn)  # Python floats overflow to inf without a warning
+    # in columns(m) order
+    row = np.concatenate(([state.step_index, state.t, e_norm], h, [min_dist, dis_px], v_star, v_mpc))
     new_pose = integrate_twist(state.pose, v_star, sc.mpc.dt)
     new_state = SimState(pose=new_pose, t=state.t + sc.mpc.dt, step_index=state.step_index + 1)
     return new_state, row, status, min_row_inf
@@ -271,7 +255,7 @@ def run(sc: Scenario) -> TrajectoryLog:
     final_e = np.inf
     try:
         for k in range(sc.max_steps + 1):
-            features, depths = project_point(state.pose, sc.intrinsics, sc.features_world)
+            features, depths = project_point(state.pose, sc.features_world)
             e_true = feature_error(features, sc.target_features)
             final_e = math.sqrt(e_true @ e_true)
             summary.converged = final_e < sc.convergence_tol
@@ -342,11 +326,10 @@ def sweep(
     locations: np.ndarray,
     trials_per_location: int = 10,
     jobs: int = 1,
-    base_seed: int | None = None,
 ) -> SweepResult:
     """Run ``trials_per_location`` seeded trials from each obstacle start.
 
-    Trial (i, j) uses seed ``base_seed + i * trials + j``, so results are
+    Trial (i, j) uses seed ``template.seed + i * trials + j``, so results are
     independent of the execution schedule; ``jobs > 1`` shards trials
     over processes and merges them back in index order.
     """
@@ -355,15 +338,13 @@ def sweep(
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     if locations.shape[1] != 3:
         raise ValueError(f"locations must be (n, 3), got {locations.shape}")
-    if base_seed is None:
-        base_seed = template.seed
 
     scenarios = []
     seeds = np.empty((locations.shape[0], trials_per_location), dtype=np.uint64)
     for i, loc in enumerate(locations):
         moved = template.with_obstacle_start(loc)
         for j in range(trials_per_location):
-            seed = int(base_seed) + i * trials_per_location + j
+            seed = int(template.seed) + i * trials_per_location + j
             seeds[i, j] = seed
             scenarios.append(moved.with_seed(seed))
 

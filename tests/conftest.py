@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from safe_ibvs import scenario
-from safe_ibvs.geometry import CameraIntrinsics, CameraPose, se3_exp
+from safe_ibvs.geometry import CameraPose, se3_exp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -19,11 +19,6 @@ def shipped(name, mode=None, seed=None, sigma=None):
     if sigma is not None:
         sc = sc.with_sigma(sigma)
     return sc
-
-
-@pytest.fixture
-def intrinsics():
-    return CameraIntrinsics(500.0, 320.0, 240.0)
 
 
 def downward_pose(translation, wiggle=(0.0, 0.0, 0.0)):

@@ -17,9 +17,7 @@ def make_observation(features, depths, obs_center, z_o, radius):
     features = np.atleast_2d(np.asarray(features, dtype=float))
     depths = np.atleast_1d(np.asarray(depths, dtype=float))
     obs_center = np.asarray(obs_center, dtype=float)
-    state = geo.ObstacleImageState(
-        center=obs_center, rn=radius / z_o, depth=z_o, radius_px=500.0 * radius / z_o
-    )
+    state = geo.ObstacleImageState(center=obs_center, rn=radius / z_o, depth=z_o)
     return FeatureObservation(
         features=features,
         depths=depths,
@@ -62,7 +60,7 @@ def test_rate_row_offset_linearity():
     assert np.allclose(row2 - base, 2.0 * (row1 - base))
 
 
-def test_rate_row_matches_finite_difference(intrinsics):
+def test_rate_row_matches_finite_difference():
     # static obstacle: the rate row captures the whole margin derivative
     rng = np.random.default_rng(4)
     pose = downward_pose([0.05, -0.1, 1.3], wiggle=[0.04, -0.06, 0.1])
@@ -70,12 +68,12 @@ def test_rate_row_matches_finite_difference(intrinsics):
     obstacle = geo.Obstacle3.static([0.05, 0.1, 0.5], 0.07)
 
     def margin(p):
-        s_i, _ = geo.project_point(p, intrinsics, feat_world)
-        st = geo.obstacle_image_state(obstacle, p, intrinsics, 0.0)
+        s_i, _ = geo.project_point(p, feat_world)
+        st = geo.obstacle_image_state(obstacle, p, 0.0)
         return barrier.barrier_value(s_i, st.center, st.rn)
 
-    s_i, z_i = geo.project_point(pose, intrinsics, feat_world)
-    st = geo.obstacle_image_state(obstacle, pose, intrinsics, 0.0)
+    s_i, z_i = geo.project_point(pose, feat_world)
+    st = geo.obstacle_image_state(obstacle, pose, 0.0)
     row = barrier.barrier_rate_row(
         s_i,
         st.center,
@@ -109,15 +107,15 @@ def test_cbc_halfspaces_zero_twist_iff_nonnegative_margin():
     assert margins[3] < 0.0 and c[3] > 0.0
 
 
-def test_cbc_one_step_decay_bound(intrinsics):
+def test_cbc_one_step_decay_bound():
     # an admissible twist keeps h(t+dt) >= h(t)(1 - gamma dt) up to O(dt^2)
     pose = downward_pose([0.0, 0.0, 1.1])
     feat_world = np.array([0.18, 0.1, 0.0])
     obstacle = geo.Obstacle3.static([0.08, 0.04, 0.45], 0.05)
     gamma, dt = 2.0, 1e-3
 
-    s_i, z_i = geo.project_point(pose, intrinsics, feat_world)
-    st = geo.obstacle_image_state(obstacle, pose, intrinsics, 0.0)
+    s_i, z_i = geo.project_point(pose, feat_world)
+    st = geo.obstacle_image_state(obstacle, pose, 0.0)
     obs = make_observation([s_i], [z_i], st.center, st.depth, obstacle.radius)
     _, b, c = barrier.cbc_halfspaces(obs, gamma)
     row, rhs = -b[0], c[0]  # row @ V >= rhs
@@ -129,8 +127,8 @@ def test_cbc_one_step_decay_bound(intrinsics):
         if float(row @ v) < rhs:  # make it admissible by pushing along the row
             v = v + (rhs - float(row @ v)) * row / float(row @ row)
         pose1 = geo.integrate_twist(pose, v, dt)
-        s1, _ = geo.project_point(pose1, intrinsics, feat_world)
-        st1 = geo.obstacle_image_state(obstacle, pose1, intrinsics, dt)
+        s1, _ = geo.project_point(pose1, feat_world)
+        st1 = geo.obstacle_image_state(obstacle, pose1, dt)
         h1 = barrier.barrier_value(s1, st1.center, st1.rn)
         assert h1 >= h0 * (1.0 - gamma * dt) - 50.0 * dt**2
 

@@ -383,8 +383,9 @@ def test_checked_scene_that_overflows_runs_to_a_typed_abort(tmp_path, capsys, na
 
 
 @pytest.mark.parametrize("f", ["1.0e308", "1.0e154"])
-def test_focal_length_that_overflows_the_clearance_is_a_typed_abort(tmp_path, capsys, f):
-    # check passed these scenes, and run converged with min_dis_px=inf after an overflow warning in the clearance
+def test_huge_focal_length_converges_with_a_finite_clearance(tmp_path, f):
+    # the noiseless scene reads f only in the clearance f (min_dist - rn), which squares nothing; it once mapped
+    # features to pixels and aborted on a distance over 1e154 px, whose square would overflow
     text = Path(REF_CBC).read_text()
     assert text.count("f: 500.0") == 1
     path = tmp_path / "huge_f.yaml"
@@ -392,10 +393,21 @@ def test_focal_length_that_overflows_the_clearance_is_a_typed_abort(tmp_path, ca
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["check", "--scenario", str(path)]) == EXIT_OK
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_ABORT
-    assert "trial aborted: OverflowError: feature-obstacle distance" in capsys.readouterr().err
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
     summary = json.loads((tmp_path / "o" / "trajectory_summary.json").read_text())
-    assert summary["aborted"] and not summary["converged"]
+    assert summary["converged"] and not summary["aborted"]
+    assert isinstance(summary["min_dis_px"], float) and np.isfinite(summary["min_dis_px"])
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_oracle_seed_outside_the_key_range_is_a_usage_error(capsys, monkeypatch, seed):
+    # it once ended in an OverflowError traceback from the Philox key; the check needs no scipy-backed import
+    import safe_ibvs
+
+    monkeypatch.delattr(safe_ibvs, "oracles", raising=False)
+    monkeypatch.setitem(sys.modules, "safe_ibvs.oracles", None)  # importing the oracles now fails
+    assert main(["oracle", "--suite", "solvers", "--seed", seed]) == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("v_max", ["1.0e-108", "1.0e-300"])

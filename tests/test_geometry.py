@@ -9,7 +9,7 @@ from conftest import downward_pose
 
 
 def test_world_to_camera_identity():
-    pose = geo.CameraPose.identity()
+    pose = geo.CameraPose(np.eye(3), np.zeros(3))
     assert np.allclose(geo.world_to_camera(pose, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
@@ -37,38 +37,28 @@ def test_pose_validation_rejects_non_orthonormal():
         geo.CameraPose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
-def test_pixel_round_trip(intrinsics):
-    rng = np.random.default_rng(5)
-    k = intrinsics
-    for _ in range(50):
-        q = rng.uniform(-1000, 1000, 2)
-        back = geo.pixel_from_normalized((q - [k.px, k.py]) / k.f, k)
-        assert np.abs(back - q).max() < 1e-9
-
-
-def test_project_optical_axis(intrinsics):
-    s, depth = geo.project_point(geo.CameraPose.identity(), intrinsics, [0.0, 0.0, 2.0])
-    assert np.allclose(geo.pixel_from_normalized(s, intrinsics), [320.0, 240.0]) and depth == 2.0
+def test_project_optical_axis():
+    s, depth = geo.project_point(geo.CameraPose(np.eye(3), np.zeros(3)), [0.0, 0.0, 2.0])
+    assert np.array_equal(s, [0.0, 0.0]) and depth == 2.0
 
 
 def test_project_unit_depth():
-    k = geo.CameraIntrinsics(1.0, 0.0, 0.0)
-    s, depth = geo.project_point(geo.CameraPose.identity(), k, [1.0, 1.0, 1.0])
-    assert np.allclose(geo.pixel_from_normalized(s, k), [1.0, 1.0]) and depth == 1.0
+    s, depth = geo.project_point(geo.CameraPose(np.eye(3), np.zeros(3)), [1.0, 1.0, 1.0])
+    assert np.array_equal(s, [1.0, 1.0]) and depth == 1.0
 
 
-def test_project_rejects_nonpositive_depth(intrinsics):
-    pose = geo.CameraPose.identity()
+def test_project_rejects_nonpositive_depth():
+    pose = geo.CameraPose(np.eye(3), np.zeros(3))
     with pytest.raises(NonPositiveDepth):
-        geo.project_point(pose, intrinsics, [0.0, 0.0, 0.0])
+        geo.project_point(pose, [0.0, 0.0, 0.0])
     with pytest.raises(NonPositiveDepth, match="-5.000e-01"):
         # every row is checked, and the first one behind the camera is named
-        geo.project_point(pose, intrinsics, [[0.0, 0.0, 1.0], [0.1, 0.1, -0.5], [0.0, 0.0, -2.0]])
+        geo.project_point(pose, [[0.0, 0.0, 1.0], [0.1, 0.1, -0.5], [0.0, 0.0, -2.0]])
 
 
-def test_project_point_depth_matches_pixel_projection(intrinsics, pose_above):
+def test_project_point_depth_matches_pixel_projection(pose_above):
     p_world = np.array([0.2, 0.1, 0.0])
-    s, z = geo.project_point(pose_above, intrinsics, p_world)
+    s, z = geo.project_point(pose_above, p_world)
     p_cam = geo.world_to_camera(pose_above, p_world)
     assert z == p_cam[2]
     assert np.array_equal(s, p_cam[:2] / p_cam[2])
@@ -77,18 +67,16 @@ def test_project_point_depth_matches_pixel_projection(intrinsics, pose_above):
     assert np.isclose(L[0, 0], -1.0 / z)
 
 
-def test_batched_projection_equals_per_point_calls(intrinsics):
+def test_batched_projection_equals_per_point_calls():
     rng = np.random.default_rng(8)
     for _ in range(50):
         pose = downward_pose(rng.uniform(-0.3, 0.3, 3) + [0.0, 0.0, 1.2], wiggle=rng.uniform(-0.2, 0.2, 3))
         points = np.column_stack([rng.uniform(-0.5, 0.5, (6, 2)), rng.uniform(-0.1, 0.3, 6)])
-        s, z = geo.project_point(pose, intrinsics, points)
+        s, z = geo.project_point(pose, points)
         assert s.shape == (6, 2) and z.shape == (6,)
         for i, p in enumerate(points):
-            s_i, z_i = geo.project_point(pose, intrinsics, p)
+            s_i, z_i = geo.project_point(pose, p)
             assert np.array_equal(s[i], s_i) and z[i] == z_i
-        pixels = geo.pixel_from_normalized(s, intrinsics)
-        assert all(np.array_equal(pixels[i], geo.pixel_from_normalized(s[i], intrinsics)) for i in range(6))
 
 
 def test_integrate_zero_twist(pose_above):
@@ -98,7 +86,7 @@ def test_integrate_zero_twist(pose_above):
 
 
 def test_integrate_pure_translation():
-    pose = geo.CameraPose.identity()
+    pose = geo.CameraPose(np.eye(3), np.zeros(3))
     out = geo.integrate_twist(pose, [0.0, 0.0, 0.1, 0.0, 0.0, 0.0], 1.0)
     assert np.allclose(out.translation, [0.0, 0.0, 0.1])
     assert np.allclose(out.rotation, np.eye(3))
@@ -111,22 +99,22 @@ def test_integrate_rejects_bad_dt(pose_above):
 
 def test_rotation_stays_orthonormal_over_many_steps():
     rng = np.random.default_rng(11)
-    pose = geo.CameraPose.identity()
+    pose = geo.CameraPose(np.eye(3), np.zeros(3))
     for _ in range(10_000):
         pose = geo.integrate_twist(pose, rng.normal(size=6) * 0.2, 0.01)
     err = np.abs(pose.rotation.T @ pose.rotation - np.eye(3)).max()
     assert err < 1e-9
 
 
-def test_feature_drift_matches_interaction_first_order(intrinsics, pose_above):
+def test_feature_drift_matches_interaction_first_order(pose_above):
     p_world = np.array([0.25, -0.1, 0.05])
     v = np.array([0.2, -0.1, 0.15, 0.3, -0.2, 0.25])
-    s0, z0 = geo.project_point(pose_above, intrinsics, p_world)
+    s0, z0 = geo.project_point(pose_above, p_world)
     predicted = feature_interaction(s0, z0) @ v
 
     errs = []
     for dt in (1e-2, 1e-3, 1e-4):
-        s1, _ = geo.project_point(geo.integrate_twist(pose_above, v, dt), intrinsics, p_world)
+        s1, _ = geo.project_point(geo.integrate_twist(pose_above, v, dt), p_world)
         errs.append(np.linalg.norm((s1 - s0) / dt - predicted))
     # first order in dt: each decade of dt drops the error about tenfold
     assert 4.0 < errs[0] / errs[1] < 25.0
@@ -134,25 +122,18 @@ def test_feature_drift_matches_interaction_first_order(intrinsics, pose_above):
 
 
 def test_obstacle_image_state_axis_case():
-    k = geo.CameraIntrinsics(500.0, 0.0, 0.0)
     pose = downward_pose([0.0, 0.0, 1.0])
     obs = geo.Obstacle3.static([0.0, 0.0, 0.0], 0.1)
-    st = geo.obstacle_image_state(obs, pose, k, 0.0)
+    st = geo.obstacle_image_state(obs, pose, 0.0)
     assert np.allclose(st.center, [0.0, 0.0])
     assert np.isclose(st.rn, 0.1) and np.isclose(st.depth, 1.0)
 
 
-def test_obstacle_rn_scales_inversely_with_depth(intrinsics):
+def test_obstacle_rn_scales_inversely_with_depth():
     obs = geo.Obstacle3.static([0.05, 0.02, 0.0], 0.08)
-    st1 = geo.obstacle_image_state(obs, downward_pose([0.0, 0.0, 1.0]), intrinsics, 0.0)
-    st2 = geo.obstacle_image_state(obs, downward_pose([0.0, 0.0, 2.0]), intrinsics, 0.0)
+    st1 = geo.obstacle_image_state(obs, downward_pose([0.0, 0.0, 1.0]), 0.0)
+    st2 = geo.obstacle_image_state(obs, downward_pose([0.0, 0.0, 2.0]), 0.0)
     assert np.isclose(st2.rn, st1.rn / 2.0)
-
-
-def test_obstacle_pixel_radius_ratio(intrinsics, pose_above):
-    obs = geo.Obstacle3.static([0.1, -0.2, 0.3], 0.06)
-    st = geo.obstacle_image_state(obs, pose_above, intrinsics, 0.0)
-    assert np.isclose(st.radius_px / st.rn, intrinsics.f)
 
 
 def test_obstacle_schedule_interpolation():

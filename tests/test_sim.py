@@ -9,7 +9,7 @@ import yaml
 from safe_ibvs import mpc, scenario, sim, solvers
 from safe_ibvs.barrier import barrier_value
 from safe_ibvs.errors import CertificationFailed
-from safe_ibvs.geometry import CameraPose, Obstacle3, obstacle_image_state, pixel_from_normalized, project_point
+from safe_ibvs.geometry import CameraPose, Obstacle3, obstacle_image_state, project_point
 from safe_ibvs.jacobians import feature_interaction
 from conftest import SCENARIOS, downward_pose, shipped
 
@@ -23,15 +23,15 @@ def quiet_scenario():
 
 def true_scene(sc, state):
     """Exact (features, depths, obstacle) projection at a state, as sim.run and sim.step compute it."""
-    features, depths = project_point(state.pose, sc.intrinsics, sc.features_world)
-    return features, depths, obstacle_image_state(sc.obstacle, state.pose, sc.intrinsics, state.t)
+    features, depths = project_point(state.pose, sc.features_world)
+    return features, depths, obstacle_image_state(sc.obstacle, state.pose, state.t)
 
 
 def test_observe_without_noise_is_truth(quiet_scenario):
     state = sim.SimState(pose=quiet_scenario.initial_pose)
     obs = sim.observe(quiet_scenario, *true_scene(quiet_scenario, state), None)
     for i, p in enumerate(quiet_scenario.features_world):
-        s, z = project_point(quiet_scenario.initial_pose, quiet_scenario.intrinsics, p)
+        s, z = project_point(quiet_scenario.initial_pose, p)
         assert np.allclose(obs.features[i], s)
         assert obs.depths[i] == z
 
@@ -104,34 +104,16 @@ def test_run_projects_each_pose_once(monkeypatch):
         assert counts["barrier_rate_row"] == (steps if mode == "prcbc" else 0)
 
 
-def test_pixel_clearance_cases():
-    assert sim.pixel_clearance([10.0, 10.0], [10.0, 10.0], 5.0) == -5.0
-    assert sim.pixel_clearance([13.0, 14.0], [10.0, 10.0], 5.0) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        sim.pixel_clearance([0.0, 0.0], [1.0, 1.0], -1.0)
-
-
-def test_batched_pixel_clearance_equals_per_point_calls():
-    rng = np.random.default_rng(13)
-    q = rng.uniform(0.0, 640.0, (50, 2))
-    q_o = rng.uniform(0.0, 640.0, 2)
-    batched = sim.pixel_clearance(q, q_o, 17.5)
-    assert all(batched[i] == float(np.linalg.norm(q[i] - q_o)) - 17.5 for i in range(50))
-
-
 def test_pixel_clearance_sign_matches_margin():
-    # exact projection: the pixel metric and the normalized margin agree in sign
+    # exact projection: the logged clearance f (dist - rn) and the normalized margin agree in sign
     rng = np.random.default_rng(12)
-    sc = shipped("reference_cbc")
-    k = sc.intrinsics
+    f = shipped("reference_cbc").intrinsics.f
     for _ in range(200):
         s_i = rng.uniform(-0.5, 0.5, 2)
         s_o = rng.uniform(-0.5, 0.5, 2)
         rn = rng.uniform(0.01, 0.3)
         h = barrier_value(s_i, s_o, rn)
-        dis = sim.pixel_clearance(
-            pixel_from_normalized(s_i, k), pixel_from_normalized(s_o, k), k.f * rn
-        )
+        dis = f * (float(np.linalg.norm(s_i - s_o)) - rn)
         if abs(h) > 1e-12:
             assert np.sign(dis) == np.sign(h)
 
@@ -142,10 +124,44 @@ def column(m, name, width=1):
     return slice(start, start + width)
 
 
+@pytest.mark.parametrize(
+    "name, mode",
+    [
+        ("reference_cbc", "cbc"),
+        ("reference_cbc", "unfiltered"),
+        ("reference_noise", "cbc"),
+        ("reference_noise", "prcbc"),
+        ("reference_noise", "unfiltered"),
+    ],
+)
+def test_logged_clearance_matches_the_pixel_space_distance(monkeypatch, name, mode):
+    # each shipped run that check accepts (prcbc needs the noise scene) against a reference that maps the features and
+    # the obstacle centre to pixels and takes their smallest distance minus the pixel radius f R / z
+    sc = shipped(name, mode=mode)
+    scenes = []
+    step = sim.step
+
+    def recording(sc, state, rng, truth):
+        scenes.append((truth[0], obstacle_image_state(sc.obstacle, state.pose, state.t)))
+        return step(sc, state, rng, truth)
+
+    monkeypatch.setattr(sim, "step", recording)
+    log = sim.run(sc)
+    k = sc.intrinsics
+    principal = np.array([k.px, k.py])
+    reference = [
+        np.linalg.norm((k.f * s + principal) - (k.f * obs.center + principal), axis=1).min()
+        - k.f * sc.obstacle.radius / obs.depth
+        for s, obs in scenes
+    ]
+    assert len(reference) == log.summary.steps > 0
+    assert np.abs(log.table[:, column(sc.m, "dis_px")][:, 0] - reference).max() <= 1e-12
+
+
 def test_step_unfiltered_keeps_nominal_twist(quiet_scenario):
     state = sim.SimState(pose=quiet_scenario.initial_pose)
     rng = sim.make_rng(0)
-    features, depths = project_point(state.pose, quiet_scenario.intrinsics, quiet_scenario.features_world)
+    features, depths = project_point(state.pose, quiet_scenario.features_world)
     e_norm = float(np.linalg.norm(features - quiet_scenario.target_features))
     _, row, status, row_inf = sim.step(quiet_scenario, state, rng, (features, depths, e_norm))
     m = quiet_scenario.m
@@ -287,8 +303,8 @@ def test_csv_layout_and_precision(tmp_path):
     sc = shipped("reference_cbc")
     sc = replace(sc, max_steps=4, convergence_tol=0.0)
     log = sim.run(sc)
-    log.write(tmp_path, stem="traj")
-    text = (tmp_path / "traj.csv").read_text()
+    log.write(tmp_path)
+    text = (tmp_path / "trajectory.csv").read_text()
     header = text.splitlines()[0].split(",")
     assert header == (
         ["step", "t", "e_norm"]
@@ -303,7 +319,7 @@ def test_csv_layout_and_precision(tmp_path):
     row = text.splitlines()[1].split(",")
     assert float(row[2]) == log.table[0, header.index("e_norm")]
     assert float(row[3]) == log.table[0, header.index("h_1")]
-    assert (tmp_path / "traj_summary.json").exists()
+    assert (tmp_path / "trajectory_summary.json").exists()
 
 
 @pytest.mark.parametrize(
