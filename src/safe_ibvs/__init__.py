@@ -17,7 +17,6 @@ from .barrier import (
     prcbc_quadratics,
 )
 from .geometry import (
-    CameraIntrinsics,
     CameraPose,
     Obstacle3,
     ObstacleImageState,

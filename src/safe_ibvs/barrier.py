@@ -24,15 +24,17 @@ Both constraint functions return the filter's stacked format ``(f, b, c)`` of sh
 factor f_i (r = 2 for PrCBC, r = 0 for a half-space), so it is convex by
 construction.
 
-The box half-width needs only the standard library's ``erf``/``erfc``
-and a fixed Gauss-Legendre rule, so this module, like the rest of the
-control loop, runs on numpy alone.
+A scene's box half-width is fixed by its noise covariances, focal length
+and confidence level, so :class:`NoiseModel` computes it once, when it is
+built, and carries it. It needs only the standard library's
+``erf``/``erfc`` and a fixed Gauss-Legendre rule, so this module, like
+the rest of the control loop, runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -58,21 +60,29 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Zero-mean Gaussian pixel noise on feature and obstacle positions.
+    """Zero-mean Gaussian pixel noise on feature and obstacle positions, with its confidence box.
 
-    Covariances are in pixel^2; constraint math lives in the normalized
-    image plane, so they are divided by f^2 on conversion. Draws are the
-    symmetric PSD square roots times standard normals, which also covers
-    singular covariances.
+    Covariances are in pixel^2. Draws are the symmetric PSD square roots
+    times standard normals, which also covers singular covariances. The
+    constraint math lives in the normalized image plane, so the model is
+    built for a focal length f, which it does not keep: ``halfwidth`` is
+    the half-width of the box that holds the feature-minus-obstacle
+    noise, of covariance ``(feature_cov + obstacle_cov) / f^2``, with
+    probability ``sigma``. Every trial that shares the model shares it.
+    Squaring an f past about 1.3e154 raises ``OverflowError``; a
+    covariance that is not finite once scaled raises
+    :class:`UnsupportedCovariance`.
     """
 
     feature_cov: np.ndarray  # (2, 2), applied independently to every feature
     obstacle_cov: np.ndarray  # (2, 2)
+    focal_length: InitVar[float]
     sigma: float = 0.8  # confidence level for the noisy-case constraints
     feature_sqrt: np.ndarray = field(init=False, repr=False)
     obstacle_sqrt: np.ndarray = field(init=False, repr=False)
+    halfwidth: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, focal_length: float):
         fc = np.asarray(self.feature_cov, dtype=float).reshape(2, 2)
         oc = np.asarray(self.obstacle_cov, dtype=float).reshape(2, 2)
         object.__setattr__(self, "feature_cov", fc)
@@ -88,15 +98,9 @@ class NoiseModel:
             raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
         object.__setattr__(self, "feature_sqrt", _psd_sqrt(fc))
         object.__setattr__(self, "obstacle_sqrt", _psd_sqrt(oc))
-
-    @staticmethod
-    def isotropic(pixel_variance: float, sigma: float = 0.8) -> "NoiseModel":
-        cov = np.diag([pixel_variance, pixel_variance])  # not pixel_variance * I, whose inf * 0 would warn
-        return NoiseModel(cov, cov.copy(), sigma)
-
-    def relative_cov_normalized(self, f: float) -> np.ndarray:
-        """Covariance of the feature-minus-obstacle noise, normalized plane."""
-        return (self.feature_cov + self.obstacle_cov) / f**2
+        with np.errstate(all="ignore"):  # a covariance this leaves non-finite is refused by noise_box_halfwidth
+            relative_cov = (fc + oc) / focal_length**2
+        object.__setattr__(self, "halfwidth", noise_box_halfwidth(self.sigma, relative_cov))
 
 
 def barrier_value(s_i: np.ndarray, s_o: np.ndarray, rn: float) -> float | np.ndarray:

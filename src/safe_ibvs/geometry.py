@@ -10,11 +10,11 @@ Conventions used throughout the package:
   ``translation`` is the optical center in world coordinates.
 * A twist is the 6-vector ``[vx, vy, vz, wx, wy, wz]`` (linear then
   angular velocity) expressed in the current camera frame.
-* Normalized image coordinates are pixel coordinates pushed through the
-  inverse intrinsics: ``a = (u - px) / f``, ``b = (v - py) / f``. Every
-  image quantity is computed in these coordinates; only the focal length
-  enters elsewhere (the pixel noise and the logged pixel clearance), and
-  the principal point cancels from every difference of two points.
+* Normalized image coordinates ``(a, b) = (x / z, y / z)`` of a
+  camera-frame point. Every image quantity is computed in these
+  coordinates. A scene's camera is its focal length f alone: it scales
+  the pixel noise and the logged pixel clearance. A principal point would
+  cancel from every difference of two points, so scenes have none.
 """
 
 from __future__ import annotations
@@ -63,22 +63,6 @@ def se3_exp(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rot = _EYE3 + (s / theta) * wx + ((1.0 - c) / theta**2) * wx2
         jac = _EYE3 + ((1.0 - c) / theta**2) * wx + ((theta - s) / theta**3) * wx2
     return rot, jac @ v
-
-
-@dataclass(frozen=True, eq=False)
-class CameraIntrinsics:
-    """Pinhole intrinsics with a single focal length (square pixels)."""
-
-    f: float
-    px: float
-    py: float
-
-    def __post_init__(self):
-        for name, value in (("f", self.f), ("px", self.px), ("py", self.py)):
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not self.f > 0.0:
-            raise ValueError(f"focal length must be positive, got {self.f}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,13 +13,12 @@ from .geometry import ObstacleImageState
 class FeatureObservation:
     """Feature and obstacle states as the controllers see them.
 
-    Positions may carry measurement noise; depths are always exact, and
-    the interaction matrices are evaluated at the observed (possibly
-    noisy) coordinates. ``l_features`` stacks one 2x6 block per feature.
+    Positions may carry measurement noise; the interaction matrices are
+    evaluated at the observed (possibly noisy) coordinates and the exact
+    depths. ``l_features`` stacks one 2x6 block per feature.
     """
 
     features: np.ndarray  # (m, 2) normalized coordinates
-    depths: np.ndarray  # (m,)
     obstacle: ObstacleImageState
     l_features: np.ndarray  # (m, 2, 6)
     l_obstacle: np.ndarray  # (2, 6)
@@ -28,6 +27,3 @@ class FeatureObservation:
     @property
     def m(self) -> int:
         return self.features.shape[0]
-
-    def stacked_interaction(self) -> np.ndarray:
-        return self.l_features.reshape(-1, 6)

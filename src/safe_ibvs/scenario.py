@@ -1,15 +1,17 @@
 """Scenario definition, YAML loading, and validation.
 
-A scenario pins everything a closed-loop trial needs: camera intrinsics
-and poses, world feature points, the obstacle schedule, controller mode
-and weights, the noise model, and the seed. Scenario files are YAML
-with a fixed schema; unknown keys are rejected so typos fail loudly.
+A scenario pins everything a closed-loop trial needs: the camera's focal
+length and poses, world feature points, the obstacle schedule,
+controller mode and weights, the noise model, and the seed. Scenario
+files are YAML with a fixed schema; unknown keys are rejected so typos
+fail loudly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -18,8 +20,8 @@ import numpy as np
 import yaml
 
 from .barrier import NoiseModel
-from .errors import ScenarioError
-from .geometry import CameraIntrinsics, CameraPose, Obstacle3, project_point
+from .errors import ScenarioError, UnsupportedCovariance
+from .geometry import CameraPose, Obstacle3, project_point
 from .mpc import MpcConfig
 
 MODE_CBC = "cbc"
@@ -32,7 +34,7 @@ SEED_LIMIT = 2**64  # a seed keys the trial's Philox generator, so it lies in [0
 @dataclass(eq=False)
 class Scenario:
     name: str
-    intrinsics: CameraIntrinsics
+    focal_length: float  # pixels per normalized image unit
     initial_pose: CameraPose
     features_world: np.ndarray  # (m, 3)
     target_features: np.ndarray  # (m, 2) normalized
@@ -62,7 +64,7 @@ class Scenario:
         if self.noise is None:
             raise ScenarioError("sigma needs a scenario with a noise model")
         with _reading("noise"):
-            noise = NoiseModel(self.noise.feature_cov, self.noise.obstacle_cov, float(sigma))
+            noise = _noise_model(self.noise.feature_cov, self.noise.obstacle_cov, self.focal_length, float(sigma))
         return replace(self, noise=noise)
 
     def with_obstacle_start(self, start: np.ndarray) -> "Scenario":
@@ -75,7 +77,7 @@ class Scenario:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "camera": {"f": self.intrinsics.f, "px": self.intrinsics.px, "py": self.intrinsics.py},
+            "camera": {"f": self.focal_length},
             "initial_pose": {
                 "rotation": self.initial_pose.rotation.tolist(),
                 "xyz": self.initial_pose.translation.tolist(),
@@ -158,7 +160,17 @@ def _pose_from_dict(section, where: str) -> CameraPose:
         return CameraPose(np.asarray(section["rotation"], dtype=float), section["xyz"])
 
 
-def _noise_from_dict(section) -> NoiseModel | None:
+def _noise_model(feature_cov, obstacle_cov, focal_length: float, sigma: float) -> NoiseModel:
+    """``NoiseModel`` whose confidence box cannot be built for this focal length ends as a ScenarioError."""
+    try:
+        return NoiseModel(feature_cov, obstacle_cov, focal_length, sigma)
+    except OverflowError as exc:  # the pixel covariances are divided by f**2
+        raise ScenarioError(f"camera.f: {focal_length} squared overflows ({exc})") from exc
+    except UnsupportedCovariance as exc:
+        raise ScenarioError(f"noise: no confidence box at camera.f = {focal_length}: {exc}") from exc
+
+
+def _noise_from_dict(section, focal_length: float) -> NoiseModel | None:
     if section is None:
         return None
     _require_keys(section, {"pixel_variance", "feature_cov", "obstacle_cov", "sigma"}, set(), "noise")
@@ -166,10 +178,12 @@ def _noise_from_dict(section) -> NoiseModel | None:
     if "pixel_variance" in section:
         if "feature_cov" in section or "obstacle_cov" in section:
             raise ScenarioError("noise: give pixel_variance or explicit covariances, not both")
-        return NoiseModel.isotropic(float(section["pixel_variance"]), sigma)
-    return NoiseModel(
+        cov = np.diag([float(section["pixel_variance"])] * 2)  # not pixel_variance * I, whose inf * 0 would warn
+        return _noise_model(cov, cov.copy(), focal_length, sigma)
+    return _noise_model(
         np.asarray(section["feature_cov"], dtype=float),
         np.asarray(section["obstacle_cov"], dtype=float),
+        focal_length,
         sigma,
     )
 
@@ -185,9 +199,10 @@ def from_dict(data: dict) -> Scenario:
     _require_keys(data, allowed, required, "scenario")
 
     cam = data["camera"]
-    _require_keys(cam, {"f", "px", "py"}, {"f", "px", "py"}, "camera")
-    with _reading("camera"):
-        intrinsics = CameraIntrinsics(float(cam["f"]), float(cam["px"]), float(cam["py"]))
+    _require_keys(cam, {"f"}, {"f"}, "camera")
+    focal_length = _field(cam, "f", float, where="camera.f")
+    if not (math.isfinite(focal_length) and focal_length > 0.0):
+        raise ScenarioError(f"camera.f: focal length must be finite and positive, got {focal_length}")
 
     initial_pose = _pose_from_dict(data["initial_pose"], "initial_pose")
     features_world = _field(data, "features_world", lambda v: np.asarray(v, dtype=float))
@@ -245,14 +260,14 @@ def from_dict(data: dict) -> Scenario:
 
     return Scenario(
         name=str(data.get("name", "scenario")),
-        intrinsics=intrinsics,
+        focal_length=focal_length,
         initial_pose=initial_pose,
         features_world=features_world,
         target_features=target_features,
         obstacle=obstacle,
         mode=mode,
         mpc=mpc_cfg,
-        noise=_field(data, "noise", _noise_from_dict),
+        noise=_field(data, "noise", lambda section: _noise_from_dict(section, focal_length)),
         gamma=_field(data, "gamma", float, 2.0),
         max_steps=_field(data, "max_steps", _integer, 400),
         seed=_field(data, "seed", _integer, 0),

@@ -6,7 +6,9 @@ convergence check, and handed to the step. One step runs the full
 pipeline on arrays: project the obstacle, draw the (optional) pixel
 noise for all features at once, build the ``(m, 2, 6)`` interaction
 matrices, plan the nominal twist over the horizon, build the
-mode-appropriate occlusion constraints as stacked factor arrays, execute
+mode-appropriate occlusion constraints as stacked factor arrays (PrCBC
+reads the confidence half-width that the scenario's noise model computed
+once, when it was built, so every trial of a sweep shares it), execute
 the filter's certified projection of the nominal twist or its typed hold
 (``V = 0``), log the true margins and clearances as one row of the
 trial's float table (:func:`columns`), then advance the camera pose and
@@ -21,18 +23,11 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import mpc
-from .barrier import (
-    barrier_value,
-    barrier_rate_row,
-    cbc_halfspaces,
-    noise_box_halfwidth,
-    prcbc_quadratics,
-)
+from .barrier import barrier_value, barrier_rate_row, cbc_halfspaces, prcbc_quadratics
 from .errors import SafeIbvsError, ScenarioError
 from .geometry import (
     CameraPose,
@@ -143,13 +138,13 @@ def observe(
     ``features`` ``(m, 2)``, ``depths`` ``(m,)`` and ``obstacle`` are the
     true projection at the current pose and time. Noise is drawn in pixel
     coordinates, one ``(m + 1, 2)`` standard normal block (feature rows,
-    then the obstacle row), and divided by the focal length (the
-    intrinsics map is linear). Depths stay exact; the interaction
-    matrices are evaluated at the observed coordinates. Passing
-    ``rng=None`` or a scenario without a noise model yields the truth.
+    then the obstacle row), and divided by the scenario's focal length.
+    The interaction matrices are evaluated at the observed coordinates
+    and the exact depths. Passing ``rng=None`` or a scenario without a
+    noise model yields the truth.
     """
     if sc.noise is not None and rng is not None:
-        f = sc.intrinsics.f
+        f = sc.focal_length
         z = rng.standard_normal((sc.m + 1, 2))
         # one 2x2 @ 2x1 product per row; z @ S.T would round differently for a non-diagonal S
         features = features + (sc.noise.feature_sqrt @ z[:-1, :, None])[..., 0] / f
@@ -161,18 +156,11 @@ def observe(
     )
     return FeatureObservation(
         features=features,
-        depths=depths,
         obstacle=obstacle,
         l_features=l_points[:-1],
         l_obstacle=l_points[-1],
         l_radius=obstacle_radius_interaction(obstacle.center, obstacle.depth, sc.obstacle.radius),
     )
-
-
-@lru_cache(maxsize=64)
-def _halfwidth(sigma: float, cov_bytes: bytes) -> float:
-    """Half-width per noise model, once per process: every trial of a sweep shares it."""
-    return noise_box_halfwidth(sigma, np.frombuffer(cov_bytes).reshape(2, 2))
 
 
 def step(
@@ -195,7 +183,7 @@ def step(
     obs = observe(sc, features, depths, obstacle, rng)
 
     e_obs = feature_error(obs.features, sc.target_features)
-    L = obs.stacked_interaction()
+    L = obs.l_features.reshape(-1, 6)
 
     v_mpc = mpc.plan(e_obs, L, sc.mpc)[0]
 
@@ -211,8 +199,7 @@ def step(
         elif sc.mode == MODE_PRCBC:
             if sc.noise is None:
                 raise ScenarioError("prcbc mode needs a noise model")
-            halfwidth = _halfwidth(sc.noise.sigma, sc.noise.relative_cov_normalized(sc.intrinsics.f).tobytes())
-            quadratics = prcbc_quadratics(obs, sc.gamma, halfwidth)
+            quadratics = prcbc_quadratics(obs, sc.gamma, sc.noise.halfwidth)
             problem = FilterProblem(v_mpc, sc.mpc.v_max, *quadratics)
             rows = barrier_rate_row(
                 obs.features, obs.obstacle.center, obs.l_features, obs.l_obstacle, obs.l_radius, obs.obstacle.rn
@@ -227,7 +214,7 @@ def step(
     offsets = features - obstacle.center
     dists = np.sqrt((offsets * offsets).sum(axis=1))  # what np.linalg.norm(axis=1) computes
     min_dist = float(dists.min())
-    dis_px = sc.intrinsics.f * (min_dist - obstacle.rn)  # Python floats overflow to inf without a warning
+    dis_px = sc.focal_length * (min_dist - obstacle.rn)  # Python floats overflow to inf without a warning
     # in columns(m) order
     row = np.concatenate(([state.step_index, state.t, e_norm], h, [min_dist, dis_px], v_star, v_mpc))
     new_pose = integrate_twist(state.pose, v_star, sc.mpc.dt)
@@ -241,11 +228,10 @@ def run(sc: Scenario) -> TrajectoryLog:
     Each pose's features are projected, and their error taken, once: for
     the convergence check, and then by the step that starts from that
     pose. A package error (:class:`SafeIbvsError`), a ``LinAlgError`` or
-    an ``ArithmeticError`` (a float overflow such as ``f**2`` at
-    ``f = 1e308``) ends the trial early, marked aborted with the error's
-    type and message. The rows are stacked into the table once, at the
-    end: ``max_steps`` has no upper bound, so no table is preallocated
-    for it.
+    an ``ArithmeticError`` (a Python float overflow) ends the trial
+    early, marked aborted with the error's type and message. The rows
+    are stacked into the table once, at the end: ``max_steps`` has no
+    upper bound, so no table is preallocated for it.
     """
     rng = make_rng(sc.seed)
     state = SimState(pose=sc.initial_pose)

@@ -20,7 +20,6 @@ def make_observation(features, depths, obs_center, z_o, radius):
     state = geo.ObstacleImageState(center=obs_center, rn=radius / z_o, depth=z_o)
     return FeatureObservation(
         features=features,
-        depths=depths,
         obstacle=state,
         l_features=feature_interaction(features, depths),
         l_obstacle=feature_interaction(obs_center, z_o),

@@ -54,6 +54,32 @@ def test_check_rejects_the_retired_radius_term_switch(tmp_path, capsys):
     assert "unknown keys ['prcbc_radius_term']" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key", ["px", "py"])
+def test_check_rejects_a_principal_point(tmp_path, capsys, key):
+    # the principal point cancelled from every difference of two image points, so the camera is its focal length
+    data = yaml.safe_load(Path(REF_CBC).read_text())
+    data["camera"][key] = 320.0
+    path = tmp_path / "principal.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["check", "--scenario", str(path)]) == EXIT_CONFIG
+    assert f"camera: unknown keys ['{key}']" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "f, named", [("1.0e308", "camera.f: 1e+308 squared overflows"), ("1.0e-200", "noise:")], ids=["1.0e308", "1.0e-200"]
+)
+def test_check_rejects_a_focal_length_the_noise_box_cannot_take(tmp_path, capsys, f, named):
+    # the pixel covariances are divided by f**2: at 1e308 run once aborted at step 0 with an OverflowError naming no
+    # field, and at 1e-200 the normalized covariance is infinite
+    text = Path(REF_NOISE).read_text()
+    assert text.count("f: 500.0") == 1
+    path = tmp_path / "focal.yaml"
+    path.write_text(text.replace("f: 500.0", f"f: {f}"))
+    assert main(["check", "--scenario", str(path)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().out
+
+
 def test_check_rejects_initial_occlusion(tmp_path, capsys):
     with open(REF_CBC) as fh:
         data = yaml.safe_load(fh)
@@ -113,8 +139,9 @@ def test_check_rejects_a_weight_that_overflows(tmp_path, capsys, key, named):
     [
         ("xyz: [0.0, 0.0, 1.1]", "xyz: [.nan, 0.0, 1.1]", "initial_pose"),
         ("convergence_tol: 5.0e-3", "convergence_tol: .nan", "convergence_tol"),
-        ("px: 320.0", "px: .nan", "camera: px"),
-        ("f: 500.0", "f: .inf", "camera: f"),
+        ("f: 500.0", "f: .inf", "camera.f"),
+        ("f: 500.0", "f: 0.0", "camera.f"),
+        ("f: 500.0", "f: -1.0", "camera.f"),
         ("v_max: 0.5", "v_max: .inf", "mpc: v_max"),
         ("pixel_variance: 10.0", "pixel_variance: .inf", "noise: feature_cov"),
         ("gamma: 4.0", "gamma: .inf", "gamma"),
@@ -365,7 +392,6 @@ def test_unusable_out_fails_before_the_first_trial(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize(
     "name, old, new, reason",
     [
-        ("reference_noise", "f: 500.0", "f: 1.0e308", "OverflowError"),
         ("reference_noise", "v_max: 0.5", "v_max: 1.0e308", "OverflowError"),
         ("reference_cbc", "center: [0.43, 0.23, 0.10]", "center: [1.0e308, 0.23, 0.10]", "DegenerateConstraint"),
     ],

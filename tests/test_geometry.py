@@ -148,8 +148,3 @@ def test_obstacle_validation():
         geo.Obstacle3.static([0.0, 0.0, 0.0], 0.0)
     with pytest.raises(ValueError, match="increasing"):
         geo.Obstacle3(0.1, np.array([0.0, 0.0]), np.zeros((2, 3)))
-
-
-def test_intrinsics_validation():
-    with pytest.raises(ValueError):
-        geo.CameraIntrinsics(0.0, 320.0, 240.0)

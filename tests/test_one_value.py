@@ -5,7 +5,9 @@ path (a section, a key, a list or one of its items) with one of a fixed
 set of bad values. The document must then do one of three things:
 ``from_dict`` raises ``ScenarioError``; ``validate_scenario`` returns
 problems; or ``run``, capped at 3 steps, ends by convergence, the step
-cap or a typed abort without raising.
+cap or a typed abort without raising. The retired keys ``camera.px`` and
+``camera.py`` are set the same way, as a scene written for the old
+schema would set them, and each such document must end in ``from_dict``.
 """
 
 import builtins
@@ -21,6 +23,7 @@ from safe_ibvs.errors import ScenarioError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DOCUMENTS = {name: yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text()) for name in ("reference_cbc", "reference_noise")}
+RETIRED = [("camera", "px"), ("camera", "py")]
 VALUES = [None, 5, -1, 0, 2**64, 1e308, float("nan"), float("inf"), "x", True, [], [1.0], [[1.0, 2.0]], {}, {"x": 1}]
 # a typed abort names a package error, a LinAlgError or an ArithmeticError such as an overflow
 ABORT_TYPES = {
@@ -43,7 +46,7 @@ def _paths(node, prefix=()):
 CASES = [
     pytest.param(name, path, value, id=f"{name}-{'.'.join(map(str, path))}-{value!r}")
     for name, doc in DOCUMENTS.items()
-    for path in _paths(doc)
+    for path in [*_paths(doc), *RETIRED]
     for value in VALUES
 ]
 
@@ -59,6 +62,7 @@ def test_one_bad_value_ends_typed(name, path, value):
         sc = scenario.from_dict(data)
     except ScenarioError:
         return
+    assert path not in RETIRED, f"{'.'.join(path)} was accepted"
     if scenario.validate_scenario(sc):
         return
     sc = replace(sc, max_steps=min(sc.max_steps, 3))

@@ -13,7 +13,7 @@ REPO_SCENARIO = SCENARIOS / "reference_cbc.yaml"
 def base_config():
     return {
         "name": "t",
-        "camera": {"f": 500.0, "px": 320.0, "py": 240.0},
+        "camera": {"f": 500.0},
         "initial_pose": {"rpy": [np.pi, 0.0, 0.0], "xyz": [0.0, 0.0, 1.1]},
         "target_pose": {"rpy": [np.pi, 0.0, 0.4], "xyz": [-0.1, -0.1, 0.8]},
         "features_world": [[0.25, 0.25, 0.0], [-0.25, 0.25, 0.0], [-0.25, -0.25, 0.0], [0.25, -0.25, 0.0]],

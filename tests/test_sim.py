@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from safe_ibvs import mpc, scenario, sim, solvers
+from safe_ibvs import barrier, mpc, scenario, sim, solvers
 from safe_ibvs.barrier import barrier_value
 from safe_ibvs.errors import CertificationFailed
 from safe_ibvs.geometry import CameraPose, Obstacle3, obstacle_image_state, project_point
@@ -33,7 +33,7 @@ def test_observe_without_noise_is_truth(quiet_scenario):
     for i, p in enumerate(quiet_scenario.features_world):
         s, z = project_point(quiet_scenario.initial_pose, p)
         assert np.allclose(obs.features[i], s)
-        assert obs.depths[i] == z
+        assert np.array_equal(obs.l_features[i], feature_interaction(s, z))
 
 
 def test_observe_noise_statistics():
@@ -43,7 +43,7 @@ def test_observe_noise_statistics():
     truth = sim.observe(sc, *scene, None)
     rng = sim.make_rng(99)
     n = 30000
-    f = sc.intrinsics.f
+    f = sc.focal_length
     residuals = np.empty((n, 2))
     obs_residuals = np.empty((n, 2))
     for i in range(n):
@@ -55,10 +55,9 @@ def test_observe_noise_statistics():
         assert np.abs(np.diag(emp) - np.diag(cov)).max() / np.diag(cov).max() < 0.03
         assert abs(emp[0, 1]) < 0.03 * cov[0, 0]
         assert np.abs(sample.mean(axis=0)).max() < 0.1
-    # depths and interaction inputs stay exact
+    # the obstacle's depth and radius stay exact
     noisy = sim.observe(sc, *scene, rng)
-    assert np.array_equal(noisy.depths, truth.depths)
-    assert noisy.obstacle.rn == truth.obstacle.rn
+    assert noisy.obstacle.depth == truth.obstacle.depth and noisy.obstacle.rn == truth.obstacle.rn
 
 
 def test_observe_noise_equals_per_point_draws():
@@ -68,7 +67,7 @@ def test_observe_noise_equals_per_point_draws():
     sc = scenario.from_dict(data)
     state = sim.SimState(pose=sc.initial_pose, t=0.35)
     features, depths, obstacle = true_scene(sc, state)
-    f = sc.intrinsics.f
+    f = sc.focal_length
     for seed in range(20):
         obs = sim.observe(sc, features, depths, obstacle, sim.make_rng(seed))
         rng = sim.make_rng(seed)
@@ -107,7 +106,7 @@ def test_run_projects_each_pose_once(monkeypatch):
 def test_pixel_clearance_sign_matches_margin():
     # exact projection: the logged clearance f (dist - rn) and the normalized margin agree in sign
     rng = np.random.default_rng(12)
-    f = shipped("reference_cbc").intrinsics.f
+    f = shipped("reference_cbc").focal_length
     for _ in range(200):
         s_i = rng.uniform(-0.5, 0.5, 2)
         s_o = rng.uniform(-0.5, 0.5, 2)
@@ -136,7 +135,8 @@ def column(m, name, width=1):
 )
 def test_logged_clearance_matches_the_pixel_space_distance(monkeypatch, name, mode):
     # each shipped run that check accepts (prcbc needs the noise scene) against a reference that maps the features and
-    # the obstacle centre to pixels and takes their smallest distance minus the pixel radius f R / z
+    # the obstacle centre to pixels (a principal point would cancel from their differences) and takes their smallest
+    # distance minus the pixel radius f R / z
     sc = shipped(name, mode=mode)
     scenes = []
     step = sim.step
@@ -147,12 +147,9 @@ def test_logged_clearance_matches_the_pixel_space_distance(monkeypatch, name, mo
 
     monkeypatch.setattr(sim, "step", recording)
     log = sim.run(sc)
-    k = sc.intrinsics
-    principal = np.array([k.px, k.py])
+    f = sc.focal_length
     reference = [
-        np.linalg.norm((k.f * s + principal) - (k.f * obs.center + principal), axis=1).min()
-        - k.f * sc.obstacle.radius / obs.depth
-        for s, obs in scenes
+        np.linalg.norm(f * s - f * obs.center, axis=1).min() - f * sc.obstacle.radius / obs.depth for s, obs in scenes
     ]
     assert len(reference) == log.summary.steps > 0
     assert np.abs(log.table[:, column(sc.m, "dis_px")][:, 0] - reference).max() <= 1e-12
@@ -211,27 +208,27 @@ def test_checked_covariance_runs_in_every_mode(cov, sigma, max_steps):
 
 
 def test_sweep_computes_the_halfwidth_once(monkeypatch):
+    # the noise model computes its half-width when the scene is built, and every trial of a sweep shares the model
     data = yaml.safe_load((SCENARIOS / "reference_noise.yaml").read_text())
     cov = [[1e-6, 9e-4], [9e-4, 1.0]]  # correlated: the half-width takes a bisection over box_probability
     data["noise"] = {"feature_cov": cov, "obstacle_cov": cov, "sigma": 0.99}
     data["max_steps"] = 5
-    sc = scenario.from_dict(data)
     calls = []
-    invert = sim.noise_box_halfwidth
+    invert = barrier.noise_box_halfwidth
 
     def counted(sigma, rel_cov):
         calls.append(sigma)
         return invert(sigma, rel_cov)
 
-    monkeypatch.setattr(sim, "noise_box_halfwidth", counted)
-    sim._halfwidth.cache_clear()
+    monkeypatch.setattr(barrier, "noise_box_halfwidth", counted)
+    sc = scenario.from_dict(data)
+    assert calls == [0.99]
     start = np.array([0.43, 0.23, 0.10])
     res = sim.sweep(sc, start[None], trials_per_location=5, jobs=1)
-    assert calls == [0.99]
     for log, seed in zip(res.logs, res.seeds.ravel()):
-        sim._halfwidth.cache_clear()
         assert sim.run(sc.with_obstacle_start(start).with_seed(int(seed))).csv_text() == log.csv_text()
-    assert len(calls) == 6
+    assert calls == [0.99]
+    assert sc.with_sigma(0.9).noise.halfwidth < sc.noise.halfwidth and calls == [0.99, 0.9]
 
 
 E = np.eye(6)
