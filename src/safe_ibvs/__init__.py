@@ -10,6 +10,7 @@ closed-loop simulator reproducing the accompanying experiments.
 
 from .barrier import (
     NoiseModel,
+    Observation,
     barrier_rate_row,
     barrier_value,
     cbc_halfspaces,
@@ -28,7 +29,6 @@ from .geometry import (
 from .ibvs import clip_twist, feature_error, gradient_controller, pseudo_inverse
 from .jacobians import feature_interaction, obstacle_radius_interaction
 from .mpc import MpcConfig, plan
-from .observation import FeatureObservation
 from .scenario import Scenario, load, validate_scenario
 from .sim import TrajectoryLog, observe, run, step, sweep
 from .solvers import (

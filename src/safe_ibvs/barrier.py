@@ -7,8 +7,9 @@ For each feature point the occlusion margin is
 (positive outside the obstacle's projected disk). Every quantity here is
 computed for all m features at once, from the ``(m, 2)`` offsets ``ds``
 between features and obstacle and the ``(m, 2, 6)`` differences ``dl``
-of their interaction matrices. Two constraint families keep h
-nonnegative along the closed loop:
+of their interaction matrices, formed once per step in an
+:class:`Observation`. Two constraint families keep h nonnegative along
+the closed loop:
 
 * exact measurements: a half-space per feature, requiring the margin's
   control-dependent rate to dominate ``-gamma * h``;
@@ -22,7 +23,7 @@ Both constraint functions return the filter's stacked format ``(f, b, c)`` of sh
 ``(m, r, 6)``, ``(m, 6)`` and ``(m,)``: row i admits the twists with
 ``||f_i V||^2 + b_i'V + c_i <= 0``. The quadratic term is passed as its
 factor f_i (r = 2 for PrCBC, r = 0 for a half-space), so it is convex by
-construction.
+construction. Beside them each returns the ``(m, 6)`` rate rows it formed.
 
 A scene's box half-width is fixed by its noise covariances, focal length
 and confidence level, so :class:`NoiseModel` computes it once, when it is
@@ -39,7 +40,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DegenerateConstraint, UnsupportedCovariance
-from .observation import FeatureObservation
+from .geometry import ObstacleImageState
 
 # Winitzki's constant in the closed-form first guess for erfinv (relative error below 2e-3)
 _WINITZKI_A = 0.147
@@ -103,31 +104,37 @@ class NoiseModel:
         object.__setattr__(self, "halfwidth", noise_box_halfwidth(self.sigma, relative_cov))
 
 
-def barrier_value(s_i: np.ndarray, s_o: np.ndarray, rn: float) -> float | np.ndarray:
-    """Occlusion margin of one ``(2,)`` feature, or of each row of ``(m, 2)`` features, against the obstacle disk."""
-    d = np.asarray(s_i, dtype=float) - np.asarray(s_o, dtype=float)
+@dataclass(frozen=True, eq=False)
+class Observation:
+    """One step's measured geometry, formed once by ``sim.observe`` and read by every later layer.
+
+    Positions may carry measurement noise; the interaction matrices are
+    evaluated at the observed (possibly noisy) coordinates and the exact
+    depths. The planner reads ``features`` and ``l_features``; the
+    constraints read only the offsets ``ds`` and the differences ``dl``.
+    """
+
+    features: np.ndarray  # (m, 2) normalized coordinates
+    l_features: np.ndarray  # (m, 2, 6)
+    obstacle: ObstacleImageState
+    l_radius: np.ndarray  # (6,)
+    ds: np.ndarray  # (m, 2) features - obstacle.center
+    dl: np.ndarray  # (m, 2, 6) l_features - the obstacle center's interaction matrix
+
+
+def barrier_value(ds: np.ndarray, rn: float) -> float | np.ndarray:
+    """Occlusion margin of one ``(2,)`` feature-minus-obstacle offset, or of each row of ``(m, 2)`` offsets."""
+    d = np.asarray(ds, dtype=float)
     return (d[..., None, :] @ d[..., :, None])[..., 0, 0] - rn * rn
 
 
-def barrier_rate_row(
-    s_i: np.ndarray,
-    s_o: np.ndarray,
-    l_feature: np.ndarray,
-    l_obstacle: np.ndarray,
-    l_radius: np.ndarray,
-    rn: float,
-) -> np.ndarray:
-    """Row mapping a twist to the time derivative of the occlusion margin.
-
-    ``(2,)`` features with ``(2, 6)`` interaction matrices give one
-    ``(6,)`` row; ``(m, 2)`` and ``(m, 2, 6)`` give the ``(m, 6)`` rows.
-    """
-    d = np.asarray(s_i, dtype=float) - np.asarray(s_o, dtype=float)
-    return ((2.0 * d)[..., None, :] @ (l_feature - l_obstacle))[..., 0, :] - 2.0 * rn * l_radius
+def barrier_rate_row(obs: Observation) -> np.ndarray:
+    """The ``(m, 6)`` rows mapping a twist to the time derivative of each feature's occlusion margin."""
+    return ((2.0 * obs.ds)[:, None, :] @ obs.dl)[:, 0] - 2.0 * obs.obstacle.rn * obs.l_radius
 
 
-def cbc_halfspaces(obs: FeatureObservation, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One admissible half-space per feature, ``row @ V >= -gamma * h``, as stacked ``(f, b, c)``.
+def cbc_halfspaces(obs: Observation, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One admissible half-space per feature, ``row @ V >= -gamma * h``, as stacked ``(f, b, c)``, then the rows.
 
     The rows are the margins' rate rows, so ``b = -row``, ``c = -gamma * h``
     and ``f`` has no rows, shape ``(m, 0, 6)``. Rows never vanish for a projectable obstacle: even with
@@ -137,13 +144,11 @@ def cbc_halfspaces(obs: FeatureObservation, gamma: float) -> tuple[np.ndarray, n
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    center, rn = obs.obstacle.center, obs.obstacle.rn
-    rows = barrier_rate_row(obs.features, center, obs.l_features, obs.l_obstacle, obs.l_radius, rn)
+    rows = barrier_rate_row(obs)
     degenerate = np.flatnonzero(~(np.abs(rows).max(axis=1) > 0.0))
     if degenerate.size:
         raise DegenerateConstraint(f"degenerate barrier row for feature {degenerate[0]}")
-    h = barrier_value(obs.features, center, rn)
-    return np.zeros((obs.m, 0, 6)), -rows, -gamma * h
+    return np.zeros((len(rows), 0, 6)), -rows, -gamma * barrier_value(obs.ds, obs.obstacle.rn), rows
 
 
 def _erfinv(y: float) -> float:
@@ -262,11 +267,11 @@ def box_probability(e: float, cov: np.ndarray) -> float:
 
 
 def prcbc_quadratics(
-    obs: FeatureObservation,
+    obs: Observation,
     gamma: float,
     halfwidth: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One convex quadratic per feature for the noisy-measurement case, as stacked ``(f, b, c)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One convex quadratic per feature for the noisy-measurement case, as stacked ``(f, b, c)``, then the rows.
 
     With ``ds`` the observed feature-to-obstacle offset and ``dl`` the
     difference of their interaction matrices, the constraint is
@@ -282,10 +287,8 @@ def prcbc_quadratics(
         raise ValueError(f"gamma must be positive, got {gamma}")
     if halfwidth < 0.0:
         raise ValueError(f"halfwidth must be nonnegative, got {halfwidth}")
-    rn = obs.obstacle.rn
-    ds = obs.features - obs.obstacle.center
-    dl = obs.l_features - obs.l_obstacle
+    rn, ds, dl = obs.obstacle.rn, obs.ds, obs.dl
     f = dl / gamma
     b = -2.0 * (ds[:, None, :] @ dl)[:, 0] / gamma + 8.0 * rn * obs.l_radius / gamma
     c = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - (ds[:, None, :] @ ds[:, :, None])[:, 0, 0]
-    return f, b, c
+    return f, b, c, barrier_rate_row(obs)  # its (2 ds)'dl is not b's 2 (ds'dl) where 2 ds overflows

@@ -19,7 +19,7 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from . import solvers
-from .barrier import barrier_rate_row, noise_box_halfwidth
+from .barrier import noise_box_halfwidth
 from .geometry import (
     CameraPose,
     Obstacle3,
@@ -138,14 +138,8 @@ def chance_suite(
                 rn = radius / z_o
                 if float((s_i - s_o) @ (s_i - s_o)) - rn * rn > 1e-4:
                     break
-            row_true = barrier_rate_row(
-                s_i,
-                s_o,
-                feature_interaction(s_i, z_i),
-                feature_interaction(s_o, z_o),
-                obstacle_radius_interaction(s_o, z_o, radius),
-                rn,
-            )
+            l_i, l_o = feature_interaction(s_i, z_i), feature_interaction(s_o, z_o)
+            row_true = 2.0 * (s_i - s_o) @ (l_i - l_o) - 2.0 * rn * obstacle_radius_interaction(s_o, z_o, radius)
             h_true = float((s_i - s_o) @ (s_i - s_o)) - rn * rn
 
             si_hat = s_i + nu * rng.standard_normal((n_draws, 2))

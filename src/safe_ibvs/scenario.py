@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .barrier import NoiseModel
+from .barrier import NoiseModel, barrier_value
 from .errors import ScenarioError, UnsupportedCovariance
-from .geometry import CameraPose, Obstacle3, project_point
+from .geometry import CameraPose, Obstacle3, obstacle_image_state, project_point
 from .mpc import MpcConfig
 
 MODE_CBC = "cbc"
@@ -150,6 +150,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``value`` as a float; a bool, which ``float`` would read as 0 or 1, is refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 def _pose_from_dict(section, where: str) -> CameraPose:
     _require_keys(section, {"rpy", "rotation", "xyz"}, {"xyz"}, where)
     if ("rpy" in section) == ("rotation" in section):
@@ -174,11 +181,12 @@ def _noise_from_dict(section, focal_length: float) -> NoiseModel | None:
     if section is None:
         return None
     _require_keys(section, {"pixel_variance", "feature_cov", "obstacle_cov", "sigma"}, set(), "noise")
-    sigma = float(section.get("sigma", 0.8))
+    sigma = _field(section, "sigma", _real, 0.8, "noise.sigma")
     if "pixel_variance" in section:
         if "feature_cov" in section or "obstacle_cov" in section:
             raise ScenarioError("noise: give pixel_variance or explicit covariances, not both")
-        cov = np.diag([float(section["pixel_variance"])] * 2)  # not pixel_variance * I, whose inf * 0 would warn
+        variance = _field(section, "pixel_variance", _real, where="noise.pixel_variance")
+        cov = np.diag([variance] * 2)  # not pixel_variance * I, whose inf * 0 would warn
         return _noise_model(cov, cov.copy(), focal_length, sigma)
     return _noise_model(
         np.asarray(section["feature_cov"], dtype=float),
@@ -200,7 +208,7 @@ def from_dict(data: dict) -> Scenario:
 
     cam = data["camera"]
     _require_keys(cam, {"f"}, {"f"}, "camera")
-    focal_length = _field(cam, "f", float, where="camera.f")
+    focal_length = _field(cam, "f", _real, where="camera.f")
     if not (math.isfinite(focal_length) and focal_length > 0.0):
         raise ScenarioError(f"camera.f: focal length must be finite and positive, got {focal_length}")
 
@@ -225,6 +233,7 @@ def from_dict(data: dict) -> Scenario:
 
     obs = data["obstacle"]
     _require_keys(obs, {"radius", "waypoints", "center", "velocity"}, {"radius"}, "obstacle")
+    radius = _field(obs, "radius", _real, where="obstacle.radius")
     with _reading("obstacle"):
         if "waypoints" in obs:
             if "center" in obs or "velocity" in obs:
@@ -232,15 +241,13 @@ def from_dict(data: dict) -> Scenario:
             times, points = [], []
             for i, wp in enumerate(obs["waypoints"]):
                 _require_keys(wp, {"t", "center"}, {"t", "center"}, f"obstacle.waypoints[{i}]")
-                times.append(float(wp["t"]))
+                times.append(_field(wp, "t", _real, where=f"obstacle.waypoints[{i}].t"))
                 points.append(np.asarray(wp["center"], dtype=float))
-            obstacle = Obstacle3(float(obs["radius"]), np.array(times), np.vstack(points))
+            obstacle = Obstacle3(radius, np.array(times), np.vstack(points))
         elif "velocity" in obs:
-            obstacle = Obstacle3.constant_velocity(
-                obs["center"], obs["velocity"], float(obs["radius"])
-            )
+            obstacle = Obstacle3.constant_velocity(obs["center"], obs["velocity"], radius)
         else:
-            obstacle = Obstacle3.static(obs["center"], float(obs["radius"]))
+            obstacle = Obstacle3.static(obs["center"], radius)
 
     mode = data["mode"]
     if mode not in MODES:
@@ -251,11 +258,11 @@ def from_dict(data: dict) -> Scenario:
     with _reading("mpc"):
         mpc_cfg = MpcConfig(
             horizon=_field(mpc_data, "horizon", _integer, where="mpc.horizon"),
-            q=_field(mpc_data, "q", float, 1.0, "mpc.q"),
-            r=_field(mpc_data, "r", float, 0.05, "mpc.r"),
-            f=_field(mpc_data, "f", float, 2.0, "mpc.f"),
-            v_max=float(mpc_data.get("v_max", 0.5)),
-            dt=float(mpc_data.get("dt", 0.05)),
+            q=_field(mpc_data, "q", _real, 1.0, "mpc.q"),
+            r=_field(mpc_data, "r", _real, 0.05, "mpc.r"),
+            f=_field(mpc_data, "f", _real, 2.0, "mpc.f"),
+            v_max=_field(mpc_data, "v_max", _real, 0.5, "mpc.v_max"),
+            dt=_field(mpc_data, "dt", _real, 0.05, "mpc.dt"),
         )
 
     return Scenario(
@@ -268,10 +275,10 @@ def from_dict(data: dict) -> Scenario:
         mode=mode,
         mpc=mpc_cfg,
         noise=_field(data, "noise", lambda section: _noise_from_dict(section, focal_length)),
-        gamma=_field(data, "gamma", float, 2.0),
+        gamma=_field(data, "gamma", _real, 2.0),
         max_steps=_field(data, "max_steps", _integer, 400),
         seed=_field(data, "seed", _integer, 0),
-        convergence_tol=_field(data, "convergence_tol", float, 1e-3),
+        convergence_tol=_field(data, "convergence_tol", _real, 1e-3),
     )
 
 
@@ -302,8 +309,6 @@ def load_locations(path) -> np.ndarray:
 
 def validate_scenario(sc: Scenario) -> list[str]:
     """Semantic invariant checks; returns a list of human-readable problems."""
-    from .barrier import barrier_value  # local import to keep module deps one-way
-
     problems = []
     numbers = {
         "initial_pose": (sc.initial_pose.rotation, sc.initial_pose.translation),
@@ -327,11 +332,9 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if sc.mode == MODE_PRCBC and sc.noise is None:
         problems.append("prcbc mode needs a noise model (it defines the confidence level)")
     try:
-        from .geometry import obstacle_image_state
-
         obs_state = obstacle_image_state(sc.obstacle, sc.initial_pose, 0.0)
         features, _ = project_point(sc.initial_pose, sc.features_world)
-        for i, h in enumerate(barrier_value(features, obs_state.center, obs_state.rn)):
+        for i, h in enumerate(barrier_value(features - obs_state.center, obs_state.rn)):
             if h <= 0.0:
                 problems.append(f"initial state not occlusion-free: feature {i} has margin {h:.3e}")
     except Exception as exc:

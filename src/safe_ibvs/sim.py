@@ -4,15 +4,17 @@ Each pose's true feature projection, as ``(m, 2)`` points and ``(m,)``
 depths, and its feature-error norm are computed once, by ``run``'s
 convergence check, and handed to the step. One step runs the full
 pipeline on arrays: project the obstacle, draw the (optional) pixel
-noise for all features at once, build the ``(m, 2, 6)`` interaction
-matrices, plan the nominal twist over the horizon, build the
-mode-appropriate occlusion constraints as stacked factor arrays (PrCBC
+noise for all features at once into the step's one ``Observation`` (its
+``(m, 2, 6)`` interaction matrices and feature-obstacle offsets), plan
+the nominal twist over the horizon, build the mode-appropriate occlusion
+constraints as stacked factor arrays and their rate rows (PrCBC
 reads the confidence half-width that the scenario's noise model computed
 once, when it was built, so every trial of a sweep shares it), execute
 the filter's certified projection of the nominal twist or its typed hold
-(``V = 0``), log the true margins and clearances as one row of the
-trial's float table (:func:`columns`), then advance the camera pose and
-obstacle clock. The CSV and the summary are read off that table.
+(``V = 0``), log the true margins and clearances, read off one array of
+true offsets, as one row of the trial's float table (:func:`columns`),
+then advance the camera pose and obstacle clock. The CSV and the summary
+are read off that table.
 Everything is driven by a counter-based generator keyed on the scenario
 seed, so a (scenario, seed) pair reproduces bit-identical logs.
 """
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import mpc
-from .barrier import barrier_value, barrier_rate_row, cbc_halfspaces, prcbc_quadratics
+from .barrier import Observation, barrier_value, cbc_halfspaces, prcbc_quadratics
 from .errors import SafeIbvsError, ScenarioError
 from .geometry import (
     CameraPose,
@@ -38,7 +40,6 @@ from .geometry import (
 )
 from .ibvs import clip_twist, feature_error
 from .jacobians import feature_interaction, obstacle_radius_interaction
-from .observation import FeatureObservation
 from .scenario import MODE_CBC, MODE_PRCBC, MODE_UNFILTERED, Scenario
 from .solvers import STATUS_FALLBACK, FilterProblem, solve_filter_qp, solve_filter_qcqp
 
@@ -132,16 +133,17 @@ def observe(
     depths: np.ndarray,
     obstacle: ObstacleImageState,
     rng: np.random.Generator | None,
-) -> FeatureObservation:
-    """Measure the scene from its exact projection, optionally with pixel noise.
+) -> Observation:
+    """Measure the scene from its exact projection, optionally with pixel noise, as the step's geometry.
 
     ``features`` ``(m, 2)``, ``depths`` ``(m,)`` and ``obstacle`` are the
     true projection at the current pose and time. Noise is drawn in pixel
     coordinates, one ``(m + 1, 2)`` standard normal block (feature rows,
     then the obstacle row), and divided by the scenario's focal length.
     The interaction matrices are evaluated at the observed coordinates
-    and the exact depths. Passing ``rng=None`` or a scenario without a
-    noise model yields the truth.
+    and the exact depths, and the offsets ``ds`` and differences ``dl``
+    are formed from them here, once. Passing ``rng=None`` or a scenario
+    without a noise model yields the truth.
     """
     if sc.noise is not None and rng is not None:
         f = sc.focal_length
@@ -154,12 +156,13 @@ def observe(
     l_points = feature_interaction(
         np.concatenate((features, obstacle.center[None])), np.concatenate((depths, [obstacle.depth]))
     )
-    return FeatureObservation(
+    return Observation(
         features=features,
-        obstacle=obstacle,
         l_features=l_points[:-1],
-        l_obstacle=l_points[-1],
+        obstacle=obstacle,
         l_radius=obstacle_radius_interaction(obstacle.center, obstacle.depth, sc.obstacle.radius),
+        ds=features - obstacle.center,
+        dl=l_points[:-1] - l_points[-1],
     )
 
 
@@ -193,25 +196,20 @@ def step(
         status = "unfiltered"
     else:
         if sc.mode == MODE_CBC:
-            problem = FilterProblem(v_mpc, sc.mpc.v_max, *cbc_halfspaces(obs, sc.gamma))
-            rows = problem.b[:-1]  # the negated rate rows
-            solution = solve_filter_qp(problem)
+            *constraints, rows = cbc_halfspaces(obs, sc.gamma)
+            solution = solve_filter_qp(FilterProblem(v_mpc, sc.mpc.v_max, *constraints))
         elif sc.mode == MODE_PRCBC:
             if sc.noise is None:
                 raise ScenarioError("prcbc mode needs a noise model")
-            quadratics = prcbc_quadratics(obs, sc.gamma, sc.noise.halfwidth)
-            problem = FilterProblem(v_mpc, sc.mpc.v_max, *quadratics)
-            rows = barrier_rate_row(
-                obs.features, obs.obstacle.center, obs.l_features, obs.l_obstacle, obs.l_radius, obs.obstacle.rn
-            )
-            solution = solve_filter_qcqp(problem)
+            *constraints, rows = prcbc_quadratics(obs, sc.gamma, sc.noise.halfwidth)
+            solution = solve_filter_qcqp(FilterProblem(v_mpc, sc.mpc.v_max, *constraints))
         else:
             raise ScenarioError(f"unknown mode {sc.mode!r}")
         min_row_inf = float(np.abs(rows).max(axis=1).min())
         v_star, status = solution.twist, solution.status
 
-    h = barrier_value(features, obstacle.center, obstacle.rn)
     offsets = features - obstacle.center
+    h = barrier_value(offsets, obstacle.rn)
     dists = np.sqrt((offsets * offsets).sum(axis=1))  # what np.linalg.norm(axis=1) computes
     min_dist = float(dists.min())
     dis_px = sc.focal_length * (min_dist - obstacle.rn)  # Python floats overflow to inf without a warning

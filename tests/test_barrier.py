@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.integrate import dblquad
 from safe_ibvs import barrier, geometry as geo
 from safe_ibvs.errors import UnsupportedCovariance
 from safe_ibvs.jacobians import feature_interaction, obstacle_radius_interaction
-from safe_ibvs.observation import FeatureObservation
 from safe_ibvs.oracles import chance_suite
 
 from conftest import downward_pose
@@ -18,44 +18,42 @@ def make_observation(features, depths, obs_center, z_o, radius):
     depths = np.atleast_1d(np.asarray(depths, dtype=float))
     obs_center = np.asarray(obs_center, dtype=float)
     state = geo.ObstacleImageState(center=obs_center, rn=radius / z_o, depth=z_o)
-    return FeatureObservation(
+    l_features = feature_interaction(features, depths)
+    return barrier.Observation(
         features=features,
+        l_features=l_features,
         obstacle=state,
-        l_features=feature_interaction(features, depths),
-        l_obstacle=feature_interaction(obs_center, z_o),
         l_radius=obstacle_radius_interaction(obs_center, z_o, radius),
+        ds=features - obs_center,
+        dl=l_features - feature_interaction(obs_center, z_o),
     )
 
 
+def l_obstacle(obs):
+    """The obstacle center's interaction matrix, formed again from the observed state."""
+    return feature_interaction(obs.obstacle.center, obs.obstacle.depth)
+
+
 def test_barrier_value_cases():
-    assert barrier.barrier_value([0.1, 0.2], [0.1, 0.2], 0.3) == pytest.approx(-0.09)
-    assert barrier.barrier_value([0.1, 0.0], [0.0, 0.0], 0.1) == pytest.approx(0.0)
-    assert barrier.barrier_value([0.3, 0.0], [0.0, 0.0], 0.1) == pytest.approx(0.08)
+    assert barrier.barrier_value([0.0, 0.0], 0.3) == pytest.approx(-0.09)
+    assert barrier.barrier_value([0.1, 0.0], 0.1) == pytest.approx(0.0)
+    assert barrier.barrier_value([0.3, 0.0], 0.1) == pytest.approx(0.08)
 
 
 def test_rate_row_coincident_centers():
     obs = make_observation([[0.1, -0.2]], [1.0], [0.1, -0.2], 0.8, 0.05)
-    row = barrier.barrier_rate_row(
-        obs.features[0], obs.obstacle.center, obs.l_features[0], obs.l_obstacle, obs.l_radius, obs.obstacle.rn
-    )
+    (row,) = barrier.barrier_rate_row(obs)
     assert np.allclose(row, -2.0 * obs.obstacle.rn * obs.l_radius)
     # the depth-rate entry survives, so the row cannot vanish
     assert abs(row[2]) > 0.0
 
 
 def test_rate_row_offset_linearity():
-    z_i, z_o, radius = 1.2, 0.7, 0.06
     s_o = np.array([0.05, 0.0])
-    l_o = feature_interaction(s_o, z_o)
-    l_r = obstacle_radius_interaction(s_o, z_o, radius)
-    rn = radius / z_o
-
-    s1 = s_o + np.array([0.1, -0.05])
-    s2 = s_o + 2.0 * np.array([0.1, -0.05])
-    l_f = feature_interaction(s1, z_i)
-    row1 = barrier.barrier_rate_row(s1, s_o, l_f, l_o, l_r, rn)
-    row2 = barrier.barrier_rate_row(s2, s_o, l_f, l_o, l_r, rn)
-    base = -2.0 * rn * l_r
+    obs1 = make_observation([s_o + np.array([0.1, -0.05])], [1.2], s_o, 0.7, 0.06)
+    obs2 = replace(obs1, ds=2.0 * obs1.ds)  # the same interaction matrices, twice the offset
+    row1, row2 = barrier.barrier_rate_row(obs1), barrier.barrier_rate_row(obs2)
+    base = -2.0 * obs1.obstacle.rn * obs1.l_radius
     assert np.allclose(row2 - base, 2.0 * (row1 - base))
 
 
@@ -69,18 +67,11 @@ def test_rate_row_matches_finite_difference():
     def margin(p):
         s_i, _ = geo.project_point(p, feat_world)
         st = geo.obstacle_image_state(obstacle, p, 0.0)
-        return barrier.barrier_value(s_i, st.center, st.rn)
+        return barrier.barrier_value(s_i - st.center, st.rn)
 
     s_i, z_i = geo.project_point(pose, feat_world)
     st = geo.obstacle_image_state(obstacle, pose, 0.0)
-    row = barrier.barrier_rate_row(
-        s_i,
-        st.center,
-        feature_interaction(s_i, z_i),
-        feature_interaction(st.center, st.depth),
-        obstacle_radius_interaction(st.center, st.depth, obstacle.radius),
-        st.rn,
-    )
+    (row,) = barrier.barrier_rate_row(make_observation([s_i], [z_i], st.center, st.depth, obstacle.radius))
     for _ in range(10):
         v = rng.normal(size=6)
         dt = 1e-5
@@ -97,9 +88,9 @@ def test_cbc_halfspaces_zero_twist_iff_nonnegative_margin():
         0.8,
         0.08,
     )
-    f, b, c = barrier.cbc_halfspaces(obs, gamma=2.0)
-    assert f.shape == (4, 0, 6) and b.shape == (4, 6) and c.shape == (4,)
-    margins = barrier.barrier_value(obs.features, obs.obstacle.center, obs.obstacle.rn)
+    f, b, c, rows = barrier.cbc_halfspaces(obs, gamma=2.0)
+    assert f.shape == (4, 0, 6) and b.shape == (4, 6) and c.shape == (4,) and rows.shape == (4, 6)
+    margins = barrier.barrier_value(obs.features - obs.obstacle.center, obs.obstacle.rn)
     for c_i, h in zip(c, margins):
         # V = 0 gives rate 0, admissible exactly when c = -gamma*h <= 0
         assert (c_i <= 0.0) == (h >= 0.0)
@@ -116,9 +107,9 @@ def test_cbc_one_step_decay_bound():
     s_i, z_i = geo.project_point(pose, feat_world)
     st = geo.obstacle_image_state(obstacle, pose, 0.0)
     obs = make_observation([s_i], [z_i], st.center, st.depth, obstacle.radius)
-    _, b, c = barrier.cbc_halfspaces(obs, gamma)
+    _, b, c, _ = barrier.cbc_halfspaces(obs, gamma)
     row, rhs = -b[0], c[0]  # row @ V >= rhs
-    h0 = barrier.barrier_value(s_i, st.center, st.rn)
+    h0 = barrier.barrier_value(s_i - st.center, st.rn)
 
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -128,32 +119,39 @@ def test_cbc_one_step_decay_bound():
         pose1 = geo.integrate_twist(pose, v, dt)
         s1, _ = geo.project_point(pose1, feat_world)
         st1 = geo.obstacle_image_state(obstacle, pose1, dt)
-        h1 = barrier.barrier_value(s1, st1.center, st1.rn)
+        h1 = barrier.barrier_value(s1 - st1.center, st1.rn)
         assert h1 >= h0 * (1.0 - gamma * dt) - 50.0 * dt**2
+
+
+def rate_row_loop(obs):
+    """Per-feature reference for the rate rows, from the features and the obstacle's state alone."""
+    s_o, l_o, rn = obs.obstacle.center, l_obstacle(obs), obs.obstacle.rn
+    rows = [2.0 * (s - s_o) @ (l_f - l_o) - 2.0 * rn * obs.l_radius for s, l_f in zip(obs.features, obs.l_features)]
+    return np.array(rows)
 
 
 def cbc_loop(obs, gamma):
     """Per-feature reference for cbc_halfspaces: one rate row and margin per feature, then stacked."""
-    m, s_o, rn = obs.m, obs.obstacle.center, obs.obstacle.rn
+    m, s_o, rn = len(obs.features), obs.obstacle.center, obs.obstacle.rn
     f, b, c = np.zeros((m, 0, 6)), np.zeros((m, 6)), np.zeros(m)
+    rows = rate_row_loop(obs)
     for i in range(m):
         d = obs.features[i] - s_o
-        row = 2.0 * d @ (obs.l_features[i] - obs.l_obstacle) - 2.0 * rn * obs.l_radius
-        b[i], c[i] = -row, -gamma * (float(d @ d) - rn * rn)
-    return f, b, c
+        b[i], c[i] = -rows[i], -gamma * (float(d @ d) - rn * rn)
+    return f, b, c, rows
 
 
 def prcbc_loop(obs, gamma, halfwidth):
     """Per-feature reference for prcbc_quadratics."""
-    m, rn = obs.m, obs.obstacle.rn
+    m, rn = len(obs.features), obs.obstacle.rn
     f, b, c = np.zeros((m, 2, 6)), np.zeros((m, 6)), np.zeros(m)
     for i in range(m):
         ds = obs.features[i] - obs.obstacle.center
-        dl = obs.l_features[i] - obs.l_obstacle
+        dl = obs.l_features[i] - l_obstacle(obs)
         f[i] = dl / gamma
         b[i] = -2.0 * (ds @ dl) / gamma + 8.0 * rn * obs.l_radius / gamma
         c[i] = 2.0 * rn * rn + 4.0 * halfwidth * halfwidth - float(ds @ ds)
-    return f, b, c
+    return f, b, c, rate_row_loop(obs)
 
 
 def random_observations(seed, count=60, m=4):
@@ -170,22 +168,31 @@ def random_observations(seed, count=60, m=4):
 
 def test_batched_margins_and_rows_equal_per_feature_calls():
     for obs in random_observations(21):
-        s_o, rn = obs.obstacle.center, obs.obstacle.rn
-        h = barrier.barrier_value(obs.features, s_o, rn)
-        rows = barrier.barrier_rate_row(obs.features, s_o, obs.l_features, obs.l_obstacle, obs.l_radius, rn)
-        assert h.shape == (obs.m,) and rows.shape == (obs.m, 6)
-        for i in range(obs.m):
-            assert h[i] == barrier.barrier_value(obs.features[i], s_o, rn)
-            row_i = barrier.barrier_rate_row(obs.features[i], s_o, obs.l_features[i], obs.l_obstacle, obs.l_radius, rn)
-            assert np.array_equal(rows[i], row_i)
+        m, rn = len(obs.features), obs.obstacle.rn
+        h = barrier.barrier_value(obs.ds, rn)
+        rows = barrier.barrier_rate_row(obs)
+        assert h.shape == (m,) and rows.shape == (m, 6)
+        for i in range(m):
+            assert h[i] == barrier.barrier_value(obs.ds[i], rn)
+            one = replace(
+                obs,
+                features=obs.features[i : i + 1],
+                l_features=obs.l_features[i : i + 1],
+                ds=obs.ds[i : i + 1],
+                dl=obs.dl[i : i + 1],
+            )
+            assert np.array_equal(rows[i], barrier.barrier_rate_row(one)[0])
 
 
 def test_constraint_arrays_equal_per_feature_reference_loops():
     for obs in random_observations(22):
-        for got, ref in zip(barrier.cbc_halfspaces(obs, 2.5), cbc_loop(obs, 2.5)):
-            assert np.array_equal(got, ref)
-        for got, ref in zip(barrier.prcbc_quadratics(obs, 4.0, 0.013), prcbc_loop(obs, 4.0, 0.013)):
-            assert np.array_equal(got, ref)
+        for got, ref in (
+            (barrier.cbc_halfspaces(obs, 2.5), cbc_loop(obs, 2.5)),
+            (barrier.prcbc_quadratics(obs, 4.0, 0.013), prcbc_loop(obs, 4.0, 0.013)),
+        ):
+            assert len(got) == len(ref) == 4  # (f, b, c) and the rate rows
+            for got_array, ref_array in zip(got, ref):
+                assert np.array_equal(got_array, ref_array)
 
 
 def box_probability_quadrature(e, cov):
@@ -301,7 +308,7 @@ def test_prcbc_zero_twist_inflated_boundary():
     for halfwidth in (0.0, 0.02):
         for dist, expect_ok in ((np.sqrt(2.0) * rn * 1.05, None), (rn * 1.05, False)):
             obs = make_observation([[dist, 0.0]], [1.0], [0.0, 0.0], z_o, radius)
-            _, _, (value,) = barrier.prcbc_quadratics(obs, 2.0, halfwidth)  # the value at V = 0
+            _, _, (value,), _ = barrier.prcbc_quadratics(obs, 2.0, halfwidth)  # the value at V = 0
             boundary = 2.0 * rn * rn + 4.0 * halfwidth**2 - dist * dist
             assert np.isclose(value, boundary)
             if expect_ok is False:
@@ -313,10 +320,10 @@ def test_prcbc_quadratic_structure():
     obs = make_observation(
         rng.normal(size=(4, 2)) * 0.3, rng.uniform(0.5, 2.0, 4), [0.02, -0.03], 0.9, 0.07
     )
-    f, b, c = barrier.prcbc_quadratics(obs, 2.0, 0.015)
-    assert f.shape == (4, 2, 6) and b.shape == (4, 6) and c.shape == (4,)
+    f, b, c, rows = barrier.prcbc_quadratics(obs, 2.0, 0.015)
+    assert f.shape == (4, 2, 6) and b.shape == (4, 6) and c.shape == (4,) and rows.shape == (4, 6)
     # the quadratic term is the factor's Gram matrix dl'dl / gamma^2: PSD of rank <= 2 by construction
-    dl = obs.l_features - obs.l_obstacle
+    dl = obs.l_features - l_obstacle(obs)
     assert np.array_equal(f, dl / 2.0)
     for f_i in f:
         assert np.linalg.matrix_rank(f_i.T @ f_i, tol=1e-12) <= 2

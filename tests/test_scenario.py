@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -168,6 +170,37 @@ def test_wrong_typed_switch_and_integers_are_named(section, key, value):
     cfg = base_config()
     (cfg if section is None else cfg[section])[key] = value
     with pytest.raises(ScenarioError, match=key if section is None else f"{section}.{key}"):
+        sm.from_dict(cfg)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("camera", "f"),
+        ("gamma",),
+        ("convergence_tol",),
+        ("mpc", "q"),
+        ("mpc", "r"),
+        ("mpc", "f"),
+        ("mpc", "v_max"),
+        ("mpc", "dt"),
+        ("noise", "sigma"),
+        ("noise", "pixel_variance"),
+        ("obstacle", "radius"),
+        ("obstacle", "waypoints", 1, "t"),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_a_boolean_is_refused_in_every_real_field(path, value):
+    # each of these once loaded as 1.0 or 0.0
+    cfg = yaml.safe_load((SCENARIOS / "reference_noise.yaml").read_text())
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    named = ".".join(map(str, path)).replace(".1.", "[1].")  # obstacle.waypoints[1].t
+    with pytest.raises(ScenarioError, match=re.escape(f"{named}: expected a real number, got {value}")):
         sm.from_dict(cfg)
 
 

@@ -81,15 +81,18 @@ def test_observe_noise_equals_per_point_draws():
 
 
 def test_run_projects_each_pose_once(monkeypatch):
+    # the rate rows are formed inside the constraint builders, which hand them back; the step never forms them
+    assert not hasattr(sim, "barrier_rate_row")
     counts = {"project_point": 0, "obstacle_image_state": 0, "feature_interaction": 0, "barrier_rate_row": 0}
     for name in counts:
-        original = getattr(sim, name)
+        module = barrier if name == "barrier_rate_row" else sim
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name):
             counts[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(sim, name, counted)
+        monkeypatch.setattr(module, name, counted)
     for mode in scenario.MODES:
         counts.update(dict.fromkeys(counts, 0))
         log = sim.run(replace(shipped("reference_cbc" if mode == "cbc" else "reference_noise", mode=mode), max_steps=12))
@@ -100,7 +103,8 @@ def test_run_projects_each_pose_once(monkeypatch):
         assert counts["obstacle_image_state"] == steps
         # one interaction call per step covers the features and the obstacle center
         assert counts["feature_interaction"] == steps
-        assert counts["barrier_rate_row"] == (steps if mode == "prcbc" else 0)
+        # one batch of rate rows per filtered step, none unfiltered
+        assert counts["barrier_rate_row"] == (0 if mode == "unfiltered" else steps)
 
 
 def test_pixel_clearance_sign_matches_margin():
@@ -111,7 +115,7 @@ def test_pixel_clearance_sign_matches_margin():
         s_i = rng.uniform(-0.5, 0.5, 2)
         s_o = rng.uniform(-0.5, 0.5, 2)
         rn = rng.uniform(0.01, 0.3)
-        h = barrier_value(s_i, s_o, rn)
+        h = barrier_value(s_i - s_o, rn)
         dis = f * (float(np.linalg.norm(s_i - s_o)) - rn)
         if abs(h) > 1e-12:
             assert np.sign(dis) == np.sign(h)
@@ -242,11 +246,20 @@ def _fail_certification(solution, problem):
     "mode, patch, token",
     [
         # v_x >= 2 inside the 0.5 speed ball
-        pytest.param("cbc", (sim, "cbc_halfspaces", lambda obs, gamma: (np.zeros((1, 0, 6)), -E[:1], np.array([2.0]))), "infeasible", id="infeasible"),
+        pytest.param(
+            "cbc",
+            (sim, "cbc_halfspaces", lambda obs, gamma: (np.zeros((1, 0, 6)), -E[:1], np.array([2.0]), E[:1])),
+            "infeasible",
+            id="infeasible",
+        ),
         # disks of radius 0.2 centred at +-0.2 e_x (factor I) meet only at V = 0: no interior, so the multipliers diverge
         pytest.param(
             "prcbc",
-            (sim, "prcbc_quadratics", lambda obs, gamma, hw: (np.stack([E, E]), np.stack([-0.4 * E[0], 0.4 * E[0]]), np.zeros(2))),
+            (
+                sim,
+                "prcbc_quadratics",
+                lambda obs, gamma, hw: (np.stack([E, E]), np.stack([-0.4 * E[0], 0.4 * E[0]]), np.zeros(2), E[:2]),
+            ),
             "no_convergence",
             id="no_convergence",
         ),
