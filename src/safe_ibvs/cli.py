@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenario as scenario_mod, sim
-from .errors import ScenarioError
+from .errors import SafeIbvsError, ScenarioError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,6 +117,13 @@ def _cmd_sweep(args) -> int:
             sc = sc.with_sigma(args.sigma)
         sc = _validated(sc)
         locations = scenario_mod.load_locations(args.locations)
+        for i, start in enumerate(locations):
+            try:
+                occluded = scenario_mod.occlusions_at_start(sc.with_obstacle_start(start))
+            except SafeIbvsError:  # an obstacle the camera cannot project aborts each of its trials, typed
+                continue
+            if occluded:
+                raise ScenarioError(f"locations file {args.locations}: start {i} {start.tolist()}: {'; '.join(occluded)}")
         last_seed = sc.seed + len(locations) * args.trials - 1
         if last_seed >= scenario_mod.SEED_LIMIT:
             raise ScenarioError(f"seed: the last trial seed, {last_seed}, is not below 2**64")
@@ -172,7 +179,11 @@ def _cmd_oracle(args) -> int:
     if not 0 <= args.seed < scenario_mod.SEED_LIMIT:  # the seed keys a Philox generator; checked before scipy is needed
         print(f"configuration error: --seed must lie in [0, 2**64), got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
-    from . import oracles  # imported here: only this command needs the oracles' dependencies
+    try:
+        from . import oracles  # imported here: only this command needs the oracles' dependencies (scipy)
+    except ModuleNotFoundError as exc:
+        print(f"configuration error: the {args.suite} oracle needs a package that is not installed: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.suite == "jacobians":
         report = oracles.jacobian_suite(seed=args.seed)

@@ -25,8 +25,13 @@ dual approach of Goldfarb & Idnani, Math. Prog. 27, 1983). One inverse
 of M per trial point gives V(lambda) and the next Hessian, unless every
 positive multiplier sits on a half-space (the CBC filter's case): then
 sum_i lambda_i A_i is zero, M = I, V = v_ref - 0.5 sum_i lambda_i b_i
-and the Hessian is -0.5 G G', with no inverse. A system of one
-multiplier is solved as g/h. When the Hessian is rank-deficient to
+and the Hessian is -0.5 G G', with no inverse. When that set is one
+multiplier, every other one is 0 and the step is exact along its
+coordinate: g/h for a half-space, whose dual is quadratic there, and for
+a quadratic row the root of its secular equation, found by scalar Newton
+in the row's eigenbasis from one ``eigh`` of the row per solve (:func:`_row_root`).
+The PrCBC filter's closed loop almost always ends with one such row, so
+its solve takes one trial point. When the Hessian is rank-deficient to
 ``lstsq``, the step is solved again on its Jacobi-scaled form, and the
 dual, linear along what stays null, is followed there until a multiplier
 reaches zero (two opposed half-spaces that both carry a multiplier need
@@ -63,9 +68,11 @@ FEAS_RTOL = 1e-12
 FEAS_ATOL = 1e-7
 ARMIJO = 1e-4
 MAX_HALVINGS = 40
+EPS = float(np.finfo(float).eps)
+SQRT_EPS = math.sqrt(EPS)
 # relative rounding error allowed in the dual value, so that steps near the optimum are not
 # refused for a loss that is only the rounding of the terms summed into d
-ROUNDING = 64.0 * np.finfo(float).eps
+ROUNDING = 64.0 * EPS
 # first words of the two reasons a solve holds: the dual proves the set empty, or the cap is reached
 INFEASIBLE = "infeasible"
 NO_CONVERGENCE = "no convergence"
@@ -97,6 +104,68 @@ def _settled(x, g, grads, sizes, residual) -> bool:
     """Whether g is zero up to the rounding V's own solve carries into g: the test for a stalled or capped solve."""
     rounding = sizes + np.linalg.norm(grads, axis=1) * np.linalg.norm(x)
     return bool(np.all(residual <= FEAS_RTOL * rounding) and np.all(g <= FEAS_ATOL))
+
+
+def _row_terms(a_i: np.ndarray, b_i: np.ndarray, v_ref: np.ndarray) -> tuple[list, float, float]:
+    """One quadratic row in the eigenbasis ``a_i = W diag(s) W'``, as :func:`_row_root` reads it.
+
+    Returns ``(s_j, u_j, beta_j)`` for each eigenvalue above the rounding of
+    the largest, with ``u = W'v_ref`` and ``beta = W'b_i``, and the sums
+    ``beta'u`` and ``beta'beta`` over the rest, on which the row is linear.
+    """
+    s, w_mat = np.linalg.eigh(a_i)  # ascending
+    cut = float(s[-1]) * (s.size * EPS)  # a Gram matrix has no eigenvalue below 0; one at rounding level is 0
+    curved, beta_u, beta_sq = [], 0.0, 0.0
+    for s_j, u_j, beta_j in zip(s.tolist(), (v_ref @ w_mat).tolist(), (b_i @ w_mat).tolist()):
+        if s_j > cut:
+            curved.append((s_j, u_j, beta_j))
+        else:
+            beta_u += beta_j * u_j
+            beta_sq += beta_j * beta_j
+    return curved, beta_u, beta_sq
+
+
+def _row_root(lam: float, g: float, curved: list, beta_u: float, beta_sq: float, c: float, bound: float) -> float:
+    """The multiplier that maximises the dual along one quadratic row's coordinate, every other multiplier 0.
+
+    With the row in its eigenbasis (:func:`_row_terms`), the Lagrangian's
+    minimiser has coordinates ``alpha_j = (u_j - lambda beta_j / 2) t_j``,
+    ``t_j = 1 / (1 + lambda s_j)``, and g's gradient the coordinates
+    ``w_j = (2 s_j u_j + beta_j) t_j``. The dual's slope,
+    g(lambda) = sum_j (s_j alpha_j + beta_j) alpha_j + c, is convex and
+    decreasing, as g' = -0.5 sum_j w_j^2 t_j and g'' >= 0, so scalar Newton
+    from a lambda with g > 0 rises to the root without passing it (the
+    secular equation of More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3),
+    1983). From a lambda with g < 0, one Newton step (kept >= 0) lands left
+    of the root. The first step takes ``g`` as measured at ``lam`` by the
+    solve, so that a root the eigenbasis places off the measured one by
+    rounding is still approached. The rise stops after a step below
+    ``sqrt(EPS)`` of lambda, as the next one would fall below lambda's
+    rounding; where it makes no progress in floating point; at the step
+    cap; or once the dual along the coordinate,
+    ``lambda^2 ||w||^2 / 4 + lambda g``, exceeds ``bound``, so that a row no
+    lambda satisfies is held by the weak-duality test there.
+    """
+    for it in range(MAX_ITER):
+        value, slope, w_sq = c + beta_u - 0.5 * lam * beta_sq, 0.5 * beta_sq, beta_sq
+        for s_j, u_j, beta_j in curved:
+            t = 1.0 / (1.0 + lam * s_j)
+            w = (2.0 * s_j * u_j + beta_j) * t
+            value += 0.5 * (w + beta_j) * (u_j - 0.5 * lam * beta_j) * t
+            slope += 0.5 * w * w * t
+            w_sq += w * w
+        if it:
+            g = value
+        if not slope > 0.0 or (g <= 0.0 and it) or 0.25 * lam * lam * w_sq + lam * g > bound:
+            break
+        step = g / slope
+        nxt = max(lam + step, 0.0)
+        if g > 0.0 and not nxt > lam:
+            break
+        lam = nxt
+        if 0.0 < step <= SQRT_EPS * lam:
+            break
+    return lam
 
 
 def solve(
@@ -138,6 +207,7 @@ def solve(
         dist = float(d @ d)
         return m_inv, x, g, grads, sizes, dist + float(lam @ g), dist + float(lam @ sizes)
 
+    rows = {}  # row index -> its _row_terms, formed once per solve
     lam = np.zeros(k)
     m_inv, x, g, grads, sizes, dual, dual_size = minimiser(lam, g, grads)
     stalls = 0
@@ -151,26 +221,34 @@ def solve(
             if it == MAX_ITER:
                 break
             free = ((lam > 0.0) | (g > 0.0)).nonzero()[0]
-            g_free = grads[free]
-            hess = 0.5 * (g_free @ (g_free.T if m_inv is None else m_inv @ g_free.T))
-            if free.size == 1 and hess[0, 0] > 0.0:
-                # lstsq's own rank-1 decision for a 1x1 system, without the call
-                step = g[free] / hess[0, 0]
+            if free.size == 1 and a_rows[free[0]].any():
+                # one quadratic row: every other multiplier is 0, so M = I + lambda_i A_i, and the step goes to
+                # the dual's maximiser along that coordinate
+                i = free[0]
+                if i not in rows:
+                    rows[i] = _row_terms(a[i], b[i], v_ref)
+                step = np.array([_row_root(float(lam[i]), float(g[i]), *rows[i], float(c[i]), bound) - lam[i]])
             else:
-                step, _, rank, _ = np.linalg.lstsq(hess, g[free], rcond=None)
-                if rank < free.size:
-                    # rank-deficient, or rows whose scales differ beyond lstsq's cutoff: solve again with the
-                    # rows scaled to a unit diagonal (Jacobi). On what stays null the dual is linear with
-                    # slope `drift`: follow it until the first multiplier it lowers reaches zero.
-                    scale = np.sqrt(np.maximum(np.diag(hess), 0.0))  # a diagonal that rounds below 0 is 0
-                    scale[scale == 0.0] = 1.0
-                    scaled = hess / np.outer(scale, scale)
-                    step, _, rank, _ = np.linalg.lstsq(scaled, g[free] / scale, rcond=None)
-                    drift = (g[free] / scale - scaled @ step) / scale
-                    step = step / scale
-                    falling = (drift * scale < -FEAS_RTOL * sizes[free]) & (lam[free] > 0.0)
-                    if rank < free.size and falling.any():
-                        step = step + drift * np.min(lam[free][falling] / -drift[falling])
+                g_free = grads[free]
+                hess = 0.5 * (g_free @ (g_free.T if m_inv is None else m_inv @ g_free.T))
+                if free.size == 1 and hess[0, 0] > 0.0:
+                    # lstsq's own rank-1 decision for a 1x1 system, without the call: a half-space row's exact step
+                    step = g[free] / hess[0, 0]
+                else:
+                    step, _, rank, _ = np.linalg.lstsq(hess, g[free], rcond=None)
+                    if rank < free.size:
+                        # rank-deficient, or rows whose scales differ beyond lstsq's cutoff: solve again with the
+                        # rows scaled to a unit diagonal (Jacobi). On what stays null the dual is linear with
+                        # slope `drift`: follow it until the first multiplier it lowers reaches zero.
+                        scale = np.sqrt(np.maximum(np.diag(hess), 0.0))  # a diagonal that rounds below 0 is 0
+                        scale[scale == 0.0] = 1.0
+                        scaled = hess / np.outer(scale, scale)
+                        step, _, rank, _ = np.linalg.lstsq(scaled, g[free] / scale, rcond=None)
+                        drift = (g[free] / scale - scaled @ step) / scale
+                        step = step / scale
+                        falling = (drift * scale < -FEAS_RTOL * sizes[free]) & (lam[free] > 0.0)
+                        if rank < free.size and falling.any():
+                            step = step + drift * np.min(lam[free][falling] / -drift[falling])
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 trial = lam.copy()

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -151,10 +152,18 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """``value`` as a float; a bool, which ``float`` would read as 0 or 1, is refused."""
-    if isinstance(value, bool):
+    """``value`` as a float; a bool, which ``float`` would read as 0 or 1, and a string such as ``"4.0"`` are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"expected a real number, got {value!r}")
     return float(value)
+
+
+def _array(value) -> np.ndarray:
+    """``value`` as a float array; an entry that :func:`_real` refuses, which ``np.asarray`` would read, is refused."""
+    array = np.asarray(value, dtype=float)  # a ragged or non-numeric value fails here
+    for entry in np.asarray(value, dtype=object).flat:
+        _real(entry)
+    return array
 
 
 def _pose_from_dict(section, where: str) -> CameraPose:
@@ -163,8 +172,8 @@ def _pose_from_dict(section, where: str) -> CameraPose:
         raise ScenarioError(f"{where}: give exactly one of 'rpy' or 'rotation'")
     with _reading(where):
         if "rpy" in section:
-            return CameraPose.from_rpy(np.asarray(section["rpy"], dtype=float), section["xyz"])
-        return CameraPose(np.asarray(section["rotation"], dtype=float), section["xyz"])
+            return CameraPose.from_rpy(_array(section["rpy"]), _array(section["xyz"]))
+        return CameraPose(_array(section["rotation"]), _array(section["xyz"]))
 
 
 def _noise_model(feature_cov, obstacle_cov, focal_length: float, sigma: float) -> NoiseModel:
@@ -189,8 +198,8 @@ def _noise_from_dict(section, focal_length: float) -> NoiseModel | None:
         cov = np.diag([variance] * 2)  # not pixel_variance * I, whose inf * 0 would warn
         return _noise_model(cov, cov.copy(), focal_length, sigma)
     return _noise_model(
-        np.asarray(section["feature_cov"], dtype=float),
-        np.asarray(section["obstacle_cov"], dtype=float),
+        _field(section, "feature_cov", _array, where="noise.feature_cov"),
+        _field(section, "obstacle_cov", _array, where="noise.obstacle_cov"),
         focal_length,
         sigma,
     )
@@ -213,7 +222,7 @@ def from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"camera.f: focal length must be finite and positive, got {focal_length}")
 
     initial_pose = _pose_from_dict(data["initial_pose"], "initial_pose")
-    features_world = _field(data, "features_world", lambda v: np.asarray(v, dtype=float))
+    features_world = _field(data, "features_world", _array)
     if features_world.ndim != 2 or features_world.shape[1] != 3:
         raise ScenarioError(f"features_world: expected (m, 3) array, got shape {features_world.shape}")
     m = features_world.shape[0]
@@ -227,7 +236,7 @@ def from_dict(data: dict) -> Scenario:
         except Exception as exc:
             raise ScenarioError(f"target_pose: features not all in front of the camera ({exc})") from exc
     else:
-        target_features = _field(data, "target_features", lambda v: np.asarray(v, dtype=float))
+        target_features = _field(data, "target_features", _array)
         if target_features.shape != (m, 2):
             raise ScenarioError(f"target_features: expected ({m}, 2), got {target_features.shape}")
 
@@ -242,12 +251,12 @@ def from_dict(data: dict) -> Scenario:
             for i, wp in enumerate(obs["waypoints"]):
                 _require_keys(wp, {"t", "center"}, {"t", "center"}, f"obstacle.waypoints[{i}]")
                 times.append(_field(wp, "t", _real, where=f"obstacle.waypoints[{i}].t"))
-                points.append(np.asarray(wp["center"], dtype=float))
+                points.append(_field(wp, "center", _array, where=f"obstacle.waypoints[{i}].center"))
             obstacle = Obstacle3(radius, np.array(times), np.vstack(points))
         elif "velocity" in obs:
-            obstacle = Obstacle3.constant_velocity(obs["center"], obs["velocity"], radius)
+            obstacle = Obstacle3.constant_velocity(_array(obs["center"]), _array(obs["velocity"]), radius)
         else:
-            obstacle = Obstacle3.static(obs["center"], radius)
+            obstacle = Obstacle3.static(_array(obs["center"]), radius)
 
     mode = data["mode"]
     if mode not in MODES:
@@ -282,11 +291,23 @@ def from_dict(data: dict) -> Scenario:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads a plain exponent number without a dot or an exponent sign, such as
+    ``1e-3`` or ``1.0e308``, as a float, as YAML 1.2 does; YAML 1.1 makes it a string, which :func:`_real` refuses."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def _read_yaml(path):
     """The YAML document in ``path``; a file that cannot be read or parsed is a ScenarioError."""
     try:
         with open(path) as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_Loader)
     except FileNotFoundError as exc:
         raise ScenarioError(f"file not found: {path}") from exc
     except (OSError, ValueError, yaml.YAMLError) as exc:  # a directory, no permission, not UTF-8, not YAML
@@ -301,7 +322,7 @@ def load(path) -> Scenario:
 def load_locations(path) -> np.ndarray:
     """Obstacle starts from a YAML list of ``[x, y, z]``: finite ``(n, 3)`` rows, else a ScenarioError."""
     with _reading(f"locations file {path}"):
-        locations = np.asarray(_read_yaml(path), dtype=float)
+        locations = _array(_read_yaml(path))
     if locations.ndim != 2 or locations.shape[1] != 3 or not np.isfinite(locations).all():
         raise ScenarioError(f"locations file {path}: need a list of finite [x, y, z], got {locations.tolist()!r:.50}")
     return locations
@@ -332,11 +353,15 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if sc.mode == MODE_PRCBC and sc.noise is None:
         problems.append("prcbc mode needs a noise model (it defines the confidence level)")
     try:
-        obs_state = obstacle_image_state(sc.obstacle, sc.initial_pose, 0.0)
-        features, _ = project_point(sc.initial_pose, sc.features_world)
-        for i, h in enumerate(barrier_value(features - obs_state.center, obs_state.rn)):
-            if h <= 0.0:
-                problems.append(f"initial state not occlusion-free: feature {i} has margin {h:.3e}")
+        problems += occlusions_at_start(sc)
     except Exception as exc:
         problems.append(f"initial projection failed: {exc}")
     return problems
+
+
+def occlusions_at_start(sc: Scenario) -> list[str]:
+    """The features the obstacle occludes at t = 0, as problems; raises when the obstacle or a feature does not project."""
+    obs_state = obstacle_image_state(sc.obstacle, sc.initial_pose, 0.0)
+    features, _ = project_point(sc.initial_pose, sc.features_world)
+    margins = barrier_value(features - obs_state.center, obs_state.rn)
+    return [f"initial state not occlusion-free: feature {i} has margin {h:.3e}" for i, h in enumerate(margins) if h <= 0.0]

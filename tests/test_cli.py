@@ -293,7 +293,7 @@ def test_default_out_dir_env(tmp_path, small_scenario, monkeypatch):
     assert (tmp_path / "envout" / "trajectory.csv").exists()
 
 
-SCIPY_BLOCKED_RUN = """
+SCIPY_REFUSED = """
 import sys
 
 
@@ -306,7 +306,8 @@ class RefuseScipy:
 
 sys.meta_path.insert(0, RefuseScipy())
 from safe_ibvs.cli import main
-
+"""
+SCIPY_BLOCKED_RUN = SCIPY_REFUSED + """
 for path in sys.argv[1:]:
     assert main(["check", "--scenario", path]) == 0, path
     assert main(["run", "--scenario", path, "--out", f"{path}.out"]) == 0, path
@@ -330,6 +331,34 @@ def test_check_and_run_without_scipy(tmp_path):
         [sys.executable, "-c", SCIPY_BLOCKED_RUN, *paths], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["jacobians", "chance", "solvers"])
+def test_oracle_without_scipy_exits_one_naming_the_package(suite):
+    # the oracles import scipy; without it the command once ended in an ImportError traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    script = SCIPY_REFUSED + "sys.exit(main(['oracle', '--suite', sys.argv[1]]))\n"
+    proc = subprocess.run([sys.executable, "-c", script, suite], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "scipy" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_sweep_refuses_a_start_that_is_already_occluded(tmp_path, capsys, monkeypatch):
+    # start 1 puts the obstacle over feature 0 at t = 0 (margin -2.551e-3): the sweep once ran it, exited 0 and
+    # booked the violation, which no filter could have prevented, against the filter
+    from safe_ibvs import sim
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "sweep", no_trial)
+    locs = tmp_path / "locs.yaml"
+    locs.write_text(yaml.safe_dump([[0.43, 0.23, 0.10], [0.225, 0.225, 0.11]]))
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", REF_NOISE, "--locations", str(locs), "--trials", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "start 1 [0.225, 0.225, 0.11]: initial state not occlusion-free: feature 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

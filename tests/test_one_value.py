@@ -5,13 +5,16 @@ path (a section, a key, a list or one of its items) with one of a fixed
 set of bad values. The document must then do one of three things:
 ``from_dict`` raises ``ScenarioError``; ``validate_scenario`` returns
 problems; or ``run``, capped at 3 steps, ends by convergence, the step
-cap or a typed abort without raising. The retired keys ``camera.px`` and
+cap or a typed abort without raising. Where the value replaced is a
+number, a boolean or a string must end in ``from_dict``: it is not read
+as 1.0 or parsed. The retired keys ``camera.px`` and
 ``camera.py`` are set the same way, as a scene written for the old
 schema would set them, and each such document must end in ``from_dict``.
 """
 
 import builtins
 import copy
+import functools
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +46,10 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _is_number(node) -> bool:
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
 CASES = [
     pytest.param(name, path, value, id=f"{name}-{'.'.join(map(str, path))}-{value!r}")
     for name, doc in DOCUMENTS.items()
@@ -54,6 +61,7 @@ CASES = [
 @pytest.mark.parametrize("name, path, value", CASES)
 def test_one_bad_value_ends_typed(name, path, value):
     data = copy.deepcopy(DOCUMENTS[name])
+    number = path not in RETIRED and _is_number(functools.reduce(lambda node, key: node[key], path, data))
     parent = data
     for key in path[:-1]:
         parent = parent[key]
@@ -63,6 +71,7 @@ def test_one_bad_value_ends_typed(name, path, value):
     except ScenarioError:
         return
     assert path not in RETIRED, f"{'.'.join(path)} was accepted"
+    assert not (number and isinstance(value, (bool, str))), f"{value!r} was read as a number"
     if scenario.validate_scenario(sc):
         return
     sc = replace(sc, max_steps=min(sc.max_steps, 3))

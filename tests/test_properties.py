@@ -143,3 +143,31 @@ def test_filter_returns_a_certified_twist_or_a_typed_hold(problem):
         assert sol.status in HOLDS and sol.message
         assert np.array_equal(sol.twist, np.zeros(6))
     event(sol.status)
+
+
+@st.composite
+def one_row_problems(draw):
+    """One occlusion row that v_ref violates and V = 0 satisfies, with a speed ball the projection stays inside,
+    or the speed ball alone: the free set is one quadratic row throughout."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v_ref = rng.normal(size=6) * draw(_floats(0.1, 5.0))
+    speed = float(np.linalg.norm(v_ref))
+    if draw(st.booleans()):
+        return solvers.FilterProblem(v_ref, draw(_floats(0.01, 0.99)) * speed, np.zeros((0, 0, 6)), np.zeros((0, 6)), [])
+    scale = 10.0 ** draw(_floats(0.0, 4.0))
+    f = rng.normal(size=(1, draw(st.sampled_from([2, 6])), 6)) * scale
+    b = rng.normal(size=(1, 6)) * scale
+    c = [-draw(_floats(0.01, 10.0))]
+    assume(float(np.sum((f[0] @ v_ref) ** 2) + b[0] @ v_ref + c[0]) > 0.0)
+    # the projection is no farther from v_ref than V = 0, so it lies within 2 ||v_ref|| of 0
+    return solvers.FilterProblem(v_ref, 2.0 * speed + 1.0, f, b, c)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(one_row_problems())
+def test_one_active_row_is_projected_by_its_exact_step(problem):
+    sol = solvers.solve_filter_qcqp(problem)
+    assert sol.status == solvers.STATUS_OPTIMAL, sol.message
+    solvers.certify(sol, problem)
+    assert np.count_nonzero(sol.duals) == 1
+    event(f"rank {problem.f.shape[1]}" if problem.f.shape[0] else "ball only")

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -202,6 +203,72 @@ def test_a_boolean_is_refused_in_every_real_field(path, value):
     named = ".".join(map(str, path)).replace(".1.", "[1].")  # obstacle.waypoints[1].t
     with pytest.raises(ScenarioError, match=re.escape(f"{named}: expected a real number, got {value}")):
         sm.from_dict(cfg)
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5"])
+@pytest.mark.parametrize(
+    "path, named",
+    [
+        pytest.param(path, named, id=".".join(map(str, path)))
+        for path, named in [
+            (("features_world", 0, 0), "features_world"),
+            (("target_features", 0, 1), "target_features"),
+            (("initial_pose", "xyz", 2), "initial_pose"),
+            (("initial_pose", "rotation", 0, 0), "initial_pose"),
+            (("target_pose", "rpy", 1), "target_pose"),
+            (("obstacle", "waypoints", 1, "center", 0), "obstacle.waypoints[1].center"),
+            (("obstacle", "center", 2), "obstacle"),
+            (("noise", "feature_cov", 0, 1), "noise.feature_cov"),
+            (("noise", "obstacle_cov", 1, 1), "noise.obstacle_cov"),
+            (("locations", 0, 0), "locations file"),
+        ]
+    ],
+)
+def test_a_boolean_or_a_string_is_refused_in_every_array_field(tmp_path, path, named, value):
+    # each of these once loaded as 1.0, 0.0 or 0.5: np.asarray(..., dtype=float) reads a bool and parses a string
+    cfg = yaml.safe_load((SCENARIOS / "reference_noise.yaml").read_text())
+    cov = [[10.0, 0.0], [0.0, 10.0]]
+    cfg["noise"] = {"feature_cov": cov, "obstacle_cov": copy.deepcopy(cov), "sigma": 0.8}
+    cfg["initial_pose"] = {"rotation": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]], "xyz": [0.0, 0.0, 1.1]}
+    if path[0] == "target_features":
+        del cfg["target_pose"]
+        cfg["target_features"] = [[0.1, 0.1], [-0.1, 0.1], [-0.1, -0.1], [0.1, -0.1]]
+    if path[:2] == ("obstacle", "center"):
+        cfg["obstacle"] = {"radius": 0.05, "center": [0.43, 0.23, 0.10]}
+    if path[0] == "locations":
+        cfg = [[0.43, 0.23, 0.10]]
+        path = path[1:]
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    message = re.escape(f"{named}") + ".*" + re.escape(f"expected a real number, got {value!r}")
+    with pytest.raises(ScenarioError, match=message):
+        if named == "locations file":
+            (tmp_path / "locs.yaml").write_text(yaml.safe_dump(cfg))
+            sm.load_locations(tmp_path / "locs.yaml")
+        else:
+            sm.from_dict(cfg)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("gamma: 4.0", "gamma: 4e0"), ("gamma: 4.0", "gamma: 4.0e+0"), ("convergence_tol: 1.0e-3", "convergence_tol: 1e-3")],
+)
+def test_an_exponent_number_without_a_dot_or_sign_is_a_real_number(tmp_path, old, new):
+    # YAML 1.1 reads 4e0 and 1e-3 as strings; the scenario reader takes them as YAML 1.2 floats
+    path = tmp_path / "scene.yaml"
+    path.write_text(REPO_SCENARIO.read_text().replace(old, new))
+    assert new in path.read_text()
+    assert sm.load(path).digest() == sm.load(REPO_SCENARIO).digest()
+
+
+def test_a_quoted_number_is_refused(tmp_path):
+    # gamma: "4.0" once loaded as 4.0, through float()
+    path = tmp_path / "scene.yaml"
+    path.write_text(REPO_SCENARIO.read_text().replace("gamma: 4.0", 'gamma: "4.0"'))
+    with pytest.raises(ScenarioError, match=re.escape("gamma: expected a real number, got '4.0'")):
+        sm.load(path)
 
 
 def test_integral_floats_load_as_integers():

@@ -466,8 +466,13 @@ def reference_solve(v_ref, a, b, c, v_max):
 
 def assert_matches_reference(prob):
     args = (prob.v_ref, prob.a, prob.b, prob.c, prob.v_max)
-    v, _, reason = qcqp.solve(*args)
+    v, lam, reason = qcqp.solve(*args)
     ref, ref_reason, m_mat = reference_solve(*args)
+    if ref_reason == qcqp.NO_CONVERGENCE and not reason:
+        # the exact step along a lone quadratic row's multiplier reaches optima that the reference's damped Newton
+        # steps stall short of; such an optimum must pass the certification with its own multipliers
+        solvers.certify(solvers.FilterSolution(twist=v, status=solvers.STATUS_OPTIMAL, duals=lam), prob)
+        return
     # which hold a divergent solve reports (the bound, or M singular at multipliers near 1e60) is rounding
     assert bool(reason) == bool(ref_reason)
     # plus the rounding that solving with M carries into V, which no order of operations avoids
@@ -504,9 +509,10 @@ def test_stalled_slab_solve_stops_early(v_ref, monkeypatch):
 
 
 def test_one_factorisation_per_trial_point(monkeypatch):
-    # one rank-2 PrCBC-like row that v_ref violates: every Newton system is 1x1, so the only LAPACK
-    # call left is M's factorisation, one per trial point with a nonzero multiplier
-    counts = {"factorisations": 0, "points": 0}
+    # one rank-2 PrCBC-like row that v_ref violates: the step along its multiplier goes to the dual's maximiser
+    # on that coordinate, found from one eigendecomposition of the row, so the solve evaluates v_ref and one
+    # trial point, and factorises M once, at that point
+    counts = {"eigh": 0, "inv": 0, "other": 0, "points": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -516,13 +522,13 @@ def test_one_factorisation_per_trial_point(monkeypatch):
         return wrapper
 
     for name in ("inv", "solve", "lstsq", "cholesky", "qr", "svd", "eig", "eigh", "pinv", "det"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), "factorisations"))
+        key = name if name in counts else "other"
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), key))
     monkeypatch.setattr(qcqp, "evaluate", counted(qcqp.evaluate, "points"))
     prob = cylinder(40.0, 0.6 * E[0], 0.1, np.array([0.1, 0.3, -0.2, 0.05, 0.1, 0.0]))
     v, _, reason = qcqp.solve(prob.v_ref, prob.a, prob.b, prob.c, prob.v_max)
     assert reason == "" and np.hypot(v[0] - 0.6, v[1]) == pytest.approx(0.1, abs=1e-9)
-    assert counts["points"] > 2
-    assert counts["factorisations"] == counts["points"] - 1  # the start, lambda = 0, needs none
+    assert counts == {"eigh": 1, "inv": 1, "other": 0, "points": 2}
 
 
 @pytest.mark.parametrize(
