@@ -5,6 +5,11 @@ length and poses, world feature points, the obstacle schedule,
 controller mode and weights, the noise model, and the seed. Scenario
 files are YAML with a fixed schema; unknown keys are rejected so typos
 fail loudly.
+
+A scenario that exists is valid: building the frozen ``Scenario`` (by
+:func:`from_dict`, ``dataclasses.replace`` or a ``with_*`` method) runs
+:func:`validate_scenario` and raises one ``ScenarioError`` listing every
+problem, the filter's precondition, an occlusion-free start, among them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 import yaml
 
 from .barrier import NoiseModel, barrier_value
-from .errors import ScenarioError, UnsupportedCovariance
+from .errors import NonPositiveDepth, ScenarioError, UnsupportedCovariance
 from .geometry import CameraPose, Obstacle3, obstacle_image_state, project_point
 from .mpc import MpcConfig
 
@@ -32,7 +37,7 @@ MODES = (MODE_CBC, MODE_PRCBC, MODE_UNFILTERED)
 SEED_LIMIT = 2**64  # a seed keys the trial's Philox generator, so it lies in [0, 2**64)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     name: str
     focal_length: float  # pixels per normalized image unit
@@ -48,13 +53,16 @@ class Scenario:
     seed: int = 0
     convergence_tol: float = 1e-3
 
+    def __post_init__(self):
+        problems = validate_scenario(self)
+        if problems:
+            raise ScenarioError("; ".join(problems))
+
     @property
     def m(self) -> int:
         return self.features_world.shape[0]
 
     def with_mode(self, mode: str) -> "Scenario":
-        if mode not in MODES:
-            raise ScenarioError(f"mode must be one of {MODES}, got {mode!r}")
         return replace(self, mode=mode)
 
     def with_seed(self, seed: int) -> "Scenario":
@@ -159,10 +167,12 @@ def _real(value) -> float:
 
 
 def _array(value) -> np.ndarray:
-    """``value`` as a float array; an entry that :func:`_real` refuses, which ``np.asarray`` would read, is refused."""
+    """``value`` as a float array; an entry that :func:`_real` refuses, which ``np.asarray`` would read, is refused,
+    and so is one that is not finite, before any projection or product could warn about it."""
     array = np.asarray(value, dtype=float)  # a ragged or non-numeric value fails here
     for entry in np.asarray(value, dtype=object).flat:
-        _real(entry)
+        if not math.isfinite(_real(entry)):
+            raise ValueError(f"expected a finite number, got {entry!r}")
     return array
 
 
@@ -233,7 +243,7 @@ def from_dict(data: dict) -> Scenario:
         target_pose = _pose_from_dict(data["target_pose"], "target_pose")
         try:
             target_features = project_point(target_pose, features_world)[0]
-        except Exception as exc:
+        except NonPositiveDepth as exc:
             raise ScenarioError(f"target_pose: features not all in front of the camera ({exc})") from exc
     else:
         target_features = _field(data, "target_features", _array)
@@ -258,10 +268,6 @@ def from_dict(data: dict) -> Scenario:
         else:
             obstacle = Obstacle3.static(_array(obs["center"]), radius)
 
-    mode = data["mode"]
-    if mode not in MODES:
-        raise ScenarioError(f"mode: must be one of {MODES}, got {mode!r}")
-
     mpc_data = data["mpc"]
     _require_keys(mpc_data, {"horizon", "q", "r", "f", "v_max", "dt"}, {"horizon"}, "mpc")
     with _reading("mpc"):
@@ -281,7 +287,7 @@ def from_dict(data: dict) -> Scenario:
         features_world=features_world,
         target_features=target_features,
         obstacle=obstacle,
-        mode=mode,
+        mode=data["mode"],
         mpc=mpc_cfg,
         noise=_field(data, "noise", lambda section: _noise_from_dict(section, focal_length)),
         gamma=_field(data, "gamma", _real, 2.0),
@@ -323,23 +329,26 @@ def load_locations(path) -> np.ndarray:
     """Obstacle starts from a YAML list of ``[x, y, z]``: finite ``(n, 3)`` rows, else a ScenarioError."""
     with _reading(f"locations file {path}"):
         locations = _array(_read_yaml(path))
-    if locations.ndim != 2 or locations.shape[1] != 3 or not np.isfinite(locations).all():
-        raise ScenarioError(f"locations file {path}: need a list of finite [x, y, z], got {locations.tolist()!r:.50}")
+    if locations.ndim != 2 or locations.shape[1] != 3:
+        raise ScenarioError(f"locations file {path}: need a list of [x, y, z], got {locations.tolist()!r:.50}")
     return locations
 
 
 def validate_scenario(sc: Scenario) -> list[str]:
-    """Semantic invariant checks; returns a list of human-readable problems."""
-    problems = []
+    """Semantic invariant checks, as human-readable problems: ``[]`` for any ``Scenario``, which raises them."""
     numbers = {
         "initial_pose": (sc.initial_pose.rotation, sc.initial_pose.translation),
         "features_world": (sc.features_world,),
         "target_features": (sc.target_features,),
         "obstacle": (sc.obstacle.radius, sc.obstacle.times, sc.obstacle.points),
     }
+    problems = []
     for name, arrays in numbers.items():
         if not all(np.isfinite(x).all() for x in arrays):
             problems.append(f"{name} holds a non-finite number")
+    finite = not problems
+    if sc.mode not in MODES:
+        problems.append(f"mode must be one of {MODES}, got {sc.mode!r}")
     if not (np.isfinite(sc.convergence_tol) and sc.convergence_tol > 0.0):
         problems.append(f"convergence_tol must be finite and positive, got {sc.convergence_tol}")
     if sc.m < 3:
@@ -352,16 +361,14 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append(f"max_steps must be >= 1, got {sc.max_steps}")
     if sc.mode == MODE_PRCBC and sc.noise is None:
         problems.append("prcbc mode needs a noise model (it defines the confidence level)")
+    if not finite:  # a non-finite number would warn in the projection below
+        return problems
     try:
-        problems += occlusions_at_start(sc)
-    except Exception as exc:
-        problems.append(f"initial projection failed: {exc}")
-    return problems
-
-
-def occlusions_at_start(sc: Scenario) -> list[str]:
-    """The features the obstacle occludes at t = 0, as problems; raises when the obstacle or a feature does not project."""
-    obs_state = obstacle_image_state(sc.obstacle, sc.initial_pose, 0.0)
-    features, _ = project_point(sc.initial_pose, sc.features_world)
+        obs_state = obstacle_image_state(sc.obstacle, sc.initial_pose, 0.0)
+        features, _ = project_point(sc.initial_pose, sc.features_world)
+    except NonPositiveDepth as exc:
+        return problems + [f"initial projection failed: {exc}"]
     margins = barrier_value(features - obs_state.center, obs_state.rn)
-    return [f"initial state not occlusion-free: feature {i} has margin {h:.3e}" for i, h in enumerate(margins) if h <= 0.0]
+    return problems + [
+        f"initial state not occlusion-free: feature {i} has margin {h:.3e}" for i, h in enumerate(margins) if h <= 0.0
+    ]

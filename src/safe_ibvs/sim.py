@@ -17,6 +17,9 @@ then advance the camera pose and obstacle clock. The CSV and the summary
 are read off that table.
 Everything is driven by a counter-based generator keyed on the scenario
 seed, so a (scenario, seed) pair reproduces bit-identical logs.
+A ``Scenario`` checks itself when it is built (its mode, a PrCBC noise
+model, a Philox seed, an occlusion-free t = 0), so the engine runs what
+it is given unchecked; a sweep builds every trial's scenario first.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .geometry import (
 )
 from .ibvs import clip_twist, feature_error
 from .jacobians import feature_interaction, obstacle_radius_interaction
-from .scenario import MODE_CBC, MODE_PRCBC, MODE_UNFILTERED, Scenario
+from .scenario import MODE_CBC, MODE_UNFILTERED, Scenario
 from .solvers import STATUS_FALLBACK, FilterProblem, solve_filter_qp, solve_filter_qcqp
 
 CSV_FLOAT_FMT = "{:.17g}"
@@ -198,13 +201,9 @@ def step(
         if sc.mode == MODE_CBC:
             *constraints, rows = cbc_halfspaces(obs, sc.gamma)
             solution = solve_filter_qp(FilterProblem(v_mpc, sc.mpc.v_max, *constraints))
-        elif sc.mode == MODE_PRCBC:
-            if sc.noise is None:
-                raise ScenarioError("prcbc mode needs a noise model")
+        else:  # MODE_PRCBC, whose scenario has a noise model
             *constraints, rows = prcbc_quadratics(obs, sc.gamma, sc.noise.halfwidth)
             solution = solve_filter_qcqp(FilterProblem(v_mpc, sc.mpc.v_max, *constraints))
-        else:
-            raise ScenarioError(f"unknown mode {sc.mode!r}")
         min_row_inf = float(np.abs(rows).max(axis=1).min())
         v_star, status = solution.twist, solution.status
 
@@ -305,17 +304,29 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def sweep_trials(template: Scenario, locations: np.ndarray, trials_per_location: int) -> list[Scenario]:
+    """A sweep's trials in (location, trial) order: trial (i, j) starts the obstacle at ``locations[i]``, with
+    seed ``template.seed + i * trials + j``. A start whose scenario is invalid raises a ScenarioError naming it."""
+    scenarios = []
+    for i, loc in enumerate(locations):
+        try:
+            moved = template.with_obstacle_start(loc)
+        except ScenarioError as exc:
+            raise ScenarioError(f"start {i} {loc.tolist()}: {exc}") from exc
+        scenarios += [moved.with_seed(template.seed + i * trials_per_location + j) for j in range(trials_per_location)]
+    return scenarios
+
+
 def sweep(
     template: Scenario,
     locations: np.ndarray,
     trials_per_location: int = 10,
     jobs: int = 1,
 ) -> SweepResult:
-    """Run ``trials_per_location`` seeded trials from each obstacle start.
+    """Run ``trials_per_location`` seeded trials from each obstacle start (:func:`sweep_trials`).
 
-    Trial (i, j) uses seed ``template.seed + i * trials + j``, so results are
-    independent of the execution schedule; ``jobs > 1`` shards trials
-    over processes and merges them back in index order.
+    The seeds make results independent of the execution schedule; ``jobs > 1``
+    shards trials over processes and merges them back in index order.
     """
     if trials_per_location < 1:
         raise ValueError(f"trials_per_location must be >= 1, got {trials_per_location}")
@@ -323,14 +334,8 @@ def sweep(
     if locations.shape[1] != 3:
         raise ValueError(f"locations must be (n, 3), got {locations.shape}")
 
-    scenarios = []
-    seeds = np.empty((locations.shape[0], trials_per_location), dtype=np.uint64)
-    for i, loc in enumerate(locations):
-        moved = template.with_obstacle_start(loc)
-        for j in range(trials_per_location):
-            seed = int(template.seed) + i * trials_per_location + j
-            seeds[i, j] = seed
-            scenarios.append(moved.with_seed(seed))
+    scenarios = sweep_trials(template, locations, trials_per_location)
+    seeds = np.array([sc.seed for sc in scenarios], dtype=np.uint64).reshape(len(locations), trials_per_location)
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -149,6 +149,7 @@ def test_check_rejects_a_weight_that_overflows(tmp_path, capsys, key, named):
         ("horizon: 5", "horizon: .inf", "mpc.horizon"),
         ("max_steps: 300", "max_steps: .inf", "max_steps"),
         ("seed: 2024", "seed: .nan", "seed"),
+        ("- [0.25, 0.25, 0.0]", "- [.inf, 0.25, 0.0]", "features_world"),
     ],
 )
 def test_check_rejects_non_finite_numbers(tmp_path, capsys, old, new, named):
@@ -230,25 +231,26 @@ def _reject(token):
     raise ValueError(f"not strict JSON: {token}")
 
 
-def test_sweep_summary_is_strict_json_when_a_location_has_no_step(tmp_path, small_scenario):
-    # the second start puts the obstacle behind the camera, so its trials abort before their first step
+def test_sweep_summary_is_strict_json_when_a_location_has_no_step(tmp_path):
+    # every trial starts converged, so no location takes a step or measures a clearance
+    data = yaml.safe_load(Path(REF_NOISE).read_text())
+    data["convergence_tol"] = 1.0e9
+    scene = tmp_path / "converged.yaml"
+    scene.write_text(yaml.safe_dump(data))
     locs = tmp_path / "locs.yaml"
-    locs.write_text(yaml.safe_dump([[0.43, 0.23, 0.10], [0.0, 0.0, 5.0]]))
+    locs.write_text(yaml.safe_dump([[0.43, 0.23, 0.10], [0.40, 0.20, 0.08]]))
     out = tmp_path / "s"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["sweep", "--scenario", small_scenario, "--locations", str(locs), "--trials", "2", "--out", str(out)])
-    assert code == EXIT_ABORT
+        code = main(["sweep", "--scenario", str(scene), "--locations", str(locs), "--trials", "2", "--out", str(out)])
+    assert code == EXIT_OK
     summary = json.loads((out / "sweep_summary.json").read_text(), parse_constant=_reject)
-    # the two behind-camera trials never measured a clearance, so only the first location's two count
-    assert summary["trials_dis_positive"] == 2 and summary["aborted_trials"] == 2
-    rows = summary["rows"]
-    assert rows[0]["mean_dis"] > 0.0 and rows[0]["var_dis"] >= 0.0 and rows[0]["aborted"] == 0
-    assert rows[1]["mean_dis"] is None and rows[1]["var_dis"] is None and rows[1]["aborted"] == 2
+    assert summary["trials_dis_positive"] == 0 and summary["trials_total"] == 4 and summary["aborted_trials"] == 0
+    for row in summary["rows"]:
+        assert row["mean_dis"] is None and row["var_dis"] is None and row["aborted"] == 0
     with open(out / "aggregate.csv", newline="") as fh:
         cells = list(csv.DictReader(fh))
-    assert float(cells[0]["mean_dis"]) == rows[0]["mean_dis"]
-    assert cells[1]["mean_dis"] == cells[1]["var_dis"] == "" and cells[1]["aborted"] == "2"
+    assert len(cells) == 2 and all(c["mean_dis"] == c["var_dis"] == "" and c["aborted"] == "0" for c in cells)
     # every trial CSV shares one header, with or without steps
     headers = {(out / f"trial_{i:02d}_{j:02d}.csv").read_text().splitlines()[0] for i in range(2) for j in range(2)}
     assert len(headers) == 1 and "h_4" in headers.pop()
@@ -358,6 +360,24 @@ def test_sweep_refuses_a_start_that_is_already_occluded(tmp_path, capsys, monkey
     code = main(["sweep", "--scenario", REF_NOISE, "--locations", str(locs), "--trials", "1", "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "start 1 [0.225, 0.225, 0.11]: initial state not occlusion-free: feature 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_start_behind_the_camera(tmp_path, capsys, monkeypatch):
+    # start 1 puts the obstacle above the camera: the sweep once ran each of its trials to a step-0
+    # NonPositiveDepth abort and exited 2, while check refuses the same scene
+    from safe_ibvs import sim
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim, "run", no_trial)
+    locs = tmp_path / "locs.yaml"
+    locs.write_text(yaml.safe_dump([[0.43, 0.23, 0.10], [0.0, 0.0, 5.0]]))
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", REF_NOISE, "--locations", str(locs), "--trials", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "start 1 [0.0, 0.0, 5.0]: initial projection failed" in capsys.readouterr().err
     assert not out.exists()
 
 
