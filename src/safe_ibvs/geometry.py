@@ -19,8 +19,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,12 +145,14 @@ class Obstacle3:
     radius: float
     times: np.ndarray
     points: np.ndarray
+    _knots: list = field(init=False, repr=False)  # times as floats, for bisect
 
     def __post_init__(self):
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_knots", times.tolist())
         if not self.radius > 0.0:
             raise ValueError(f"obstacle radius must be positive, got {self.radius}")
         if points.shape != (times.shape[0], 3):
@@ -169,9 +172,14 @@ class Obstacle3:
         return Obstacle3(radius, np.array([0.0, 1e6]), np.vstack([center, center + 1e6 * velocity]))
 
     def center_at(self, t: float) -> np.ndarray:
-        if self.times.shape[0] == 1:
+        """The center at time ``t``, by ``np.interp``'s arithmetic: a knot's own point, held past either end."""
+        j = bisect.bisect_right(self._knots, t) - 1  # times[j] <= t < times[j + 1]
+        if j < 0:
             return self.points[0].copy()
-        return np.array([np.interp(t, self.times, self.points[:, i]) for i in range(3)])
+        if j == len(self._knots) - 1 or self._knots[j] == t:
+            return self.points[j].copy()
+        slope = (self.points[j + 1] - self.points[j]) / (self._knots[j + 1] - self._knots[j])
+        return slope * (t - self._knots[j]) + self.points[j]
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,9 +19,12 @@ problem into six independent N x N systems
 The six systems are solved exactly through their dual over the N ball
 multipliers lambda >= 0, ball k bounding ||V_k|| = ||(z_1k, ..., z_6k)||.
 For fixed lambda the minimiser solves (A_j + 2 diag(lambda)) z_j = rhs_j.
-lambda = 0 gives the unconstrained optimum in closed form from the
-eigenbasis of M, computed once per MpcConfig, and it is the answer
-whenever no ball is exceeded. Otherwise projected Newton over the balls
+lambda = 0 gives the unconstrained optimum in closed form: with
+M = P diag(nu) P' and rhs_j = c_j w, z_j = P (c_j P'w / eigvals_j), where
+eigvals_j = 2 dt^2 mu_j nu + 2 r. MpcConfig computes P, nu and the modal
+weights P'w once, so the six systems take one (6, N) @ (N, N) product,
+and that is the answer whenever no ball is exceeded. When one is, the
+systems' N x N inverses are formed, and projected Newton over the balls
 that exceed the bound or carry a positive multiplier drives
 1/||V_k|| - 1/v_max to zero; its Jacobian sums 2 z' K^-1 z / ||V_k||^3
 over the six systems. This secular equation is nearly linear in lambda,
@@ -67,6 +70,7 @@ class MpcConfig:
     dt: float
     coupling_eig: tuple = field(init=False, repr=False)  # eigh of the (N, N) M = q C + f 11'
     grad_weights: np.ndarray = field(init=False, repr=False)  # (N,) w_k = q (N - 1 - k) + f
+    modal_weights: np.ndarray = field(init=False, repr=False)  # (N,) basis' w, w in the eigenbasis of M
 
     def __post_init__(self):
         for name in ("q", "r", "f"):  # Python floats, whose overflow gives inf without a warning
@@ -90,23 +94,24 @@ class MpcConfig:
             raise ValueError(f"q = {self.q:g} and f = {self.f:g} make M = q C + f 11' or its eigenvalues non-finite")
         object.__setattr__(self, "coupling_eig", coupling_eig)
         object.__setattr__(self, "grad_weights", self.q * (self.horizon - 1 - steps) + self.f)
+        object.__setattr__(self, "modal_weights", coupling_eig[1].T @ self.grad_weights)
 
 
-def _dual_newton(basis: np.ndarray, eigvals: np.ndarray, rhs: np.ndarray, v_max: float) -> np.ndarray:
+def _dual_newton(basis: np.ndarray, eigvals: np.ndarray, rhs: np.ndarray, z: np.ndarray, v_max: float) -> np.ndarray:
     """Minimiser z (B, N) of sum_b 0.5 z_b' A_b z_b - rhs_b' z_b subject to every ||z[:, k]|| <= v_max.
 
     The batch holds B systems A_b = basis diag(eigvals[b]) basis', and
-    ball k bounds the entries z[b, k] of all B systems together.
+    ball k bounds the entries z[b, k] of all B systems together. The
+    caller passes the lambda = 0 minimiser ``z``.
     """
     n = rhs.shape[1]
     inverse = (basis / eigvals[:, None, :]) @ basis.T  # of the lambda = 0 systems
     lam = np.zeros(n)
-    for it in range(NEWTON_MAX_ITER + 1):
-        z = np.einsum("bij,bj->bi", inverse, rhs)
+    for it in range(NEWTON_MAX_ITER):
         norms = np.sqrt(np.einsum("bk,bk->k", z, z))
         free = (lam > 0.0) | (norms > v_max)
-        if it == NEWTON_MAX_ITER or (np.abs(norms[free] - v_max) <= NEWTON_TOL * v_max).all():
-            return z  # an unsaturated plan returns here, at it = 0
+        if (np.abs(norms[free] - v_max) <= NEWTON_TOL * v_max).all():
+            break
         # d(1/||u_k||)/d lam_l = 2 sum_b z[b, k] (K_b^-1)[k, l] z[b, l] / ||u_k||^3
         curv = np.einsum("bk,bkl,bl->kl", z, inverse, z)
         jac = 2.0 * curv[free][:, free] / norms[free, None] ** 3
@@ -117,6 +122,8 @@ def _dual_newton(basis: np.ndarray, eigvals: np.ndarray, rhs: np.ndarray, v_max:
             a_diagonal = diagonal.copy()
         diagonal[...] = a_diagonal + 2.0 * lam
         inverse = np.linalg.inv(k_mat)
+        z = np.einsum("bij,bj->bi", inverse, rhs)
+    return z
 
 
 def plan(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> np.ndarray:
@@ -130,8 +137,11 @@ def plan(e0: np.ndarray, L: np.ndarray, cfg: MpcConfig) -> np.ndarray:
     mu, rotation = np.linalg.eigh(L.T @ L)
     nu, basis = cfg.coupling_eig
     eigvals = np.multiply.outer((2.0 * dt * dt) * mu, nu) + 2.0 * cfg.r
-    rhs = np.multiply.outer((-2.0 * dt) * (e0 @ L @ rotation), cfg.grad_weights)
-    u = _dual_newton(basis, eigvals, rhs, cfg.v_max).T @ rotation.T
+    coef = (-2.0 * dt) * (e0 @ L @ rotation)  # system j's rhs is coef_j w
+    z = (coef[:, None] * cfg.modal_weights / eigvals) @ basis.T  # the lambda = 0 minimiser of all six
+    if (np.sqrt(np.einsum("bk,bk->k", z, z)) > cfg.v_max).any():
+        z = _dual_newton(basis, eigvals, np.multiply.outer(coef, cfg.grad_weights), z, cfg.v_max)
+    u = z.T @ rotation.T
     norms = np.sqrt((u * u).sum(axis=1))
     u *= (cfg.v_max / np.maximum(norms, cfg.v_max))[:, None]  # any block still over the bound goes onto it
     return u

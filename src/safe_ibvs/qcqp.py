@@ -17,29 +17,41 @@ gives V = v_ref: the solve evaluates g(v_ref) first and returns a copy
 of v_ref with zero multipliers when every g_i <= 0, before it sets up
 anything else (the lambda = 0 optimality test accepts exactly that
 point, as the size of g_i's terms is never negative; a NaN falls through
-to it). Otherwise projected Newton ascends the concave dual
+to it).
+
+When v_ref violates exactly one row i beyond that test's allowance, the
+solve takes the first step of the dual active-set method (Goldfarb &
+Idnani, Math. Prog. 27, 1983) directly: with every other multiplier 0,
+the dual is maximised along lambda_i alone. For a half-space M = I and
+the dual is quadratic there, so lambda_i = 2 g_i / ||b_i||^2. For a
+quadratic row lambda_i is the root of its secular equation (More &
+Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983), found by scalar Newton in
+the row's eigenbasis from one ``eigh`` of the row (:func:`_row_terms`,
+:func:`_row_root`), and V is formed in that eigenbasis, with no inverse
+of M. V is returned with lambda_i e_i when it passes the optimality
+test; while row i alone fails it, the step is taken again from the g
+measured at V. This is the PrCBC filter's common case. Any other
+problem, or one whose V violates another row, goes to the general
+method below, from lambda = 0.
+
+The general method is projected Newton on the concave dual
 d(lambda) = L(V(lambda), lambda), whose gradient is g(V) and whose
 Hessian is -0.5 G M^-1 G' for the stacked constraint gradients G, over
-the multipliers that are positive or whose constraint is violated (the
-dual approach of Goldfarb & Idnani, Math. Prog. 27, 1983). One inverse
-of M per trial point gives V(lambda) and the next Hessian, unless every
-positive multiplier sits on a half-space (the CBC filter's case): then
-sum_i lambda_i A_i is zero, M = I, V = v_ref - 0.5 sum_i lambda_i b_i
+the multipliers that are positive or whose constraint is violated. One
+inverse of M per trial point gives V(lambda) and the next Hessian, unless
+every positive multiplier sits on a half-space (the CBC filter's case):
+then sum_i lambda_i A_i is zero, M = I, V = v_ref - 0.5 sum_i lambda_i b_i
 and the Hessian is -0.5 G G', with no inverse. When that set is one
-multiplier, every other one is 0 and the step is exact along its
-coordinate: g/h for a half-space, whose dual is quadratic there, and for
-a quadratic row the root of its secular equation, found by scalar Newton
-in the row's eigenbasis from one ``eigh`` of the row per solve (:func:`_row_root`).
-The PrCBC filter's closed loop almost always ends with one such row, so
-its solve takes one trial point. When the Hessian is rank-deficient to
-``lstsq``, the step is solved again on its Jacobi-scaled form, and the
-dual, linear along what stays null, is followed there until a multiplier
-reaches zero (two opposed half-spaces that both carry a multiplier need
-this). Each step is cut back until the dual value rises (Armijo). At the
-dual optimum V is the exact projection. Every call starts from
-lambda = 0 and keeps no state between calls. It returns lambda with V:
-V minimises the Lagrangian at lambda, so these are the KKT multipliers
-that the filter's certification checks.
+multiplier, every other one is 0 and the step is the exact one along its
+coordinate above: g/h for a half-space, the secular root for a quadratic
+row. When the Hessian is rank-deficient to ``lstsq``, the step is solved
+again on its Jacobi-scaled form, and the dual, linear along what stays
+null, is followed there until a multiplier reaches zero (two opposed
+half-spaces that both carry a multiplier need this). Each step is cut
+back until the dual value rises (Armijo). At the dual optimum V is the
+exact projection. Every call keeps no state between calls. It returns
+lambda with V: V minimises the Lagrangian at lambda, so these are the
+KKT multipliers that the filter's certification checks.
 
 The solve holds, returning a reason instead of a twist, in two cases,
 each reason starting with its own first word:
@@ -100,32 +112,31 @@ def phase_one(dual_value: float, bound: float) -> str:
     return ""
 
 
+def _passes(lam: np.ndarray, g: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residual ``|g_i|`` where ``lambda_i > 0``, else ``g_i``, and which rows pass the solve's test: the residual
+    is at most FEAS_RTOL of the size of g_i's terms, and g_i at most FEAS_ATOL."""
+    residual = np.where(lam > 0.0, np.abs(g), g)
+    return residual, (residual <= FEAS_RTOL * sizes) & (g <= FEAS_ATOL)
+
+
 def _settled(x, g, grads, sizes, residual) -> bool:
     """Whether g is zero up to the rounding V's own solve carries into g: the test for a stalled or capped solve."""
     rounding = sizes + np.linalg.norm(grads, axis=1) * np.linalg.norm(x)
     return bool(np.all(residual <= FEAS_RTOL * rounding) and np.all(g <= FEAS_ATOL))
 
 
-def _row_terms(a_i: np.ndarray, b_i: np.ndarray, v_ref: np.ndarray) -> tuple[list, float, float]:
-    """One quadratic row in the eigenbasis ``a_i = W diag(s) W'``, as :func:`_row_root` reads it.
+def _row_terms(a_i: np.ndarray, b_i: np.ndarray, v_ref: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One quadratic row in its eigenbasis ``a_i = W diag(s) W'``: ``(W, s, W'v_ref, W'b_i)``.
 
-    Returns ``(s_j, u_j, beta_j)`` for each eigenvalue above the rounding of
-    the largest, with ``u = W'v_ref`` and ``beta = W'b_i``, and the sums
-    ``beta'u`` and ``beta'beta`` over the rest, on which the row is linear.
+    An eigenvalue at the rounding of the largest is set to 0, as a Gram
+    matrix has none below 0: along it the row is linear.
     """
     s, w_mat = np.linalg.eigh(a_i)  # ascending
-    cut = float(s[-1]) * (s.size * EPS)  # a Gram matrix has no eigenvalue below 0; one at rounding level is 0
-    curved, beta_u, beta_sq = [], 0.0, 0.0
-    for s_j, u_j, beta_j in zip(s.tolist(), (v_ref @ w_mat).tolist(), (b_i @ w_mat).tolist()):
-        if s_j > cut:
-            curved.append((s_j, u_j, beta_j))
-        else:
-            beta_u += beta_j * u_j
-            beta_sq += beta_j * beta_j
-    return curved, beta_u, beta_sq
+    s[s <= s[-1] * (s.size * EPS)] = 0.0
+    return w_mat, s, v_ref @ w_mat, b_i @ w_mat
 
 
-def _row_root(lam: float, g: float, curved: list, beta_u: float, beta_sq: float, c: float, bound: float) -> float:
+def _row_root(lam: float, g: float, s: np.ndarray, u: np.ndarray, beta: np.ndarray, c: float, bound: float) -> float:
     """The multiplier that maximises the dual along one quadratic row's coordinate, every other multiplier 0.
 
     With the row in its eigenbasis (:func:`_row_terms`), the Lagrangian's
@@ -146,6 +157,13 @@ def _row_root(lam: float, g: float, curved: list, beta_u: float, beta_sq: float,
     ``lambda^2 ||w||^2 / 4 + lambda g``, exceeds ``bound``, so that a row no
     lambda satisfies is held by the weak-duality test there.
     """
+    curved, beta_u, beta_sq = [], 0.0, 0.0  # the terms of the eigenvalues above 0, and sums over the rest
+    for s_j, u_j, beta_j in zip(s.tolist(), u.tolist(), beta.tolist()):
+        if s_j:
+            curved.append((s_j, u_j, beta_j))
+        else:
+            beta_u += beta_j * u_j
+            beta_sq += beta_j * beta_j
     for it in range(MAX_ITER):
         value, slope, w_sq = c + beta_u - 0.5 * lam * beta_sq, 0.5 * beta_sq, beta_sq
         for s_j, u_j, beta_j in curved:
@@ -183,9 +201,14 @@ def solve(
     if (g <= 0.0).all():
         return v_ref.copy(), np.zeros(c.shape[0]), ""  # admissible: the lambda = 0 test below accepts it, as sizes >= 0
     k, n = a.shape[0], v_ref.shape[0]
-    a_rows, eye = a.reshape(k, n * n), np.eye(n)
+    a_rows = a.reshape(k, n * n)
     abs_a, abs_b, abs_c = np.abs(a), np.abs(b), np.abs(c)
     bound = (math.sqrt(v_ref @ v_ref) + v_max) ** 2  # what np.linalg.norm computes
+
+    def sizes_at(x):
+        """The size of each g_i's terms at V = x: g_i summed with every term's absolute value."""
+        ax = np.abs(x)
+        return (abs_a @ ax) @ ax + abs_b @ ax + abs_c
 
     def minimiser(lam, g=None, grads=None):
         """M^-1 (None when M = I), the Lagrangian's minimiser V, g(V), g's gradients, the size of each g_i's terms,
@@ -197,24 +220,54 @@ def solve(
             x = v_ref - 0.5 * (lam @ b)
             m_sum = lam @ a_rows
             if m_sum.any():  # else every multiplier is on a half-space: M = I, and M^-1 y is y
-                m_inv = np.linalg.inv(eye + m_sum.reshape(n, n))
+                m_inv = np.linalg.inv(np.eye(n) + m_sum.reshape(n, n))
                 x = m_inv @ x
         if g is None:
             g, grads = evaluate(a, b, c, x)
-        ax = np.abs(x)
-        sizes = (abs_a @ ax) @ ax + abs_b @ ax + abs_c
+        sizes = sizes_at(x)
         d = x - v_ref
         dist = float(d @ d)
         return m_inv, x, g, grads, sizes, dist + float(lam @ g), dist + float(lam @ sizes)
 
     rows = {}  # row index -> its _row_terms, formed once per solve
     lam = np.zeros(k)
-    m_inv, x, g, grads, sizes, dual, dual_size = minimiser(lam, g, grads)
-    stalls = 0
     try:
+        violated = (g > 0.0).nonzero()[0]
+        if violated.size == 1 and not _passes(lam, g, sizes_at(v_ref))[1].all():
+            # v_ref violates one row beyond the test's allowance: the first step of the dual active-set method
+            # raises that row's multiplier alone, to the dual's maximiser along its coordinate, and forms V
+            # without M^-1 (in the row's eigenbasis, or M = I for a half-space). While that row alone fails the
+            # test, the step is taken again from the g measured at V; once another row fails, or lambda stops
+            # moving, the solve starts over below from lambda = 0.
+            i = violated[0]
+            quadratic = a_rows[i].any()
+            if quadratic:
+                w_mat, s, u, beta = rows[i] = _row_terms(a[i], b[i], v_ref)
+            lam_i, g_i = 0.0, float(g[i])
+            for _ in range(MAX_ITER):
+                if quadratic:
+                    nxt = _row_root(lam_i, g_i, s, u, beta, float(c[i]), bound)
+                    x = w_mat @ ((u - 0.5 * nxt * beta) / (1.0 + nxt * s))
+                else:  # a half-space's dual is quadratic along the coordinate, so its step g / h is exact
+                    h = 0.5 * float(b[i] @ b[i])
+                    nxt = max(lam_i + g_i / h, 0.0) if h > 0.0 else lam_i
+                    x = v_ref - 0.5 * nxt * b[i]
+                if not nxt > 0.0 or nxt == lam_i:
+                    break
+                lam[i] = lam_i = nxt
+                g_x = evaluate(a, b, c, x)[0]
+                passed = _passes(lam, g_x, sizes_at(x))[1]
+                if passed.all():
+                    return x, lam, ""
+                if (~passed).nonzero()[0].tolist() != [i]:
+                    break
+                g_i = float(g_x[i])
+            lam[i] = 0.0
+        m_inv, x, g, grads, sizes, dual, dual_size = minimiser(lam, g, grads)
+        stalls = 0
         for it in range(MAX_ITER + 1):
-            residual = np.where(lam > 0.0, np.abs(g), g)
-            if (residual <= FEAS_RTOL * sizes).all() and (g <= FEAS_ATOL).all():
+            residual, passed = _passes(lam, g, sizes)
+            if passed.all():
                 return x, lam, ""
             if stalls >= 2 and _settled(x, g, grads, sizes, residual):
                 return x, lam, ""
@@ -227,7 +280,7 @@ def solve(
                 i = free[0]
                 if i not in rows:
                     rows[i] = _row_terms(a[i], b[i], v_ref)
-                step = np.array([_row_root(float(lam[i]), float(g[i]), *rows[i], float(c[i]), bound) - lam[i]])
+                step = np.array([_row_root(float(lam[i]), float(g[i]), *rows[i][1:], float(c[i]), bound) - lam[i]])
             else:
                 g_free = grads[free]
                 hess = 0.5 * (g_free @ (g_free.T if m_inv is None else m_inv @ g_free.T))
@@ -266,10 +319,10 @@ def solve(
             m_inv, x, g, grads, sizes, dual, dual_size = point
             reason = phase_one(dual, bound)
             if reason:
-                return np.zeros_like(x), None, reason
+                return np.zeros_like(v_ref), None, reason
     except np.linalg.LinAlgError as exc:
         # multipliers so large that I + sum_i lambda_i A_i rounds to a singular matrix
-        return np.zeros_like(x), None, f"{NO_CONVERGENCE}: the multipliers diverged ({exc})"
+        return np.zeros_like(v_ref), None, f"{NO_CONVERGENCE}: the multipliers diverged ({exc})"
     if _settled(x, g, grads, sizes, residual):
         return x, lam, ""
-    return np.zeros_like(x), None, f"{NO_CONVERGENCE} after {it} dual Newton steps (residual {residual.max():.3e})"
+    return np.zeros_like(v_ref), None, f"{NO_CONVERGENCE} after {it} dual Newton steps (residual {residual.max():.3e})"

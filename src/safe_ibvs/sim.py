@@ -46,7 +46,7 @@ from .jacobians import feature_interaction, obstacle_radius_interaction
 from .scenario import MODE_CBC, MODE_UNFILTERED, Scenario
 from .solvers import STATUS_FALLBACK, FilterProblem, solve_filter_qp, solve_filter_qcqp
 
-CSV_FLOAT_FMT = "{:.17g}"
+CSV_FLOAT_FMT = "%.17g"
 
 
 def columns(m: int) -> list[str]:
@@ -108,9 +108,10 @@ class TrajectoryLog:
     summary: TrajectorySummary
 
     def csv_text(self) -> str:
-        fmt = CSV_FLOAT_FMT.format
-        lines = [",".join(columns(self.m) + ["filter_status"])]
-        lines += [",".join([*map(fmt, row), status]) for row, status in zip(self.table.tolist(), self.status)]
+        cols = columns(self.m)
+        row_fmt = ",".join([CSV_FLOAT_FMT] * len(cols) + ["%s"])
+        lines = [",".join(cols + ["filter_status"])]
+        lines += [row_fmt % (*row, status) for row, status in zip(self.table.tolist(), self.status)]
         return "\n".join(lines) + "\n"
 
     def summary_dict(self) -> dict:
@@ -300,7 +301,7 @@ class SweepResult:
         cols = ["location_index", "loc_x", "loc_y", "loc_z", "trials", "mean_dis", "var_dis", "violations", "aborted"]
         lines = [",".join(cols)]
         for row in self.aggregate_rows():
-            lines.append(",".join("" if row[c] is None else CSV_FLOAT_FMT.format(row[c]) for c in cols))
+            lines.append(",".join("" if row[c] is None else CSV_FLOAT_FMT % row[c] for c in cols))
         return "\n".join(lines) + "\n"
 
 

@@ -143,6 +143,32 @@ def test_obstacle_schedule_interpolation():
     assert np.allclose(obs.center_at(5.0), [2.0, 4.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "obs",
+    [
+        geo.Obstacle3.static([0.3, -0.2, 0.1], 0.05),
+        geo.Obstacle3.constant_velocity([0.43, 0.23, 0.1], [-0.07, 0.013, 0.002], 0.05),
+        geo.Obstacle3(
+            0.05, [-0.7, 0.1, 0.35, 2.9], [[0.1, 0.2, 0.3], [-1.0 / 3.0, 0.5, 0.0], [2.0, -0.1, 1e-3], [0.0, 7.0, -4.0]]
+        ),
+    ],
+    ids=["static", "constant_velocity", "waypoints"],
+)
+def test_center_at_is_np_interp_bit_for_bit(obs):
+    # the trajectory CSVs are byte-identical only if center_at keeps np.interp's arithmetic: every knot, both
+    # clamps and the interior of every segment
+    knots = obs.times.tolist()
+    times = knots + [knots[0] - 1.0, knots[-1] + 1.0, float(np.nextafter(knots[0], -np.inf))]
+    times += [float(np.nextafter(t, np.inf)) for t in knots] + [float(np.nextafter(t, -np.inf)) for t in knots[1:]]
+    rng = np.random.default_rng(7)
+    for lo, hi in zip(knots, knots[1:]):
+        times += rng.uniform(lo, hi, 200).tolist()
+    times += (0.05 * np.arange(1000)).tolist()  # the steps of a trial
+    for t in times:
+        expected = np.array([np.interp(t, obs.times, obs.points[:, i]) for i in range(3)])
+        assert obs.center_at(t).tobytes() == expected.tobytes(), t
+
+
 def test_obstacle_validation():
     with pytest.raises(ValueError, match="radius"):
         geo.Obstacle3.static([0.0, 0.0, 0.0], 0.0)

@@ -357,12 +357,12 @@ def test_unsaturated_plan_is_the_lambda_zero_solve(monkeypatch):
         L = random_stack(rng)
         e0 = rng.normal(size=8) * 0.01
         controls = mpc.plan(e0, L, cfg)
-        # lambda = 0 written out: the inverse of each N x N system, its product with the rhs, then the rotation back
+        # lambda = 0 written out: system j is basis diag(eigvals[j]) basis' z_j = coef_j w, so z_j is
+        # basis (coef_j basis'w / eigvals[j]), then the rotation back
         mu, rotation = np.linalg.eigh(L.T @ L)
         eigvals = np.multiply.outer((2.0 * cfg.dt * cfg.dt) * mu, nu) + 2.0 * cfg.r
-        rhs = np.multiply.outer((-2.0 * cfg.dt) * (e0 @ L @ rotation), cfg.grad_weights)
-        inverse = (basis / eigvals[:, None, :]) @ basis.T
-        reference = np.einsum("bij,bj->bi", inverse, rhs).T @ rotation.T
+        coef = (-2.0 * cfg.dt) * (e0 @ L @ rotation)
+        reference = ((coef[:, None] * (basis.T @ cfg.grad_weights) / eigvals) @ basis.T).T @ rotation.T
         assert np.linalg.norm(reference, axis=1).max() < cfg.v_max
         assert np.array_equal(controls, reference)
     assert calls == []

@@ -20,7 +20,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
+from conftest import assert_matches_reference
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from safe_ibvs import errors, scenario, sim, solvers
@@ -146,15 +148,16 @@ def test_filter_returns_a_certified_twist_or_a_typed_hold(problem):
 
 @st.composite
 def one_row_problems(draw):
-    """One occlusion row that v_ref violates and V = 0 satisfies, with a speed ball the projection stays inside,
-    or the speed ball alone: the free set is one quadratic row throughout."""
+    """One occlusion row, a quadratic or a half-space, that v_ref violates and V = 0 satisfies, with a speed ball
+    the projection stays inside, or the speed ball alone: v_ref violates exactly one row, and the projection
+    keeps every other multiplier at 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v_ref = rng.normal(size=6) * draw(_floats(0.1, 5.0))
     speed = float(np.linalg.norm(v_ref))
     if draw(st.booleans()):
         return solvers.FilterProblem(v_ref, draw(_floats(0.01, 0.99)) * speed, np.zeros((0, 0, 6)), np.zeros((0, 6)), [])
     scale = 10.0 ** draw(_floats(0.0, 4.0))
-    f = rng.normal(size=(1, draw(st.sampled_from([2, 6])), 6)) * scale
+    f = rng.normal(size=(1, draw(st.sampled_from([0, 2, 6])), 6)) * scale
     b = rng.normal(size=(1, 6)) * scale
     c = [-draw(_floats(0.01, 10.0))]
     assume(float(np.sum((f[0] @ v_ref) ** 2) + b[0] @ v_ref + c[0]) > 0.0)
@@ -165,8 +168,16 @@ def one_row_problems(draw):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(one_row_problems())
 def test_one_active_row_is_projected_by_its_exact_step(problem):
-    sol = solvers.solve_filter_qcqp(problem)
+    # the step to the row's multiplier is exact, and V is formed in the row's eigenbasis: no inverse of M
+    inversions = []
+    with pytest.MonkeyPatch.context() as patch:
+        inv = np.linalg.inv
+        patch.setattr(np.linalg, "inv", lambda m: inversions.append(m) or inv(m))
+        sol = solvers.solve_filter_qcqp(problem)
     assert sol.status == solvers.STATUS_OPTIMAL, sol.message
     solvers.certify(sol, problem)
     assert np.count_nonzero(sol.duals) == 1
-    event(f"rank {problem.f.shape[1]}" if problem.f.shape[0] else "ball only")
+    assert inversions == []
+    assert_matches_reference(problem)
+    rank = problem.f.shape[1] if problem.f.shape[0] else None
+    event("ball only" if rank is None else f"rank {rank}" if rank else "half-space")
